@@ -1,14 +1,26 @@
 GO ?= go
 
-.PHONY: all build test doccheck race service-race trace-race cluster-race cube-race bench benchtab bench-service bench-cluster fuzz fuzz-soak bench-difftest chaos soak-faults bench-fault bench-cuts bench-sched bench-cube
+.PHONY: all build test doccheck race service-race trace-race cluster-race cube-race bench benchtab bench-service bench-cluster fuzz fuzz-soak bench-difftest chaos soak-faults bench-fault bench-cuts bench-sched bench-cube ledger-test ledger-check
 
-all: build doccheck test fuzz chaos cluster-race cube-race bench-cuts bench-sched bench-cube
+all: build doccheck test ledger-test fuzz chaos cluster-race cube-race bench-cuts bench-sched bench-cube
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The benchmark ledger is a Go module of its own (cmd/ledger/go.mod), so the
+# root test run never reaches its unit and smoke tests.
+ledger-test:
+	cd cmd/ledger && $(GO) test ./...
+
+# Ledger regression gate (not part of all: about 45 minutes): five seeded
+# runs of every workload, then a comparison against the committed baseline
+# that fails on a median regression beyond the bounds in BENCHMARK.json.
+ledger-check:
+	bash cmd/ledger/bench.sh -runs 5 -out .bench_build/head.json
+	bash cmd/ledger/bench.sh -compare cmd/ledger/baseline.json .bench_build/head.json
 
 # Documentation bar: every exported identifier must carry a doc comment.
 doccheck:

@@ -86,11 +86,24 @@ type AIG struct {
 }
 
 // New returns an empty AIG containing only the constant-false node.
-func New() *AIG {
-	return &AIG{
-		nodes:  []node{{litInvalid, litInvalid}},
-		strash: make(map[uint64]int32),
+func New() *AIG { return NewSized(0) }
+
+// NewSized is New with room for about nodes nodes: the node array and the
+// structural hash table are allocated at that size up front, so building a
+// graph whose size is known in advance (a miter, a parsed file) does not
+// rehash the table as it grows. The hint only reserves capacity; the graph
+// grows past it as usual. Callers reading untrusted sizes must bound the
+// hint themselves.
+func NewSized(nodes int) *AIG {
+	if nodes < 1 {
+		nodes = 1
 	}
+	g := &AIG{
+		nodes:  make([]node, 1, nodes),
+		strash: make(map[uint64]int32, nodes),
+	}
+	g.nodes[0] = node{litInvalid, litInvalid}
+	return g
 }
 
 // NumNodes returns the total node count including the constant and PIs.

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -123,42 +124,14 @@ func writeDelta(w *bufio.Writer, x uint32) error {
 
 // Read parses an AIGER file (ASCII or binary, detected from the header).
 func Read(r io.Reader) (*aig.AIG, error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
+	br, h, err := readHeader(r)
 	if err != nil {
-		return nil, fmt.Errorf("aiger: reading header: %w", err)
+		return nil, err
 	}
-	fields := strings.Fields(header)
-	if len(fields) < 6 {
-		return nil, fmt.Errorf("aiger: malformed header %q", strings.TrimSpace(header))
+	if h.l != 0 {
+		return nil, fmt.Errorf("aiger: %d latches present; only combinational AIGs are supported", h.l)
 	}
-	format := fields[0]
-	if format != "aag" && format != "aig" {
-		return nil, fmt.Errorf("aiger: unknown format %q", format)
-	}
-	var m, i, l, o, a int
-	for idx, dst := range []*int{&m, &i, &l, &o, &a} {
-		v, err := strconv.Atoi(fields[idx+1])
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("aiger: bad header field %q", fields[idx+1])
-		}
-		*dst = v
-	}
-	if l != 0 {
-		return nil, fmt.Errorf("aiger: %d latches present; only combinational AIGs are supported", l)
-	}
-	if m != i+a {
-		return nil, fmt.Errorf("aiger: header M=%d does not equal I+A=%d", m, i+a)
-	}
-
-	g := aig.New()
-	lits := make([]aig.Lit, m+1) // AIGER variable -> our literal
-	lits[0] = aig.False
-
-	if format == "aag" {
-		return readASCII(br, g, lits, i, o, a)
-	}
-	return readBinary(br, g, lits, i, o, a)
+	return readBody(br, h)
 }
 
 // ReadFile parses the AIGER file at path.
@@ -175,121 +148,239 @@ func ReadFile(path string) (*aig.AIG, error) {
 	return g, nil
 }
 
-func litOf(lits []aig.Lit, l uint32) (aig.Lit, error) {
-	v := int(l >> 1)
-	if v >= len(lits) {
-		return 0, fmt.Errorf("aiger: literal %d out of range", l)
-	}
-	return lits[v].NotIf(l&1 == 1), nil
+// header is the parsed header line "aag|aig M I L O A".
+type header struct {
+	binary        bool
+	m, i, l, o, a int
+	// budget caps every allocation sized by a header count, because the
+	// counts are untrusted: a 30-byte body can declare a billion ANDs. A
+	// reader that knows its length (bytes.Reader, strings.Reader) bounds
+	// them by half its unread bytes, since every record takes at least two;
+	// for any other stream, arrays start at growCap entries. Either way
+	// they grow as records are parsed, so memory follows what the stream
+	// delivers.
+	budget int
 }
 
-func readASCII(br *bufio.Reader, g *aig.AIG, lits []aig.Lit, i, o, a int) (*aig.AIG, error) {
-	readUints := func(n int) ([]uint32, error) {
-		out := make([]uint32, n)
-		for k := 0; k < n; k++ {
-			line, err := br.ReadString('\n')
-			if err != nil && !(err == io.EOF && line != "") {
-				return nil, fmt.Errorf("aiger: unexpected end of file: %w", err)
-			}
-			v, err := strconv.ParseUint(strings.TrimSpace(line), 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("aiger: bad literal line %q", strings.TrimSpace(line))
-			}
-			out[k] = uint32(v)
-		}
-		return out, nil
+// growCap is the initial capacity of per-record arrays when the stream's
+// length is unknown.
+const growCap = 1 << 12
+
+// capped bounds a header count by the budget, for use as a capacity hint.
+func (h *header) capped(n int) int {
+	if n > h.budget {
+		return h.budget
 	}
-	ins, err := readUints(i)
+	return n
+}
+
+// readHeader parses and checks the header line.
+func readHeader(r io.Reader) (*bufio.Reader, *header, error) {
+	h := &header{budget: growCap}
+	if lr, ok := r.(interface{ Len() int }); ok {
+		h.budget = lr.Len() / 2
+	}
+	br := bufio.NewReader(r)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		return nil, nil, fmt.Errorf("aiger: reading header: %w", err)
+	}
+	fields := strings.Fields(line)
+	if len(fields) < 6 {
+		return nil, nil, fmt.Errorf("aiger: malformed header %q", strings.TrimSpace(line))
+	}
+	switch fields[0] {
+	case "aag":
+	case "aig":
+		h.binary = true
+	default:
+		return nil, nil, fmt.Errorf("aiger: unknown format %q", fields[0])
+	}
+	for idx, dst := range []*int{&h.m, &h.i, &h.l, &h.o, &h.a} {
+		v, err := strconv.Atoi(fields[idx+1])
+		if err != nil || v < 0 {
+			return nil, nil, fmt.Errorf("aiger: bad header field %q", fields[idx+1])
+		}
+		*dst = v
+	}
+	if h.m != h.i+h.l+h.a {
+		return nil, nil, fmt.Errorf("aiger: header M=%d does not equal I+L+A=%d", h.m, h.i+h.l+h.a)
+	}
+	if h.m > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("aiger: header M=%d exceeds the 32-bit literal range", h.m)
+	}
+	return br, h, nil
+}
+
+// readBody parses everything after the header into the latch-boundary-cut
+// combinational view (see ReadSequential); without latches that is the
+// AIG itself.
+func readBody(br *bufio.Reader, h *header) (*aig.AIG, error) {
+	if h.binary {
+		return readBinary(br, h)
+	}
+	return readASCII(br, h)
+}
+
+// readRecord reads one ASCII line of exactly len(dst) unsigned fields; the
+// last line of a file may lack its newline.
+func readRecord(br *bufio.Reader, dst []uint32, what string) error {
+	line, err := br.ReadString('\n')
+	if err != nil && !(err == io.EOF && line != "") {
+		return fmt.Errorf("aiger: unexpected end of file in %s section: %w", what, err)
+	}
+	f := strings.Fields(line)
+	if len(f) != len(dst) {
+		return fmt.Errorf("aiger: bad %s line %q", what, strings.TrimSpace(line))
+	}
+	for j, s := range f {
+		v, err := strconv.ParseUint(s, 10, 32)
+		if err != nil {
+			return fmt.Errorf("aiger: bad %s literal %q", what, s)
+		}
+		dst[j] = uint32(v)
+	}
+	return nil
+}
+
+// readLits reads n one-literal lines.
+func readLits(br *bufio.Reader, h *header, n int, what string) ([]uint32, error) {
+	out := make([]uint32, 0, h.capped(n))
+	var v [1]uint32
+	for k := 0; k < n; k++ {
+		if err := readRecord(br, v[:], what); err != nil {
+			return nil, err
+		}
+		out = append(out, v[0])
+	}
+	return out, nil
+}
+
+// latchName and nextName name the pseudo-PI and pseudo-PO of latch k.
+func latchName(k int) string { return fmt.Sprintf("latch%d", k) }
+func nextName(k int) string  { return fmt.Sprintf("latch%d'", k) }
+
+func readASCII(br *bufio.Reader, h *header) (*aig.AIG, error) {
+	ins, err := readLits(br, h, h.i, "input")
 	if err != nil {
 		return nil, err
 	}
-	defined := make([]bool, len(lits))
+	// Latch lines: "<current> <next>"; current becomes a pseudo-PI.
+	latches := make([][2]uint32, 0, h.capped(h.l))
+	for k := 0; k < h.l; k++ {
+		var f [2]uint32
+		if err := readRecord(br, f[:], "latch"); err != nil {
+			return nil, err
+		}
+		latches = append(latches, f)
+	}
+	outs, err := readLits(br, h, h.o, "output")
+	if err != nil {
+		return nil, err
+	}
+	ands := make([][3]uint32, 0, h.capped(h.a))
+	for k := 0; k < h.a; k++ {
+		var f [3]uint32
+		if err := readRecord(br, f[:], "AND"); err != nil {
+			return nil, err
+		}
+		ands = append(ands, f)
+	}
+
+	// Every declared record has arrived, so tables over the M+1 variables
+	// are bounded by the bytes read.
+	g := aig.NewSized(h.m + 1)
+	lits := make([]aig.Lit, h.m+1) // AIGER variable -> our literal
+	defined := make([]bool, h.m+1)
 	defined[0] = true
+	fresh := func(l uint32) bool {
+		return l&1 == 0 && l != 0 && int(l>>1) < len(lits) && !defined[l>>1]
+	}
+	ref := func(l uint32) (aig.Lit, bool) {
+		if int(l>>1) >= len(lits) || !defined[l>>1] {
+			return 0, false
+		}
+		return lits[l>>1].NotIf(l&1 == 1), true
+	}
 	for _, l := range ins {
-		if l&1 == 1 || l == 0 || int(l>>1) >= len(lits) || defined[l>>1] {
+		if !fresh(l) {
 			return nil, fmt.Errorf("aiger: invalid input literal %d", l)
 		}
 		defined[l>>1] = true
 		lits[l>>1] = g.AddPI()
 	}
-	outs, err := readUints(o)
-	if err != nil {
-		return nil, err
-	}
-	type andLine struct{ lhs, r0, r1 uint32 }
-	andLines := make([]andLine, a)
-	for k := 0; k < a; k++ {
-		line, err := br.ReadString('\n')
-		if err != nil && !(err == io.EOF && line != "") {
-			return nil, fmt.Errorf("aiger: unexpected end of file in AND section: %w", err)
+	for k, la := range latches {
+		if !fresh(la[0]) {
+			return nil, fmt.Errorf("aiger: invalid latch literal %d", la[0])
 		}
-		f := strings.Fields(line)
-		if len(f) != 3 {
-			return nil, fmt.Errorf("aiger: bad AND line %q", strings.TrimSpace(line))
-		}
-		var vals [3]uint32
-		for j, s := range f {
-			v, err := strconv.ParseUint(s, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("aiger: bad AND literal %q", s)
-			}
-			vals[j] = uint32(v)
-		}
-		andLines[k] = andLine{vals[0], vals[1], vals[2]}
+		defined[la[0]>>1] = true
+		lits[la[0]>>1] = g.AddPINamed(latchName(k))
 	}
 	// The ASCII format only requires lhs > rhs, not file order; sorting
 	// by lhs makes every definition available before its uses.
-	sort.Slice(andLines, func(a, b int) bool { return andLines[a].lhs < andLines[b].lhs })
-	for _, al := range andLines {
-		if al.lhs&1 == 1 || al.lhs == 0 || int(al.lhs>>1) >= len(lits) || defined[al.lhs>>1] || al.r0 >= al.lhs || al.r1 >= al.lhs {
-			return nil, fmt.Errorf("aiger: AND %d invalid (rhs %d %d)", al.lhs, al.r0, al.r1)
+	sort.Slice(ands, func(x, y int) bool { return ands[x][0] < ands[y][0] })
+	for _, al := range ands {
+		if !fresh(al[0]) || al[1] >= al[0] || al[2] >= al[0] {
+			return nil, fmt.Errorf("aiger: AND %d invalid (rhs %d %d)", al[0], al[1], al[2])
 		}
-		if !defined[al.r0>>1] || !defined[al.r1>>1] {
-			return nil, fmt.Errorf("aiger: AND %d references undefined variable", al.lhs)
+		f0, ok0 := ref(al[1])
+		f1, ok1 := ref(al[2])
+		if !ok0 || !ok1 {
+			return nil, fmt.Errorf("aiger: AND %d references undefined variable", al[0])
 		}
-		defined[al.lhs>>1] = true
-		f0, err := litOf(lits, al.r0)
-		if err != nil {
-			return nil, err
-		}
-		f1, err := litOf(lits, al.r1)
-		if err != nil {
-			return nil, err
-		}
-		lits[al.lhs>>1] = g.And(f0, f1)
+		defined[al[0]>>1] = true
+		lits[al[0]>>1] = g.And(f0, f1)
 	}
 	for _, l := range outs {
-		if int(l>>1) >= len(lits) || !defined[l>>1] {
+		po, ok := ref(l)
+		if !ok {
 			return nil, fmt.Errorf("aiger: output references undefined literal %d", l)
 		}
-		po, err := litOf(lits, l)
-		if err != nil {
-			return nil, err
-		}
 		g.AddPO(po)
+	}
+	for k, la := range latches {
+		next, ok := ref(la[1])
+		if !ok {
+			return nil, fmt.Errorf("aiger: latch %d next-state undefined", k)
+		}
+		g.AddPONamed(next, nextName(k))
 	}
 	readSymbols(br, g)
 	return g, nil
 }
 
-func readBinary(br *bufio.Reader, g *aig.AIG, lits []aig.Lit, i, o, a int) (*aig.AIG, error) {
-	for k := 0; k < i; k++ {
-		lits[k+1] = g.AddPI()
+func readBinary(br *bufio.Reader, h *header) (*aig.AIG, error) {
+	g := aig.NewSized(1 + h.capped(h.m))
+	// Inputs and latches are implicit: AIGER variables 1..I+L, which are
+	// node ids 1..I+L of the fresh graph.
+	for k := 0; k < h.i; k++ {
+		g.AddPI()
 	}
-	outs := make([]uint32, o)
-	for k := 0; k < o; k++ {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("aiger: unexpected end of file in output section: %w", err)
-		}
-		v, err := strconv.ParseUint(strings.TrimSpace(line), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("aiger: bad output literal %q", strings.TrimSpace(line))
-		}
-		outs[k] = uint32(v)
+	nexts, err := readLits(br, h, h.l, "latch")
+	if err != nil {
+		return nil, err
 	}
-	for k := 0; k < a; k++ {
-		lhs := uint32(i+1+k) << 1
+	for k := range nexts {
+		g.AddPINamed(latchName(k))
+	}
+	outs, err := readLits(br, h, h.o, "output")
+	if err != nil {
+		return nil, err
+	}
+	pis := h.i + h.l
+	ands := make([]aig.Lit, 0, h.capped(h.a)) // literal of AND variable pis+1+k
+	litOf := func(l uint32) (aig.Lit, error) {
+		v := int(l >> 1)
+		switch {
+		case v <= pis:
+			return aig.MakeLit(v, l&1 == 1), nil
+		case v-pis-1 < len(ands):
+			return ands[v-pis-1].NotIf(l&1 == 1), nil
+		}
+		return 0, fmt.Errorf("aiger: literal %d out of range", l)
+	}
+	for k := 0; k < h.a; k++ {
+		lhs := uint32(pis+1+k) << 1
 		d0, err := readDelta(br)
 		if err != nil {
 			return nil, err
@@ -305,23 +396,29 @@ func readBinary(br *bufio.Reader, g *aig.AIG, lits []aig.Lit, i, o, a int) (*aig
 		if d1 > r0 {
 			return nil, fmt.Errorf("aiger: invalid second delta at AND %d", lhs)
 		}
-		r1 := r0 - d1
-		f0, err := litOf(lits, r0)
+		f0, err := litOf(r0)
 		if err != nil {
 			return nil, err
 		}
-		f1, err := litOf(lits, r1)
+		f1, err := litOf(r0 - d1)
 		if err != nil {
 			return nil, err
 		}
-		lits[lhs>>1] = g.And(f0, f1)
+		ands = append(ands, g.And(f0, f1))
 	}
 	for _, l := range outs {
-		po, err := litOf(lits, l)
+		po, err := litOf(l)
 		if err != nil {
 			return nil, err
 		}
 		g.AddPO(po)
+	}
+	for k, l := range nexts {
+		next, err := litOf(l)
+		if err != nil {
+			return nil, err
+		}
+		g.AddPONamed(next, nextName(k))
 	}
 	readSymbols(br, g)
 	return g, nil

@@ -13,6 +13,7 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("aag 0 0 0 0 0\n"))
 	f.Add([]byte("aag 1 0 1 0 0\n2 3\n"))
 	f.Add([]byte(""))
+	f.Add([]byte(hostileHeader))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := Read(bytes.NewReader(data))
 		if err != nil {

@@ -1,13 +1,9 @@
 package aiger
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 
 	"simsweep/internal/aig"
 )
@@ -25,44 +21,14 @@ import (
 // followed by one pseudo-output per latch (its next-state literal).
 // NumLatches reports how many pseudo pairs were appended.
 func ReadSequential(r io.Reader) (g *aig.AIG, numLatches int, err error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return nil, 0, fmt.Errorf("aiger: reading header: %w", err)
-	}
-	fields := strings.Fields(header)
-	if len(fields) < 6 {
-		return nil, 0, fmt.Errorf("aiger: malformed header %q", strings.TrimSpace(header))
-	}
-	format := fields[0]
-	if format != "aag" && format != "aig" {
-		return nil, 0, fmt.Errorf("aiger: unknown format %q", format)
-	}
-	var m, i, l, o, a int
-	for idx, dst := range []*int{&m, &i, &l, &o, &a} {
-		v, err := strconv.Atoi(fields[idx+1])
-		if err != nil || v < 0 {
-			return nil, 0, fmt.Errorf("aiger: bad header field %q", fields[idx+1])
-		}
-		*dst = v
-	}
-	if m != i+l+a {
-		return nil, 0, fmt.Errorf("aiger: header M=%d does not equal I+L+A=%d", m, i+l+a)
-	}
-
-	g = aig.New()
-	lits := make([]aig.Lit, m+1)
-	lits[0] = aig.False
-
-	if format == "aag" {
-		g, err = readSequentialASCII(br, g, lits, i, l, o, a)
-	} else {
-		g, err = readSequentialBinary(br, g, lits, i, l, o, a)
-	}
+	br, h, err := readHeader(r)
 	if err != nil {
 		return nil, 0, err
 	}
-	return g, l, nil
+	if g, err = readBody(br, h); err != nil {
+		return nil, 0, err
+	}
+	return g, h.l, nil
 }
 
 // ReadSequentialFile parses the (possibly sequential) AIGER file at path.
@@ -77,212 +43,4 @@ func ReadSequentialFile(path string) (*aig.AIG, int, error) {
 		return nil, 0, fmt.Errorf("%s: %w", path, err)
 	}
 	return g, l, nil
-}
-
-func readSequentialASCII(br *bufio.Reader, g *aig.AIG, lits []aig.Lit, i, l, o, a int) (*aig.AIG, error) {
-	readLine := func() (string, error) {
-		line, err := br.ReadString('\n')
-		if err != nil && !(err == io.EOF && line != "") {
-			return "", fmt.Errorf("aiger: unexpected end of file: %w", err)
-		}
-		return strings.TrimSpace(line), nil
-	}
-	readUint := func() (uint32, error) {
-		line, err := readLine()
-		if err != nil {
-			return 0, err
-		}
-		v, err := strconv.ParseUint(line, 10, 32)
-		if err != nil {
-			return 0, fmt.Errorf("aiger: bad literal line %q", line)
-		}
-		return uint32(v), nil
-	}
-
-	defined := make([]bool, len(lits))
-	defined[0] = true
-	for k := 0; k < i; k++ {
-		v, err := readUint()
-		if err != nil {
-			return nil, err
-		}
-		if v&1 == 1 || v == 0 || int(v>>1) >= len(lits) || defined[v>>1] {
-			return nil, fmt.Errorf("aiger: invalid input literal %d", v)
-		}
-		defined[v>>1] = true
-		lits[v>>1] = g.AddPI()
-	}
-	// Latch lines: "<current> <next>"; current becomes a pseudo-PI.
-	type latch struct{ cur, next uint32 }
-	latches := make([]latch, l)
-	for k := 0; k < l; k++ {
-		line, err := readLine()
-		if err != nil {
-			return nil, err
-		}
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			return nil, fmt.Errorf("aiger: bad latch line %q", line)
-		}
-		cur, err1 := strconv.ParseUint(f[0], 10, 32)
-		next, err2 := strconv.ParseUint(f[1], 10, 32)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("aiger: bad latch line %q", line)
-		}
-		latches[k] = latch{uint32(cur), uint32(next)}
-		v := uint32(cur)
-		if v&1 == 1 || v == 0 || int(v>>1) >= len(lits) || defined[v>>1] {
-			return nil, fmt.Errorf("aiger: invalid latch literal %d", v)
-		}
-		defined[v>>1] = true
-		lits[v>>1] = g.AddPINamed(fmt.Sprintf("latch%d", k))
-	}
-	outs := make([]uint32, o)
-	for k := 0; k < o; k++ {
-		v, err := readUint()
-		if err != nil {
-			return nil, err
-		}
-		outs[k] = v
-	}
-	type andLine struct{ lhs, r0, r1 uint32 }
-	ands := make([]andLine, a)
-	for k := 0; k < a; k++ {
-		line, err := readLine()
-		if err != nil {
-			return nil, err
-		}
-		f := strings.Fields(line)
-		if len(f) != 3 {
-			return nil, fmt.Errorf("aiger: bad AND line %q", line)
-		}
-		var vals [3]uint32
-		for j, s := range f {
-			v, err := strconv.ParseUint(s, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("aiger: bad AND literal %q", s)
-			}
-			vals[j] = uint32(v)
-		}
-		ands[k] = andLine{vals[0], vals[1], vals[2]}
-	}
-	sort.Slice(ands, func(x, y int) bool { return ands[x].lhs < ands[y].lhs })
-	for _, al := range ands {
-		if al.lhs&1 == 1 || al.lhs == 0 || int(al.lhs>>1) >= len(lits) || defined[al.lhs>>1] || al.r0 >= al.lhs || al.r1 >= al.lhs {
-			return nil, fmt.Errorf("aiger: AND %d invalid", al.lhs)
-		}
-		if !defined[al.r0>>1] || !defined[al.r1>>1] {
-			return nil, fmt.Errorf("aiger: AND %d references undefined variable", al.lhs)
-		}
-		defined[al.lhs>>1] = true
-		f0, err := litOf(lits, al.r0)
-		if err != nil {
-			return nil, err
-		}
-		f1, err := litOf(lits, al.r1)
-		if err != nil {
-			return nil, err
-		}
-		lits[al.lhs>>1] = g.And(f0, f1)
-	}
-	for _, v := range outs {
-		if int(v>>1) >= len(lits) || !defined[v>>1] {
-			return nil, fmt.Errorf("aiger: output references undefined literal %d", v)
-		}
-		po, err := litOf(lits, v)
-		if err != nil {
-			return nil, err
-		}
-		g.AddPO(po)
-	}
-	for k, la := range latches {
-		if int(la.next>>1) >= len(lits) || !defined[la.next>>1] {
-			return nil, fmt.Errorf("aiger: latch %d next-state undefined", k)
-		}
-		next, err := litOf(lits, la.next)
-		if err != nil {
-			return nil, err
-		}
-		g.AddPONamed(next, fmt.Sprintf("latch%d'", k))
-	}
-	readSymbols(br, g)
-	return g, nil
-}
-
-func readSequentialBinary(br *bufio.Reader, g *aig.AIG, lits []aig.Lit, i, l, o, a int) (*aig.AIG, error) {
-	for k := 0; k < i; k++ {
-		lits[k+1] = g.AddPI()
-	}
-	for k := 0; k < l; k++ {
-		lits[i+1+k] = g.AddPINamed(fmt.Sprintf("latch%d", k))
-	}
-	// Latch next-state lines, then outputs, then binary ANDs.
-	nexts := make([]uint32, l)
-	for k := 0; k < l; k++ {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("aiger: unexpected end of file in latch section: %w", err)
-		}
-		v, err := strconv.ParseUint(strings.TrimSpace(line), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("aiger: bad latch line %q", strings.TrimSpace(line))
-		}
-		nexts[k] = uint32(v)
-	}
-	outs := make([]uint32, o)
-	for k := 0; k < o; k++ {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("aiger: unexpected end of file in output section: %w", err)
-		}
-		v, err := strconv.ParseUint(strings.TrimSpace(line), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("aiger: bad output literal %q", strings.TrimSpace(line))
-		}
-		outs[k] = uint32(v)
-	}
-	for k := 0; k < a; k++ {
-		lhs := uint32(i+l+1+k) << 1
-		d0, err := readDelta(br)
-		if err != nil {
-			return nil, err
-		}
-		d1, err := readDelta(br)
-		if err != nil {
-			return nil, err
-		}
-		if d0 == 0 || d0 > lhs {
-			return nil, fmt.Errorf("aiger: invalid delta encoding at AND %d", lhs)
-		}
-		r0 := lhs - d0
-		if d1 > r0 {
-			return nil, fmt.Errorf("aiger: invalid second delta at AND %d", lhs)
-		}
-		r1 := r0 - d1
-		f0, err := litOf(lits, r0)
-		if err != nil {
-			return nil, err
-		}
-		f1, err := litOf(lits, r1)
-		if err != nil {
-			return nil, err
-		}
-		lits[lhs>>1] = g.And(f0, f1)
-	}
-	for _, v := range outs {
-		po, err := litOf(lits, v)
-		if err != nil {
-			return nil, err
-		}
-		g.AddPO(po)
-	}
-	for k, v := range nexts {
-		next, err := litOf(lits, v)
-		if err != nil {
-			return nil, err
-		}
-		g.AddPONamed(next, fmt.Sprintf("latch%d'", k))
-	}
-	readSymbols(br, g)
-	return g, nil
 }

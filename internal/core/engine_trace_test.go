@@ -5,21 +5,37 @@ import (
 	"testing"
 	"time"
 
+	"simsweep/internal/aig"
 	"simsweep/internal/gen"
 	"simsweep/internal/opt"
 	"simsweep/internal/trace"
 )
 
-// TestTraceMatchesPhaseStats runs a traced check and verifies that the
+// TestTraceMatchesPhaseStats runs traced checks and verifies that the
 // reconstructed phase report is exactly the engine's own Result.Phases —
-// the invariant that makes the trace a trustworthy Figure 6 source.
+// the invariant that makes the trace a trustworthy Figure 6 source — on an
+// equivalent miter that runs every phase and on a non-equivalent one that
+// the random sweep opening the P phase disproves.
 func TestTraceMatchesPhaseStats(t *testing.T) {
 	g, err := gen.Multiplier(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustMiter(t, g, opt.Resyn2(g, nil))
+	bad := g.Copy()
+	bad.SetPO(5, bad.PO(5).Not())
+	for _, tc := range []struct {
+		name string
+		m    *aig.AIG
+		want Outcome
+	}{
+		{"eq", mustMiter(t, g, opt.Resyn2(g, nil)), Equivalent},
+		{"neq", mustMiter(t, g, bad), NotEquivalent},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkTraceMatchesPhaseStats(t, tc.m, tc.want) })
+	}
+}
 
+func checkTraceMatchesPhaseStats(t *testing.T, m *aig.AIG, want Outcome) {
 	tr := trace.New(0)
 	tr.Enable()
 	cfg := smallConfig()
@@ -32,6 +48,13 @@ func TestTraceMatchesPhaseStats(t *testing.T) {
 	tr.Disable()
 	if res.Degraded {
 		t.Fatalf("run degraded under generous budgets: %v", res.Faults)
+	}
+	if res.Outcome != want {
+		t.Fatalf("outcome = %v, want %v", res.Outcome, want)
+	}
+	if want == NotEquivalent && (len(res.Phases) != 1 || res.Phases[0].Disproved != 1 || res.Stats.WordsSimulated != 0) {
+		t.Fatalf("disproof not taken by the P-phase sweep: phases %+v, %d words simulated",
+			res.Phases, res.Stats.WordsSimulated)
 	}
 
 	rows := trace.PhaseRows(tr)

@@ -25,7 +25,8 @@ func Build(a, b *aig.AIG) (*aig.AIG, error) {
 	if a.NumPOs() != b.NumPOs() {
 		return nil, fmt.Errorf("miter: PO count mismatch: %d vs %d", a.NumPOs(), b.NumPOs())
 	}
-	m := aig.New()
+	// Both circuits plus three ANDs per output XOR bound the miter's size.
+	m := aig.NewSized(1 + a.NumPIs() + a.NumAnds() + b.NumAnds() + 3*a.NumPOs())
 	m.Name = "miter"
 	pis := make([]aig.Lit, a.NumPIs())
 	for i := range pis {

@@ -127,3 +127,46 @@ func TestCheckBatchScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// chain returns an AIG whose single output sits depth ANDs deep.
+func chain(depth int) *aig.AIG {
+	g := aig.New()
+	a, b := g.AddPI(), g.AddPI()
+	acc := g.And(a, b)
+	for i := 1; i < depth; i++ {
+		if i%2 == 0 {
+			acc = g.And(acc, a.Not())
+		} else {
+			acc = g.And(acc.Not(), b)
+		}
+	}
+	g.AddPO(acc)
+	return g
+}
+
+// TestPartialSweepLaunchCount pins the one-launch sweep: whatever the
+// depth of the graph and the width of the bank, Simulate issues exactly
+// one partial.level kernel launch, where the former level-wise dispatch
+// issued one per level.
+func TestPartialSweepLaunchCount(t *testing.T) {
+	for _, depth := range []int{1, 10, 300} {
+		for _, words := range []int{1, 8, 33} {
+			g := chain(depth)
+			if got := g.Level(); got != depth {
+				t.Fatalf("chain depth %d built with level %d", depth, got)
+			}
+			dev := par.NewDevice(4)
+			p := NewPartial(dev, g.NumPIs(), words, 1)
+			for call := 1; call <= 3; call++ {
+				if _, err := p.Simulate(g); err != nil {
+					t.Fatal(err)
+				}
+				if got := dev.Stats()["partial.level"].Launches; got != call {
+					t.Fatalf("depth %d, %d words: %d partial.level launches after %d calls, want one per call\n%s",
+						depth, words, got, call, dev.Profile())
+				}
+			}
+			dev.Close()
+		}
+	}
+}

@@ -117,13 +117,27 @@ func (p *Partial) AddPattern(assign []PIValue) {
 	p.pending = (p.pending + 1) % 64
 }
 
+// sweepBlockWords is the word-range granularity the partial sweep is split
+// into: one 64-byte cache line of simulation words. The default 8-word bank
+// is a single block, so its sweep runs inline on the launching goroutine.
+const sweepBlockWords = 8
+
 // Simulate propagates the pattern bank through g and returns per-node
 // simulation words (indexed by node id, each of length Words()). Node 0 is
-// constant zero. Simulation is level-wise parallel on the device.
+// constant zero.
 //
-// A non-nil error means a simulation kernel failed (a recovered worker
-// panic) and the returned values are unusable; callers must not derive
-// verdicts — in particular disproofs — from them.
+// The sweep visits the AND nodes in ascending id order, which is a
+// topological schedule because AIG ids are topological (as in the
+// exhaustive window kernel), so the whole graph simulates in one kernel
+// launch with no barrier between levels. The launch is split only along the
+// word dimension: each task sweeps every node over its own block of
+// sweepBlockWords words. The kernel keeps the name "partial.level" from the
+// former one-launch-per-level dispatch because kernel profiles and the
+// benchmark ledger (par.partial_level.*) report it under that name.
+//
+// A non-nil error means the kernel failed (a recovered worker panic) and
+// the returned values are unusable; callers must not derive verdicts — in
+// particular disproofs — from them.
 func (p *Partial) Simulate(g *aig.AIG) ([][]uint64, error) {
 	n := g.NumNodes()
 	W := p.words
@@ -134,58 +148,42 @@ func (p *Partial) Simulate(g *aig.AIG) ([][]uint64, error) {
 		defer sp.End()
 	}
 	flat := make([]uint64, n*W)
-	simOf := func(id int) []uint64 { return flat[id*W : (id+1)*W] }
-
 	for i := 0; i < g.NumPIs(); i++ {
-		copy(simOf(g.PIID(i)), p.bank[i])
+		id := g.PIID(i)
+		copy(flat[id*W:id*W+W], p.bank[i])
 	}
 
-	levels := g.Levels()
-	maxLevel := int32(0)
-	for id := 1; id < n; id++ {
-		if g.IsAnd(id) && levels[id] > maxLevel {
-			maxLevel = levels[id]
+	blocks := (W + sweepBlockWords - 1) / sweepBlockWords
+	err := p.dev.LaunchChunked("partial.level", blocks, func(lo, hi int) {
+		w0, w1 := lo*sweepBlockWords, hi*sweepBlockWords
+		if w1 > W {
+			w1 = W
 		}
-	}
-	byLevel := make([][]int32, maxLevel+1)
-	for id := 1; id < n; id++ {
-		if g.IsAnd(id) {
-			byLevel[levels[id]] = append(byLevel[levels[id]], int32(id))
-		}
-	}
-	for l := int32(1); l <= maxLevel; l++ {
-		batch := byLevel[l]
-		err := p.dev.LaunchChunked("partial.level", len(batch), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				id := int(batch[i])
-				f0, f1 := g.Fanins(id)
-				s0 := simOf(f0.ID())
-				s1 := simOf(f1.ID())
-				dst := simOf(id)
-				m0 := uint64(0)
-				if f0.IsCompl() {
-					m0 = ^uint64(0)
-				}
-				m1 := uint64(0)
-				if f1.IsCompl() {
-					m1 = ^uint64(0)
-				}
-				for w := 0; w < W; w++ {
-					dst[w] = (s0[w] ^ m0) & (s1[w] ^ m1)
-				}
+		for id := 1; id < n; id++ {
+			if !g.IsAnd(id) {
+				continue
 			}
-		})
-		if err != nil {
-			// A level kernel panicked: levels above l hold garbage, and a
-			// garbage sweep must never reach FindNonZeroPO (it could
-			// fabricate a disproof of an equivalent miter).
-			return nil, err
+			f0, f1 := g.Fanins(id)
+			dst := flat[id*W+w0 : id*W+w1]
+			s0 := flat[f0.ID()*W+w0 : f0.ID()*W+w1]
+			s1 := flat[f1.ID()*W+w0 : f1.ID()*W+w1]
+			m0 := -uint64(f0 & 1) // all ones for a complemented fanin
+			m1 := -uint64(f1 & 1)
+			for w := range dst {
+				dst[w] = (s0[w] ^ m0) & (s1[w] ^ m1)
+			}
 		}
+	})
+	if err != nil {
+		// A task panicked: its words of every node above the failure hold
+		// garbage, and a garbage sweep must never reach FindNonZeroPO (it
+		// could fabricate a disproof of an equivalent miter).
+		return nil, err
 	}
 
 	result := make([][]uint64, n)
-	for id := 0; id < n; id++ {
-		result[id] = simOf(id)
+	for id := range result {
+		result[id] = flat[id*W : id*W+W : id*W+W]
 	}
 	return result, nil
 }

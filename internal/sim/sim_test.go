@@ -26,42 +26,6 @@ func buildXorPair() (*aig.AIG, aig.Lit, aig.Lit, aig.Lit) {
 	return g, x1, x2, other
 }
 
-func TestPartialSimulateMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := aig.New()
-	lits := []aig.Lit{}
-	for i := 0; i < 6; i++ {
-		lits = append(lits, g.AddPI())
-	}
-	for i := 0; i < 40; i++ {
-		a := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 1)
-		b := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 1)
-		lits = append(lits, g.And(a, b))
-	}
-	g.AddPO(lits[len(lits)-1])
-
-	p := NewPartial(dev(), g.NumPIs(), 2, 99)
-	sims, _ := p.Simulate(g)
-	// Check a handful of patterns against bit-level evaluation.
-	for w := 0; w < p.Words(); w++ {
-		for bit := uint(0); bit < 64; bit += 17 {
-			in := make([]bool, g.NumPIs())
-			for i := range in {
-				in[i] = (sims[g.PIID(i)][w]>>bit)&1 == 1
-			}
-			val := g.Eval(in)
-			po := g.PO(0)
-			got := (sims[po.ID()][w]>>bit)&1 == 1
-			if po.IsCompl() {
-				got = !got
-			}
-			if got != val[0] {
-				t.Fatalf("word %d bit %d: sim=%v eval=%v", w, bit, got, val[0])
-			}
-		}
-	}
-}
-
 func TestAddPatternPacksAndApplies(t *testing.T) {
 	g := aig.New()
 	a := g.AddPI()
