@@ -1,11 +1,17 @@
 GO ?= go
 
-.PHONY: all build test doccheck race service-race trace-race cluster-race cube-race bench benchtab bench-service bench-cluster fuzz fuzz-soak bench-difftest chaos soak-faults bench-fault bench-cuts bench-sched bench-cube ledger-test ledger-check
+.PHONY: all build vet test doccheck race service-race trace-race cluster-race cube-race bench benchtab bench-service bench-cluster fuzz fuzz-soak bench-difftest chaos soak-faults bench-fault bench-cuts bench-sched bench-cube ledger-test ledger-check
 
-all: build doccheck test ledger-test fuzz chaos cluster-race cube-race bench-cuts bench-sched bench-cube
+all: build vet doccheck test ledger-test fuzz chaos cluster-race cube-race bench-cuts bench-sched bench-cube
 
 build:
 	$(GO) build ./...
+
+# go vet over both modules: the root module and the benchmark ledger, which
+# is a module of its own (cmd/ledger/go.mod) that ./... does not reach.
+vet:
+	$(GO) vet ./...
+	cd cmd/ledger && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

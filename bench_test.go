@@ -112,7 +112,7 @@ func simTime(b *testing.B, inst *bench.Instance, cfg core.Config) (float64, floa
 	cfg.Seed = 1
 	res := core.CheckMiter(inst.Miter, cfg)
 	total := res.Stats.Runtime
-	if res.Outcome == core.Undecided {
+	if res.Outcome == Undecided {
 		sr := satsweep.CheckMiter(res.Reduced, satsweep.Options{Seed: 1})
 		total += sr.Stats.Runtime
 	}

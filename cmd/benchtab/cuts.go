@@ -74,20 +74,7 @@ type cutsReport struct {
 // disagreement between the two runs on any family is an error: the rewrite
 // must be a pure performance change.
 func runCutsBench(path string, size int, only string, workers int, seed int64) error {
-	cases := bench.Suite(size)
-	if only != "" {
-		keep := map[string]bool{}
-		for _, n := range strings.Split(only, ",") {
-			keep[strings.TrimSpace(n)] = true
-		}
-		var filtered []bench.Case
-		for _, c := range cases {
-			if keep[c.Name] {
-				filtered = append(filtered, c)
-			}
-		}
-		cases = filtered
-	}
+	cases := suite(size, only)
 
 	buildDev := par.NewDevice(workers)
 	defer buildDev.Close()
@@ -138,14 +125,9 @@ func runCutsBench(path string, size int, only string, workers int, seed int64) e
 		report.Totals.StrataTime, report.Totals.StrataLaunches,
 		report.Totals.Speedup, report.Totals.LaunchDiv)
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
+	if err := writeReport(path, "cut benchmark", report); err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("cut benchmark written to %s\n", path)
 	if len(disagreed) > 0 {
 		return fmt.Errorf("verdict disagreement between reference and strata cuts on: %s",
 			strings.Join(disagreed, ", "))

@@ -8,7 +8,6 @@ package main
 // fails loudly rather than writing the row.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -89,13 +88,5 @@ func runDifftestBench(path string, seed int64, n, workers int) error {
 		}
 		return fmt.Errorf("difftest smoke: %d failures — backends disagree; fix before benchmarking", len(s.Failures))
 	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("difftest smoke row written to %s\n", path)
-	return nil
+	return writeReport(path, "difftest smoke row", rep)
 }

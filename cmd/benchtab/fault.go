@@ -9,9 +9,7 @@ package main
 // shows up as an overhead regression.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -135,13 +133,5 @@ func runFaultBench(path string, seed int64, workers int) error {
 		time.Duration(rep.DisabledNS), rep.DisabledIter,
 		time.Duration(rep.ArmedNS), rep.ArmedIter, rep.OverheadPct)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("fault overhead row written to %s\n", path)
-	return nil
+	return writeReport(path, "fault overhead row", rep)
 }

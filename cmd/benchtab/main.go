@@ -20,7 +20,10 @@
 //	                         on Booth-vs-array miters (BENCH_cube.json)
 //
 // -size scales the instances (1 = quick, 2 = larger); -only restricts to a
-// comma-separated list of families.
+// comma-separated list of families. A filtered run is not a canonical
+// artifact: with -only set, the Table/Figure kernel profile, -sched and
+// -cuts write their JSON only to a path named explicitly (-benchjson,
+// -schedjson, -cutsjson).
 package main
 
 import (
@@ -76,6 +79,17 @@ func run() int {
 	cubeJSON := flag.String("cubejson", "BENCH_cube.json", "cube benchmark report path")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	flag.Parse()
+
+	if *only != "" {
+		named := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { named[f.Name] = true })
+		for name, path := range map[string]*string{"benchjson": benchJSON, "schedjson": schedJSON, "cutsjson": cutsJSON} {
+			if !named[name] {
+				*path = ""
+			}
+		}
+		fmt.Println("filtered run (-only): no canonical BENCH_*.json is written; name -benchjson, -schedjson or -cutsjson to write a report")
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -153,20 +167,7 @@ func run() int {
 		return 2
 	}
 
-	cases := bench.Suite(*size)
-	if *only != "" {
-		keep := map[string]bool{}
-		for _, n := range strings.Split(*only, ",") {
-			keep[strings.TrimSpace(n)] = true
-		}
-		var filtered []bench.Case
-		for _, c := range cases {
-			if keep[c.Name] {
-				filtered = append(filtered, c)
-			}
-		}
-		cases = filtered
-	}
+	cases := suite(*size, *only)
 	dev := par.NewDevice(*workers)
 	opts := bench.Options{Workers: *workers, Seed: *seed, Dev: dev}
 
@@ -235,14 +236,48 @@ func run() int {
 		fmt.Println("\n=== Figure 7: SAT time on intermediate miters (normalised) ===")
 		fmt.Print(bench.FormatFigure7(rows))
 	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, dev); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			return 2
-		}
-		fmt.Printf("\nkernel statistics written to %s\n", *benchJSON)
+	if err := writeBenchJSON(*benchJSON, dev); err != nil {
+		fmt.Fprintln(os.Stderr, "benchtab:", err)
+		return 2
 	}
 	return 0
+}
+
+// suite returns the benchmark cases at size, restricted to the
+// comma-separated families of only when it is non-empty.
+func suite(size int, only string) []bench.Case {
+	cases := bench.Suite(size)
+	if only == "" {
+		return cases
+	}
+	keep := map[string]bool{}
+	for _, n := range strings.Split(only, ",") {
+		keep[strings.TrimSpace(n)] = true
+	}
+	var filtered []bench.Case
+	for _, c := range cases {
+		if keep[c.Name] {
+			filtered = append(filtered, c)
+		}
+	}
+	return filtered
+}
+
+// writeReport writes v as indented JSON to path and announces it as what.
+// An empty path writes nothing.
+func writeReport(path, what string, v interface{}) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("%s written to %s\n", what, path)
+	return nil
 }
 
 // table2Disagreements returns the families whose Table II columns (abc,
@@ -304,9 +339,5 @@ func writeBenchJSON(path string, dev *par.Device) error {
 	sort.Slice(report.Kernels, func(i, j int) bool {
 		return report.Kernels[i].TimeNS > report.Kernels[j].TimeNS
 	})
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeReport(path, "kernel statistics", report)
 }

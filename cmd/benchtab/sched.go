@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -89,20 +87,7 @@ type schedReport struct {
 // JSON is written): routing must never change the answer, only the time
 // to reach it.
 func runSchedBench(path string, size int, only string, workers int, seed int64, budget time.Duration) error {
-	cases := bench.Suite(size)
-	if only != "" {
-		keep := map[string]bool{}
-		for _, n := range strings.Split(only, ",") {
-			keep[strings.TrimSpace(n)] = true
-		}
-		var filtered []bench.Case
-		for _, c := range cases {
-			if keep[c.Name] {
-				filtered = append(filtered, c)
-			}
-		}
-		cases = filtered
-	}
+	cases := suite(size, only)
 
 	buildDev := par.NewDevice(workers)
 	defer buildDev.Close()
@@ -172,8 +157,9 @@ func runSchedBench(path string, size int, only string, workers int, seed int64, 
 		for e, n := range row.AdaptiveWarm.Routed {
 			report.Totals.Routed[e] += n
 		}
-		fmt.Printf("  %-18s cold %10s  warm %10s   best %-3s %10s   worst %-3s %10s   %4.1fx vs worst  %s\n",
+		fmt.Printf("  %-18s cold %10s  warm %10s   hybrid %10s (%5.2fx)   best %-3s %10s   worst %-3s %10s   %4.1fx vs worst  %s\n",
 			row.Family, row.Adaptive.Time, row.AdaptiveWarm.Time,
+			time.Duration(row.HybridTimeNS).String(), nsRatio(row.HybridTimeNS, row.AdaptiveWarm.TimeNS),
 			row.BestForced, time.Duration(bestNS).String(),
 			row.WorstForced, time.Duration(worstNS).String(),
 			row.SpeedupWorst, row.Adaptive.Verdict)
@@ -188,14 +174,9 @@ func runSchedBench(path string, size int, only string, workers int, seed int64, 
 		report.Totals.VsBest, report.Totals.MaxSpeedupWorst)
 	fmt.Printf("  routed: %v\n", report.Totals.Routed)
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
+	if err := writeReport(path, "scheduler benchmark", report); err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("scheduler benchmark written to %s\n", path)
 	if len(disagreed) > 0 {
 		return fmt.Errorf("verdict disagreement between scheduler variants on: %s",
 			strings.Join(disagreed, ", "))

@@ -1,11 +1,12 @@
 // Command cec checks the combinational equivalence of two AIGER netlists
-// (or decides a single miter) with the simulation-based sweeping engine,
-// the SAT sweeping baseline, the BDD engine, the hybrid sim+SAT flow, the
-// adaptive per-class scheduler or a portfolio of all of them.
+// (or decides a single miter) with any engine of the simsweep engine
+// table: the simulation-based sweeping engine, the SAT sweeping baseline,
+// the BDD engine, the hybrid sim+SAT flow, the adaptive per-class
+// scheduler, the cube-and-conquer prover or a portfolio race.
 //
 // Usage:
 //
-//	cec [-engine hybrid|sim|sat|bdd|portfolio|sched|cube] a.aig b.aig
+//	cec [-engine name] a.aig b.aig
 //	cec -sched -sched-stats a.aig b.aig
 //	cec -miter m.aig
 //	cec -trace out.json -phase-report a.aig b.aig
@@ -17,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"simsweep"
@@ -28,7 +30,11 @@ func main() {
 }
 
 func run() int {
-	engine := flag.String("engine", "hybrid", "checking engine: hybrid, sim, sat, bdd, portfolio, sched, cube")
+	var names []string
+	for _, e := range simsweep.Engines() {
+		names = append(names, string(e.Name))
+	}
+	engine := flag.String("engine", names[0], "checking engine: "+strings.Join(names, ", "))
 	schedFlag := flag.Bool("sched", false, "route each candidate class to the best-fitting prover (shorthand for -engine sched)")
 	schedStats := flag.Bool("sched-stats", false, "print the scheduler's per-engine routing table (implies -sched)")
 	miterPath := flag.String("miter", "", "check a prebuilt miter instead of two circuits")

@@ -350,6 +350,49 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestDaemonAdmitsEveryEngine posts a small equivalent and a small buggy
+// miter once per engine of the engine table, each engine on a fresh daemon
+// so the verdict cache cannot answer for it: every name must pass
+// admission, run that engine and settle with the right verdict.
+func TestDaemonAdmitsEveryEngine(t *testing.T) {
+	g, err := simsweep.Generate("multiplier", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := simsweep.Optimize(g)
+	bad := opt.Copy()
+	bad.SetPO(2, bad.PO(2).Not())
+	miters := map[string]string{}
+	for verdict, b := range map[string]*simsweep.AIG{"equivalent": opt, "NOT equivalent": bad} {
+		m, err := simsweep.BuildMiter(g, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		miters[verdict] = b64AIGER(t, m)
+	}
+
+	for _, e := range simsweep.Engines() {
+		name := string(e.Name)
+		svc := service.New(service.Config{MaxConcurrent: 2, TotalWorkers: 2})
+		ts := httptest.NewServer(service.NewHandler(svc))
+		for want, m := range miters {
+			j, status := postJob(t, ts.URL, map[string]interface{}{"miter": m, "engine": name})
+			if status != http.StatusAccepted {
+				t.Fatalf("%s: submit status %d (%s)", name, status, j.Error)
+			}
+			done := waitJob(t, ts.URL, j.ID, 30*time.Second)
+			if done.State != string(service.StateDone) || done.Verdict != want {
+				t.Fatalf("%s: state=%s verdict=%q, want %q (%s)", name, done.State, done.Verdict, want, done.Error)
+			}
+			if done.Engine != name || !strings.HasPrefix(done.EngineUsed, name) {
+				t.Fatalf("%s: job ran engine %q (engine_used %q)", name, done.Engine, done.EngineUsed)
+			}
+		}
+		ts.Close()
+		svc.Close()
+	}
+}
+
 // TestDaemonTracedJob submits a traced job over HTTP, fetches its Chrome
 // trace from /v1/jobs/{id}/trace, and checks both the JSON shape and the
 // histogram metrics the run must have populated.

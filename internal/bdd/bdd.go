@@ -6,7 +6,8 @@
 //
 // The manager enforces a node limit: building past it aborts the current
 // operation with ErrNodeLimit, which CEC callers report as "undecided" —
-// the classic BDD memory-blowup failure mode, made deterministic.
+// the classic BDD memory-blowup failure mode, made deterministic. A closed
+// stop channel (CheckMiter's stop) aborts it the same way with ErrStopped.
 package bdd
 
 import (
@@ -18,6 +19,10 @@ import (
 
 // ErrNodeLimit is returned when an operation would exceed the node budget.
 var ErrNodeLimit = errors.New("bdd: node limit exceeded")
+
+// ErrStopped is returned when the manager's stop channel closed during an
+// operation.
+var ErrStopped = errors.New("bdd: stopped")
 
 // Ref is a reference to a BDD node. The terminals are False (0) and True (1).
 type Ref int32
@@ -43,6 +48,10 @@ type Manager struct {
 	nodes   []node
 	unique  map[uint64]Ref
 	cache   map[[3]Ref]Ref
+	// stop, when non-nil, is polled once per 256 node allocations (as the
+	// SAT solver polls once per 256 conflicts); once it is closed the
+	// running operation aborts with ErrStopped.
+	stop <-chan struct{}
 }
 
 // New creates a manager over numVars variables with a node limit
@@ -75,13 +84,13 @@ func (m *Manager) Var(i int) (Ref, error) {
 	return m.run(func() Ref { return m.mk(int32(i), False, True) })
 }
 
-// run executes an operation, converting the internal limit panic into
-// ErrNodeLimit.
+// run executes an operation, converting the abort panics of mk into
+// ErrNodeLimit or ErrStopped.
 func (m *Manager) run(f func() Ref) (r Ref, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			if p == errLimitPanic {
-				err = ErrNodeLimit
+			if p == ErrNodeLimit || p == ErrStopped {
+				err = p.(error)
 				return
 			}
 			panic(p)
@@ -89,8 +98,6 @@ func (m *Manager) run(f func() Ref) (r Ref, err error) {
 	}()
 	return f(), nil
 }
-
-var errLimitPanic = new(int)
 
 func (m *Manager) mk(level int32, low, high Ref) Ref {
 	if low == high {
@@ -111,7 +118,14 @@ func (m *Manager) mk(level int32, low, high Ref) Ref {
 		key = key*0x9E3779B97F4A7C15 + 1
 	}
 	if len(m.nodes) >= m.limit {
-		panic(errLimitPanic)
+		panic(ErrNodeLimit)
+	}
+	if m.stop != nil && len(m.nodes)&0xFF == 0 {
+		select {
+		case <-m.stop:
+			panic(ErrStopped)
+		default:
+		}
 	}
 	r := Ref(len(m.nodes))
 	m.nodes = append(m.nodes, node{level: level, low: low, high: high})
@@ -287,9 +301,11 @@ func (m *Manager) BuildAIG(g *aig.AIG, roots []aig.Lit) ([]Ref, error) {
 // CheckMiter decides a miter by building the BDD of every PO.
 // It returns equal=true when all POs are constant false; when some PO is
 // satisfiable it returns equal=false and a PI counter-example. ErrNodeLimit
-// means the decision exceeded the node budget (undecided).
-func CheckMiter(g *aig.AIG, limit int) (equal bool, cex []bool, err error) {
+// means the decision exceeded the node budget and ErrStopped that stop
+// closed first (both undecided). A nil stop never cancels.
+func CheckMiter(g *aig.AIG, limit int, stop <-chan struct{}) (equal bool, cex []bool, err error) {
 	m := New(g.NumPIs(), limit)
+	m.stop = stop
 	roots := make([]aig.Lit, g.NumPOs())
 	for i := range roots {
 		roots[i] = g.PO(i)

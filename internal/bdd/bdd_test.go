@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"simsweep/internal/aig"
+	"simsweep/internal/gen"
 )
 
 func mustVar(t *testing.T, m *Manager, i int) Ref {
@@ -150,7 +151,7 @@ func TestCheckMiterEquivalent(t *testing.T) {
 	x1 := g.Xor(a, b)
 	x2 := g.And(g.Or(a, b), g.And(a, b).Not())
 	g.AddPO(g.Xor(x1, x2))
-	equal, cex, err := CheckMiter(g, 0)
+	equal, cex, err := CheckMiter(g, 0, nil)
 	if err != nil || !equal {
 		t.Fatalf("equal=%v cex=%v err=%v", equal, cex, err)
 	}
@@ -161,7 +162,7 @@ func TestCheckMiterInequivalentGivesValidCEX(t *testing.T) {
 	a := g.AddPI()
 	b := g.AddPI()
 	g.AddPO(g.Xor(g.Xor(a, b), g.And(a, b)))
-	equal, cex, err := CheckMiter(g, 0)
+	equal, cex, err := CheckMiter(g, 0, nil)
 	if err != nil || equal {
 		t.Fatalf("equal=%v err=%v", equal, err)
 	}
@@ -184,9 +185,26 @@ func TestCheckMiterNodeLimitUndecided(t *testing.T) {
 		lits = append(lits, g.And(a, b))
 	}
 	g.AddPO(lits[len(lits)-1])
-	_, _, err := CheckMiter(g, 32)
+	_, _, err := CheckMiter(g, 32, nil)
 	if err != ErrNodeLimit {
 		t.Fatalf("err = %v, want ErrNodeLimit", err)
+	}
+}
+
+func TestCheckMiterStopped(t *testing.T) {
+	// The outputs of a 6-bit multiplier need thousands of BDD nodes, so a
+	// closed stop channel is seen at the 256th allocation.
+	g, err := gen.Multiplier(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	if _, _, err := CheckMiter(g, 0, stop); err != nil {
+		t.Fatalf("open stop channel: err = %v", err)
+	}
+	close(stop)
+	if _, _, err := CheckMiter(g, 0, stop); err != ErrStopped {
+		t.Fatalf("closed stop channel: err = %v, want ErrStopped", err)
 	}
 }
 

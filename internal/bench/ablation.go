@@ -7,6 +7,7 @@ import (
 
 	"simsweep/internal/core"
 	"simsweep/internal/cuts"
+	"simsweep/internal/miter"
 	"simsweep/internal/satsweep"
 )
 
@@ -81,7 +82,7 @@ func RunAblation(group string, inst *Instance, o Options) ([]AblationRow, error)
 		res := core.CheckMiter(inst.Miter, cfg)
 		simTime := time.Since(start)
 		total := simTime
-		if res.Outcome == core.Undecided {
+		if res.Outcome == miter.Undecided {
 			sr := satsweep.CheckMiter(res.Reduced, satsweep.Options{Dev: o.dev(), Seed: o.Seed})
 			total += sr.Stats.Runtime
 		}

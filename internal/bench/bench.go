@@ -159,7 +159,7 @@ func RunTable2Case(inst *Instance, o Options) Table2Row {
 	cfmStart := time.Now()
 	cfmRes := portfolio.Check(inst.Miter, portfolioEngines(o))
 	row.CfmTime = time.Since(cfmStart)
-	row.Verdicts[1] = cfmRes.Verdict.String()
+	row.Verdicts[1] = cfmRes.Outcome.String()
 
 	// Columns "Ours": simulation engine, then SAT on the remainder.
 	gpuStart := time.Now()
@@ -168,7 +168,7 @@ func RunTable2Case(inst *Instance, o Options) Table2Row {
 	row.ReducedPct = simRes.Stats.ReductionPercent()
 	total := row.GPUTime
 	verdict := simRes.Outcome.String()
-	if simRes.Outcome == core.Undecided {
+	if simRes.Outcome == miter.Undecided {
 		satStart := time.Now()
 		after := satsweep.CheckMiter(simRes.Reduced, satsweep.Options{
 			Dev:           o.dev(),
@@ -198,15 +198,18 @@ func ratio(a, b time.Duration) float64 {
 // the paper's model of the commercial tool ("a combination of engines …
 // run different engines simultaneously and early stop"), it races the
 // classic commercial engine mix — SAT sweeping with two different seeds
-// and a BDD engine — WITHOUT the paper's own simulation engine, which is
-// the novelty under evaluation.
+// and a BDD engine bounded to 2M nodes, so a blowup case (multipliers)
+// yields "undecided" instead of unbounded memory growth — WITHOUT the
+// paper's own simulation engine, which is the novelty under evaluation.
+// Every member watches the portfolio's stop, so no loser outlives the
+// winner's verdict.
 func portfolioEngines(o Options) []portfolio.Engine {
 	mkSAT := func(name string, seed int64) portfolio.Engine {
 		return portfolio.Engine{
 			Name: name,
-			Run: func(m *aig.AIG, stop <-chan struct{}) (portfolio.Verdict, []bool) {
+			Run: func(m *aig.AIG, stop <-chan struct{}) (miter.Outcome, []bool) {
 				sr := satsweep.CheckMiter(m, satsweep.Options{Dev: o.dev(), Seed: seed, Stop: stop})
-				return sweepVerdict(sr)
+				return sr.Outcome, sr.CEX
 			},
 		}
 	}
@@ -215,34 +218,18 @@ func portfolioEngines(o Options) []portfolio.Engine {
 		mkSAT("sat-b", o.Seed+77),
 		{
 			Name: "bdd",
-			Run: func(m *aig.AIG, stop <-chan struct{}) (portfolio.Verdict, []bool) {
-				equal, cex, err := bddCheck(m)
-				if err != nil {
-					return portfolio.Undecided, nil
+			Run: func(m *aig.AIG, stop <-chan struct{}) (miter.Outcome, []bool) {
+				equal, cex, err := bdd.CheckMiter(m, 1<<21, stop)
+				switch {
+				case err != nil:
+					return miter.Undecided, nil
+				case equal:
+					return miter.Equivalent, nil
 				}
-				if equal {
-					return portfolio.Equivalent, nil
-				}
-				return portfolio.NotEquivalent, cex
+				return miter.NotEquivalent, cex
 			},
 		},
 	}
-}
-
-// bddCheck bounds the BDD portfolio member so a blowup case (multipliers)
-// yields "undecided" instead of unbounded memory growth.
-func bddCheck(m *aig.AIG) (bool, []bool, error) {
-	return bdd.CheckMiter(m, 1<<21)
-}
-
-func sweepVerdict(sr satsweep.Result) (portfolio.Verdict, []bool) {
-	switch sr.Outcome {
-	case satsweep.Equivalent:
-		return portfolio.Equivalent, nil
-	case satsweep.NotEquivalent:
-		return portfolio.NotEquivalent, sr.CEX
-	}
-	return portfolio.Undecided, nil
 }
 
 // FormatTable2 renders rows in the layout of the paper's Table II, with

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"simsweep/internal/core"
+	"simsweep/internal/miter"
 )
 
 func quickOptions() Options {
@@ -72,7 +73,7 @@ func TestBuildProducesEquivalentPair(t *testing.T) {
 		t.Fatal("trivial miter: optimizer produced identical structure")
 	}
 	res := core.CheckMiter(inst.Miter, core.DefaultConfig())
-	if res.Outcome == core.NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("benchmark construction produced an inequivalent pair")
 	}
 }

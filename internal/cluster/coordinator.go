@@ -651,12 +651,9 @@ func (c *Coordinator) admit(raw []byte) (bodyMeta, error) {
 	if err != nil {
 		return bodyMeta{}, err
 	}
-	meta = bodyMeta{key: key, engine: body.Engine}
+	meta = bodyMeta{key: key, engine: string(req.Engine)}
 	if body.TimeoutMS > 0 {
 		meta.timeout = (time.Duration(body.TimeoutMS) * time.Millisecond).String()
-	}
-	if meta.engine == "" {
-		meta.engine = "hybrid"
 	}
 	c.mu.Lock()
 	if len(c.memo) >= 8192 { // crude bound; a full reset is fine at this size

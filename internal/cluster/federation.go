@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"simsweep"
+	"simsweep/internal/miter"
 	"simsweep/internal/service"
 )
 
@@ -28,14 +29,14 @@ type Verdict struct {
 
 // Decided reports whether the verdict string names a decided outcome.
 func (v Verdict) Decided() bool {
-	o, ok := parseOutcome(v.Verdict)
+	o, ok := miter.ParseOutcome(v.Verdict)
 	return ok && o != simsweep.Undecided
 }
 
 // Result converts the wire verdict back into an engine result. ok is false
 // when the verdict string is unknown or undecided.
 func (v Verdict) Result() (simsweep.Result, bool) {
-	o, ok := parseOutcome(v.Verdict)
+	o, ok := miter.ParseOutcome(v.Verdict)
 	if !ok || o == simsweep.Undecided {
 		return simsweep.Result{}, false
 	}
@@ -96,19 +97,6 @@ func verdictOfJobJSON(j service.JobJSON, node string) (Verdict, bool) {
 		return Verdict{}, false
 	}
 	return v, true
-}
-
-// parseOutcome inverts simsweep.Outcome.String().
-func parseOutcome(s string) (simsweep.Outcome, bool) {
-	switch s {
-	case simsweep.Equivalent.String():
-		return simsweep.Equivalent, true
-	case simsweep.NotEquivalent.String():
-		return simsweep.NotEquivalent, true
-	case simsweep.Undecided.String():
-		return simsweep.Undecided, true
-	}
-	return simsweep.Undecided, false
 }
 
 // parseKey inverts service.Key.String(): "p:%016x:%016x" / "m:...".

@@ -15,6 +15,7 @@ import (
 	"simsweep/internal/aig"
 	"simsweep/internal/cuts"
 	"simsweep/internal/fault"
+	"simsweep/internal/miter"
 	"simsweep/internal/par"
 	"simsweep/internal/trace"
 )
@@ -219,28 +220,6 @@ func (c *Config) stopped() bool {
 	}
 }
 
-// Outcome is the engine's verdict on a miter.
-type Outcome int
-
-// Engine verdicts. Undecided miters carry the reduced miter for a
-// downstream checker (the paper hands them to ABC's &cec).
-const (
-	Undecided Outcome = iota
-	Equivalent
-	NotEquivalent
-)
-
-// String renders the verdict for logs and CLI output.
-func (o Outcome) String() string {
-	switch o {
-	case Equivalent:
-		return "equivalent"
-	case NotEquivalent:
-		return "NOT equivalent"
-	}
-	return "undecided"
-}
-
 // PhaseKind labels the three phase types of the flow.
 type PhaseKind int
 
@@ -313,7 +292,7 @@ func (s Stats) ReductionPercent() float64 {
 
 // Result is the outcome of a CheckMiter run.
 type Result struct {
-	Outcome Outcome
+	Outcome miter.Outcome
 	// Stopped reports that the run returned Undecided because Config.Stop
 	// cancelled it, not because the engine genuinely exhausted its phases.
 	Stopped bool

@@ -88,7 +88,7 @@ func TestWitnessedMutantsDisprovedByRandomSweep(t *testing.T) {
 				cfg.Dev = dev
 				cfg.Seed = seed
 				res := core.CheckMiter(m, cfg)
-				if res.Outcome != core.NotEquivalent {
+				if res.Outcome != miter.NotEquivalent {
 					t.Fatalf("%s: outcome %v, want NotEquivalent", label, res.Outcome)
 				}
 				if len(res.Phases) != 1 || res.Phases[0].Kind != core.PhaseP || res.Phases[0].Disproved != 1 {

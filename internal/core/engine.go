@@ -173,7 +173,7 @@ func (e *engine) runPhase(kind PhaseKind, fn func()) bool {
 
 func (e *engine) run() {
 	if miter.IsProved(e.cur) {
-		e.res.Outcome = Equivalent
+		e.res.Outcome = miter.Equivalent
 		return
 	}
 	e.ex = sim.NewExhaustive(e.cfg.Dev, e.cfg.MemBudgetWords)
@@ -241,7 +241,7 @@ func (e *engine) finish() {
 		return
 	}
 	if miter.IsProved(e.cur) {
-		e.res.Outcome = Equivalent
+		e.res.Outcome = miter.Equivalent
 		return
 	}
 	// Undecided: distinguish a cancelled run from a genuine fixpoint.
@@ -269,7 +269,7 @@ func (e *engine) endPhaseSpan(sp *trace.Span, stat *PhaseStat) {
 
 // disprove finalises a NotEquivalent verdict from a PI assignment.
 func (e *engine) disprove(cex []bool) {
-	e.res.Outcome = NotEquivalent
+	e.res.Outcome = miter.NotEquivalent
 	e.res.CEX = cex
 	e.decided = true
 }

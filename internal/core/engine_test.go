@@ -37,7 +37,7 @@ func TestEngineProvesOptimizedAdder(t *testing.T) {
 	}
 	o := opt.Resyn2(g, nil)
 	res := CheckMiter(mustMiter(t, g, o), smallConfig())
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v; phases = %+v", res.Outcome, res.Phases)
 	}
 	// resyn2 often reproduces structurally identical logic, in which case
@@ -59,7 +59,7 @@ func TestEngineProvesOptimizedMultiplier(t *testing.T) {
 	}
 	o := opt.Resyn2(g, nil)
 	res := CheckMiter(mustMiter(t, g, o), smallConfig())
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v; reduced %.1f%%", res.Outcome, res.Stats.ReductionPercent())
 	}
 }
@@ -73,7 +73,7 @@ func TestEngineDisprovesCorruptedCircuit(t *testing.T) {
 	bad.SetPO(3, bad.PO(3).Not())
 	m := mustMiter(t, g, bad)
 	res := CheckMiter(m, smallConfig())
-	if res.Outcome != NotEquivalent {
+	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	fired := false
@@ -106,7 +106,7 @@ func TestEngineDisprovesSubtleCornerBug(t *testing.T) {
 	g2.AddPO(g2.Xor(g2.Xor(x2[0], x2[3]), all(g2, x2)))
 	m := mustMiter(t, g1, g2)
 	res := CheckMiter(m, smallConfig())
-	if res.Outcome != NotEquivalent {
+	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	for i, v := range res.CEX {
@@ -126,7 +126,7 @@ func TestEngineOneShotPOChecking(t *testing.T) {
 	o := opt.Resyn2(g, nil)
 	cfg := smallConfig()
 	res := CheckMiter(mustMiter(t, g, o), cfg)
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	if len(res.Phases) == 0 || res.Phases[0].Kind != PhaseP {
@@ -165,7 +165,7 @@ func TestEngineLocalPhaseProvesWideMiter(t *testing.T) {
 	if lProved == 0 {
 		t.Fatalf("local phases proved nothing; phases = %+v", res.Phases)
 	}
-	if res.Outcome == NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("equivalent miter disproved")
 	}
 }
@@ -179,7 +179,7 @@ func TestEngineSnapshots(t *testing.T) {
 	cfg := smallConfig()
 	cfg.KeepSnapshots = true
 	res := CheckMiter(mustMiter(t, g, o), cfg)
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	if res.Snapshots["P"] == nil || res.Snapshots["PG"] == nil {
@@ -216,7 +216,7 @@ func TestEngineUndecidedHandsOffReducedMiter(t *testing.T) {
 	cfg.Kl = 3
 	cfg.MaxLocalPhases = 1
 	res := CheckMiter(m, cfg)
-	if res.Outcome == NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("equivalent miter disproved")
 	}
 	if res.Reduced == nil {
@@ -249,7 +249,7 @@ func TestEngineStopCancels(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Stop = stop
 	res := CheckMiter(mustMiter(t, g, o), cfg)
-	if res.Outcome == NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("cancelled run disproved an equivalent miter")
 	}
 }
@@ -331,9 +331,9 @@ func TestQuickEngineAgreesWithEnumeration(t *testing.T) {
 		cfg.Seed = seed
 		res := CheckMiter(m, cfg)
 		if same {
-			return res.Outcome == Equivalent
+			return res.Outcome == miter.Equivalent
 		}
-		if res.Outcome != NotEquivalent {
+		if res.Outcome != miter.NotEquivalent {
 			return false
 		}
 		for _, v := range m.Eval(res.CEX) {

@@ -7,6 +7,7 @@ import (
 
 	"simsweep/internal/aig"
 	"simsweep/internal/gen"
+	"simsweep/internal/miter"
 	"simsweep/internal/opt"
 	"simsweep/internal/trace"
 )
@@ -26,16 +27,16 @@ func TestTraceMatchesPhaseStats(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		m    *aig.AIG
-		want Outcome
+		want miter.Outcome
 	}{
-		{"eq", mustMiter(t, g, opt.Resyn2(g, nil)), Equivalent},
-		{"neq", mustMiter(t, g, bad), NotEquivalent},
+		{"eq", mustMiter(t, g, opt.Resyn2(g, nil)), miter.Equivalent},
+		{"neq", mustMiter(t, g, bad), miter.NotEquivalent},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkTraceMatchesPhaseStats(t, tc.m, tc.want) })
 	}
 }
 
-func checkTraceMatchesPhaseStats(t *testing.T, m *aig.AIG, want Outcome) {
+func checkTraceMatchesPhaseStats(t *testing.T, m *aig.AIG, want miter.Outcome) {
 	tr := trace.New(0)
 	tr.Enable()
 	cfg := smallConfig()
@@ -52,7 +53,7 @@ func checkTraceMatchesPhaseStats(t *testing.T, m *aig.AIG, want Outcome) {
 	if res.Outcome != want {
 		t.Fatalf("outcome = %v, want %v", res.Outcome, want)
 	}
-	if want == NotEquivalent && (len(res.Phases) != 1 || res.Phases[0].Disproved != 1 || res.Stats.WordsSimulated != 0) {
+	if want == miter.NotEquivalent && (len(res.Phases) != 1 || res.Phases[0].Disproved != 1 || res.Stats.WordsSimulated != 0) {
 		t.Fatalf("disproof not taken by the P-phase sweep: phases %+v, %d words simulated",
 			res.Phases, res.Stats.WordsSimulated)
 	}
@@ -127,7 +128,7 @@ func TestUntracedRunRecordsNothing(t *testing.T) {
 	}
 	m := mustMiter(t, g, opt.Balance(g))
 	res := CheckMiter(m, smallConfig())
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"simsweep/internal/cuts"
 	"simsweep/internal/gen"
+	"simsweep/internal/miter"
 	"simsweep/internal/opt"
 	"simsweep/internal/satsweep"
 )
@@ -23,7 +24,7 @@ func TestDistance1CEXStillCorrect(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Distance1CEX = d1
 		res := CheckMiter(mustMiter(t, g, o), cfg)
-		if res.Outcome != Equivalent {
+		if res.Outcome != miter.Equivalent {
 			t.Fatalf("distance1=%v: outcome %v", d1, res.Outcome)
 		}
 	}
@@ -34,7 +35,7 @@ func TestDistance1CEXStillCorrect(t *testing.T) {
 	cfg.Distance1CEX = true
 	m := mustMiter(t, g, bad)
 	res := CheckMiter(m, cfg)
-	if res.Outcome != NotEquivalent {
+	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	fired := false
@@ -56,7 +57,7 @@ func TestAdaptivePassesStillProve(t *testing.T) {
 	cfg.KP, cfg.Kp, cfg.Kg = 10, 6, 6 // force L phases to work
 	cfg.AdaptivePasses = true
 	res := CheckMiter(mustMiter(t, g, o), cfg)
-	if res.Outcome == NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("adaptive run disproved an equivalent miter")
 	}
 	lPhases := 0
@@ -85,7 +86,7 @@ func TestAdaptivePassesSkipIneffective(t *testing.T) {
 	cfg.MaxLocalPhases = 8
 	cfg.LocalPasses = []cuts.Pass{cuts.PassFanout}
 	res := CheckMiter(mustMiter(t, g, o), cfg)
-	if res.Outcome == NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("wrong disproof")
 	}
 }
@@ -102,14 +103,14 @@ func TestGuidedPatternsStillCorrect(t *testing.T) {
 	cfg := smallConfig()
 	cfg.GuidedPatterns = true
 	res := CheckMiter(mustMiter(t, g, o), cfg)
-	if res.Outcome == NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("guided-pattern run disproved an equivalent miter")
 	}
 	bad := o.Copy()
 	bad.SetPO(0, bad.PO(0).Not())
 	m := mustMiter(t, g, bad)
 	res = CheckMiter(m, cfg)
-	if res.Outcome != NotEquivalent {
+	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	fired := false
@@ -140,7 +141,7 @@ func TestInterleaveRewriteSoundAndHelps(t *testing.T) {
 	}
 	base := run(false)
 	inter := run(true)
-	if base.Outcome == NotEquivalent || inter.Outcome == NotEquivalent {
+	if base.Outcome == miter.NotEquivalent || inter.Outcome == miter.NotEquivalent {
 		t.Fatal("wrong disproof")
 	}
 	// Soundness of the rewrite step: the reduced miter still computes
@@ -188,9 +189,9 @@ func TestPatternBankExportedAndTransfers(t *testing.T) {
 			t.Fatalf("bank row %d has %d words, want %d", i, len(words), w)
 		}
 	}
-	if res.Outcome == Undecided {
+	if res.Outcome == miter.Undecided {
 		sr := satsweep.CheckMiter(res.Reduced, satsweep.Options{Seed: 1, SeedBank: res.PatternBank})
-		if sr.Outcome != satsweep.Equivalent {
+		if sr.Outcome != miter.Equivalent {
 			t.Fatalf("seeded sweep outcome = %v", sr.Outcome)
 		}
 	}
@@ -208,7 +209,7 @@ func TestSeededSweepNeverFewerDisprovedByCEX(t *testing.T) {
 	cfg := smallConfig()
 	cfg.MaxLocalPhases = 1
 	res := CheckMiter(m, cfg)
-	if res.Outcome != Undecided {
+	if res.Outcome != miter.Undecided {
 		t.Skip("engine decided the miter alone; nothing to transfer")
 	}
 	plain := satsweep.CheckMiter(res.Reduced, satsweep.Options{Seed: 5})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"simsweep/internal/gen"
+	"simsweep/internal/miter"
 	"simsweep/internal/opt"
 )
 
@@ -16,7 +17,7 @@ func TestJournalRecordsProofs(t *testing.T) {
 	}
 	o := opt.Resyn2(g, nil)
 	res := CheckMiter(mustMiter(t, g, o), smallConfig())
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	if len(res.Journal) == 0 {
@@ -69,7 +70,7 @@ func TestKernelProfileAndLog(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Log = &logBuf
 	res := CheckMiter(mustMiter(t, g, o), cfg)
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	if !strings.Contains(res.KernelProfile, "kernel") {

@@ -7,6 +7,7 @@ import (
 
 	"simsweep/internal/fault"
 	"simsweep/internal/gen"
+	"simsweep/internal/miter"
 	"simsweep/internal/opt"
 )
 
@@ -76,7 +77,7 @@ func TestWorkBudgetDegradesNeverWrong(t *testing.T) {
 	cfg := smallConfig()
 	cfg.PhaseWorkBudget = 1
 	res := CheckMiter(m, cfg)
-	if res.Outcome == NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("work-starved run reported NOT equivalent on an equivalent miter")
 	}
 	if !res.Degraded || len(res.Faults) == 0 {
@@ -99,7 +100,7 @@ func TestGenerousBudgetsLeaveRunHealthy(t *testing.T) {
 	cfg.PhaseBudget = time.Minute
 	cfg.PhaseWorkBudget = 1 << 40
 	res := CheckMiter(m, cfg)
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v, want equivalent", res.Outcome)
 	}
 	if res.Degraded || len(res.Faults) != 0 {
@@ -124,7 +125,7 @@ func TestStallInjectionTripsWatchdog(t *testing.T) {
 	go func() { done <- CheckMiter(m, cfg) }()
 	select {
 	case res := <-done:
-		if res.Outcome == NotEquivalent {
+		if res.Outcome == miter.NotEquivalent {
 			t.Fatal("stalled run reported NOT equivalent on an equivalent miter")
 		}
 		if !res.Degraded {

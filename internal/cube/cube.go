@@ -44,27 +44,6 @@ import (
 	"simsweep/internal/trace"
 )
 
-// Outcome is the verdict of a cube-and-conquer run.
-type Outcome int
-
-// CEC verdicts.
-const (
-	Undecided Outcome = iota
-	Equivalent
-	NotEquivalent
-)
-
-// String renders the verdict for logs and CLI output.
-func (o Outcome) String() string {
-	switch o {
-	case Equivalent:
-		return "equivalent"
-	case NotEquivalent:
-		return "NOT equivalent"
-	}
-	return "undecided"
-}
-
 // Options configures a decomposition run.
 type Options struct {
 	// Dev supplies the parallel device the cubes are solved on; nil creates
@@ -173,7 +152,7 @@ type Stats struct {
 
 // Result is the outcome of CheckMiter.
 type Result struct {
-	Outcome Outcome
+	Outcome miter.Outcome
 	// Stopped reports that the run returned Undecided because Options.Stop
 	// cancelled it.
 	Stopped bool
@@ -254,7 +233,7 @@ func CheckMiter(m *aig.AIG, opt Options) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{
-				Outcome: Undecided,
+				Outcome: miter.Undecided,
 				Faults:  []string{fmt.Sprintf("cube.recovered: %v", r)},
 			}
 		}
@@ -271,14 +250,14 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	// Structural shortcuts: a fully reduced miter needs no decomposition,
 	// and a constant-one output is disproved by any assignment.
 	if miter.IsProved(m) {
-		res.Outcome = Equivalent
+		res.Outcome = miter.Equivalent
 		return res
 	}
 	for i := 0; i < m.NumPOs(); i++ {
 		if m.PO(i) == aig.True {
 			cex := make([]bool, m.NumPIs())
 			if replayDistinguishes(m, cex) {
-				res.Outcome = NotEquivalent
+				res.Outcome = miter.NotEquivalent
 				res.CEX = cex
 			}
 			return res
@@ -296,7 +275,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	if po, assign := partial.FindNonZeroPO(m, sims); po >= 0 {
 		cex := assignToInputs(m, assign)
 		if replayDistinguishes(m, cex) {
-			res.Outcome = NotEquivalent
+			res.Outcome = miter.NotEquivalent
 			res.CEX = cex
 			return res
 		}
@@ -394,7 +373,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 			res.Faults = append(res.Faults, st.faults...)
 			st.mu.Unlock()
 			res.Stats.SATConflicts = st.confl.Load()
-			res.Outcome = NotEquivalent
+			res.Outcome = miter.NotEquivalent
 			res.CEX = cex
 			return res
 		}
@@ -435,7 +414,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	// construction — each cutset variable is a function of the PIs, so any
 	// assignment lands in exactly one polarity pattern.
 	if res.Stats.Unknown == 0 && len(res.Faults) == 0 {
-		res.Outcome = Equivalent
+		res.Outcome = miter.Equivalent
 	}
 	return res
 }

@@ -65,9 +65,9 @@ func TestCubeDecidesHardMiters(t *testing.T) {
 			}
 			t.Run(m.Name, func(t *testing.T) {
 				want, _ := difftest.TruthTable(m)
-				wantByConstruction := difftest.Equivalent
+				wantByConstruction := miter.Equivalent
 				if flip {
-					wantByConstruction = difftest.NotEquivalent
+					wantByConstruction = miter.NotEquivalent
 				}
 				if want != wantByConstruction {
 					t.Fatalf("oracle says %v, generator promised %v", want, wantByConstruction)
@@ -112,9 +112,9 @@ func TestCubeDecidesHardMiters(t *testing.T) {
 				dev := par.NewDevice(2)
 				defer dev.Close()
 				cr := cube.CheckMiter(m, cube.Options{Dev: dev, Seed: 11})
-				wantCube := cube.Equivalent
+				wantCube := miter.Equivalent
 				if flip {
-					wantCube = cube.NotEquivalent
+					wantCube = miter.NotEquivalent
 				}
 				if cr.Outcome != wantCube {
 					t.Fatalf("cube on %s: got %v want %v (stats %+v, faults %v)",
@@ -156,13 +156,13 @@ func TestUnsatAllCubesImpliesEquivalent(t *testing.T) {
 	}
 	for _, m := range []*aig.AIG{booth, resyn} {
 		want, _ := difftest.TruthTable(m)
-		if want != difftest.Equivalent {
+		if want != miter.Equivalent {
 			t.Fatalf("%s: oracle disagrees with equivalent-by-construction", m.Name)
 		}
 		dev := par.NewDevice(2)
 		r := cube.CheckMiter(m, cube.Options{Dev: dev, Seed: 7})
 		dev.Close()
-		if r.Outcome != cube.Equivalent {
+		if r.Outcome != miter.Equivalent {
 			t.Fatalf("%s: cube returned %v on an oracle-EQ miter (stats %+v, faults %v)",
 				m.Name, r.Outcome, r.Stats, r.Faults)
 		}
@@ -191,10 +191,10 @@ func TestBudgetedRunStaysHonest(t *testing.T) {
 		ConflictLimit: 1,
 		InitialBudget: 1,
 	})
-	if r.Outcome == cube.NotEquivalent {
+	if r.Outcome == miter.NotEquivalent {
 		t.Fatalf("starved run disproved an equivalent miter")
 	}
-	if r.Outcome == cube.Equivalent {
+	if r.Outcome == miter.Equivalent {
 		t.Fatalf("one-conflict budget proved a Booth miter; budget is not being honoured")
 	}
 	if r.Stats.Unknown == 0 {
@@ -219,7 +219,7 @@ func TestCubeVerdictInvariantUnderPIPermutation(t *testing.T) {
 		dev := par.NewDevice(2)
 		base := cube.CheckMiter(m, cube.Options{Dev: dev, Seed: 5})
 		dev.Close()
-		if base.Outcome == cube.Undecided {
+		if base.Outcome == miter.Undecided {
 			t.Fatalf("%s: complete run undecided (faults %v)", m.Name, base.Faults)
 		}
 		for trial := 0; trial < 3; trial++ {
@@ -232,7 +232,7 @@ func TestCubeVerdictInvariantUnderPIPermutation(t *testing.T) {
 				t.Fatalf("%s trial %d: verdict changed under PI permutation: %v vs %v",
 					m.Name, trial, base.Outcome, pr.Outcome)
 			}
-			if pr.Outcome == cube.NotEquivalent {
+			if pr.Outcome == miter.NotEquivalent {
 				found := false
 				for _, v := range pm.Eval(pr.CEX) {
 					found = found || v

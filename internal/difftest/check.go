@@ -42,7 +42,7 @@ type CaseReport struct {
 	// Verdict is the consensus among decided backends (Undecided when no
 	// backend decided — itself reported as a failure when a complete
 	// backend is in the roster).
-	Verdict  Verdict
+	Verdict  miter.Outcome
 	Failures []Failure
 }
 
@@ -55,7 +55,7 @@ func (r *CaseReport) summarize() string {
 		if nr.Skipped {
 			continue
 		}
-		s := nr.Name + ":" + nr.Verdict.String()
+		s := nr.Name + ":" + token(nr.Verdict)
 		if nr.Degraded {
 			s += "~"
 		}
@@ -90,7 +90,7 @@ func CrossCheck(dev *par.Device, backends []Backend, c Case) CaseReport {
 
 	// Verdict consensus across decided backends.
 	for _, nr := range rep.Results {
-		if nr.Skipped || nr.Verdict == Undecided {
+		if nr.Skipped || nr.Verdict == miter.Undecided {
 			// A degraded Undecided from a Degradable backend is the engine's
 			// graceful-degradation path doing its job (injected faults made it
 			// withdraw work), not a completeness violation.
@@ -100,17 +100,17 @@ func CrossCheck(dev *par.Device, backends []Backend, c Case) CaseReport {
 			}
 			continue
 		}
-		if rep.Verdict == Undecided {
+		if rep.Verdict == miter.Undecided {
 			rep.Verdict = nr.Verdict
 		} else if nr.Verdict != rep.Verdict {
 			rep.fail("disagreement", nr.Name,
-				fmt.Sprintf("verdict %s against consensus %s (%s)", nr.Verdict, rep.Verdict, rep.summarize()), c.Miter)
+				fmt.Sprintf("verdict %s against consensus %s (%s)", token(nr.Verdict), token(rep.Verdict), rep.summarize()), c.Miter)
 		}
 	}
 
 	// Counter-example contract: every NEQ must come with a valid cex.
 	for _, nr := range rep.Results {
-		if nr.Skipped || nr.Verdict != NotEquivalent {
+		if nr.Skipped || nr.Verdict != miter.NotEquivalent {
 			continue
 		}
 		switch {
@@ -123,11 +123,11 @@ func CrossCheck(dev *par.Device, backends []Backend, c Case) CaseReport {
 	}
 
 	// Ground truth from generation time.
-	if c.Expected != Undecided && rep.Verdict != Undecided && rep.Verdict != c.Expected {
+	if c.Expected != miter.Undecided && rep.Verdict != miter.Undecided && rep.Verdict != c.Expected {
 		rep.fail("ground-truth", "",
-			fmt.Sprintf("consensus %s but generator established %s (%s)", rep.Verdict, c.Expected, rep.summarize()), c.Miter)
+			fmt.Sprintf("consensus %s but generator established %s (%s)", token(rep.Verdict), token(c.Expected), rep.summarize()), c.Miter)
 	}
-	if c.Expected == NotEquivalent && len(c.Witness) > 0 && !CEXDistinguishes(dev, c.Miter, c.Witness) {
+	if c.Expected == miter.NotEquivalent && len(c.Witness) > 0 && !CEXDistinguishes(dev, c.Miter, c.Witness) {
 		rep.fail("ground-truth", "", "generator witness no longer distinguishes the miter", c.Miter)
 	}
 	return rep
@@ -185,16 +185,16 @@ func metamorphicTransforms(dev *par.Device, c Case, rng *rand.Rand) []Case {
 // PI permutation, re-strashing or resyn2 is reported as a
 // "metamorphic-<transform>" failure against the original consensus.
 func MetamorphicCheck(dev *par.Device, backends []Backend, c Case, base CaseReport, rng *rand.Rand) []CaseReport {
-	if base.Verdict == Undecided {
+	if base.Verdict == miter.Undecided {
 		return nil // nothing to preserve
 	}
 	var reports []CaseReport
 	for _, tc := range metamorphicTransforms(dev, c, rng) {
 		rep := CrossCheck(dev, backends, tc)
-		if rep.Verdict != Undecided && rep.Verdict != base.Verdict {
+		if rep.Verdict != miter.Undecided && rep.Verdict != base.Verdict {
 			suffix := tc.Kind[strings.LastIndex(tc.Kind, "+")+1:]
 			rep.fail("metamorphic-"+suffix, "",
-				fmt.Sprintf("verdict %s after %s, %s before", rep.Verdict, suffix, base.Verdict), tc.Miter)
+				fmt.Sprintf("verdict %s after %s, %s before", token(rep.Verdict), suffix, token(base.Verdict)), tc.Miter)
 		}
 		reports = append(reports, rep)
 	}
@@ -222,7 +222,7 @@ func collectTimings(acc map[string]*BackendTiming, rep CaseReport) {
 			acc[nr.Name] = t
 		}
 		t.Checks++
-		if nr.Verdict != Undecided {
+		if nr.Verdict != miter.Undecided {
 			t.Decided++
 		}
 		t.Total += nr.Runtime

@@ -23,9 +23,9 @@ import (
 	"sync"
 	"time"
 
-	"simsweep"
 	"simsweep/internal/aig"
 	"simsweep/internal/cluster"
+	"simsweep/internal/miter"
 	"simsweep/internal/service"
 )
 
@@ -219,59 +219,52 @@ func (r *ClusterRig) check(m *aig.AIG) BackendResult {
 	r.mu.Unlock()
 	if kill {
 		if err := r.sabotage(); err != nil {
-			return BackendResult{Verdict: Undecided}
+			return BackendResult{}
 		}
 	}
 
 	jr, err := service.EncodeRequest(service.Request{Miter: m})
 	if err != nil {
-		return BackendResult{Verdict: Undecided}
+		return BackendResult{}
 	}
 	raw, err := json.Marshal(jr)
 	if err != nil {
-		return BackendResult{Verdict: Undecided}
+		return BackendResult{}
 	}
 	resp, err := r.hc.Post(r.base+"/v1/jobs", "application/json", bytes.NewReader(raw))
 	if err != nil {
-		return BackendResult{Verdict: Undecided}
+		return BackendResult{}
 	}
 	var j service.JobJSON
 	derr := json.NewDecoder(resp.Body).Decode(&j)
 	resp.Body.Close()
 	if derr != nil || resp.StatusCode >= 400 {
-		return BackendResult{Verdict: Undecided}
+		return BackendResult{}
 	}
 
 	deadline := time.Now().Add(r.cfg.Timeout)
 	for !service.State(j.State).Terminal() {
 		if time.Now().After(deadline) {
-			return BackendResult{Verdict: Undecided}
+			return BackendResult{}
 		}
 		time.Sleep(time.Millisecond)
 		resp, err := r.hc.Get(r.base + "/v1/jobs/" + j.ID)
 		if err != nil {
-			return BackendResult{Verdict: Undecided}
+			return BackendResult{}
 		}
 		derr := json.NewDecoder(resp.Body).Decode(&j)
 		resp.Body.Close()
 		if derr != nil || resp.StatusCode != 200 {
-			return BackendResult{Verdict: Undecided}
+			return BackendResult{}
 		}
 	}
 	if service.State(j.State) != service.StateDone {
-		return BackendResult{Verdict: Undecided, Degraded: j.Degraded}
+		return BackendResult{Degraded: j.Degraded}
 	}
 
 	out := BackendResult{Degraded: j.Degraded}
-	switch j.Verdict {
-	case simsweep.Equivalent.String():
-		out.Verdict = Equivalent
-	case simsweep.NotEquivalent.String():
-		out.Verdict = NotEquivalent
-	default:
-		out.Verdict = Undecided
-	}
-	if out.Verdict == NotEquivalent {
+	out.Verdict, _ = miter.ParseOutcome(j.Verdict)
+	if out.Verdict == miter.NotEquivalent {
 		out.CEX = make([]bool, len(j.CEX))
 		for i, v := range j.CEX {
 			out.CEX[i] = v != 0

@@ -8,6 +8,7 @@ import (
 
 	"simsweep/internal/aiger"
 	"simsweep/internal/difftest"
+	"simsweep/internal/miter"
 	"simsweep/internal/par"
 )
 
@@ -46,7 +47,7 @@ func TestCorpusReplay(t *testing.T) {
 			for _, f := range rep.Failures {
 				t.Errorf("%s[%s]: %s", f.Kind, f.Backend, f.Detail)
 			}
-			if rep.Verdict == difftest.Undecided {
+			if rep.Verdict == miter.Undecided {
 				t.Error("no backend decided a corpus miter")
 			}
 		})

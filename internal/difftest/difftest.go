@@ -1,9 +1,8 @@
 // Package difftest is the differential and metamorphic fuzzing harness of
-// the CEC engine zoo. The repo carries several independent deciders — the
-// simulation-sweeping core under multiple configurations, the hybrid flow,
-// the ABC-style SAT sweeper, the BDD engine, the portfolio checker and the
-// class scheduler —
-// and the paper's central claim is that they all return the same verdicts.
+// the CEC engine zoo. The repo carries several independent deciders —
+// every engine of the facade's engine table (simsweep.Engines), the
+// simulation-sweeping core under several more configurations — and the
+// paper's central claim is that they all return the same verdicts.
 // This package generates seeded random miters (equivalent by construction,
 // or mutated to be inequivalent with a known witness), runs every backend
 // on each, and fails on:
@@ -33,34 +32,19 @@ import (
 	"simsweep/internal/aig"
 	"simsweep/internal/core"
 	"simsweep/internal/fault"
+	"simsweep/internal/miter"
 )
 
-// Verdict is a backend's answer on a miter.
-type Verdict int
-
-// Verdicts. Undecided is legal for incomplete backends (the simulation
-// engine on its own may exhaust its phases) and never counts as a
-// disagreement.
-const (
-	Undecided Verdict = iota
-	Equivalent
-	NotEquivalent
-)
-
-// String renders the verdict for logs ("EQ", "NEQ", "UND").
-func (v Verdict) String() string {
-	switch v {
-	case Equivalent:
-		return "EQ"
-	case NotEquivalent:
-		return "NEQ"
-	}
-	return "UND"
+// token renders a verdict for the harness log ("EQ", "NEQ", "UND").
+func token(o miter.Outcome) string {
+	return [...]string{miter.Undecided: "UND", miter.Equivalent: "EQ", miter.NotEquivalent: "NEQ"}[o]
 }
 
-// BackendResult is one backend's answer on one miter.
+// BackendResult is one backend's answer on one miter. Undecided is legal
+// for incomplete backends (the simulation engine on its own may exhaust its
+// phases) and never counts as a disagreement.
 type BackendResult struct {
-	Verdict Verdict
+	Verdict miter.Outcome
 	// CEX is the miter-PI assignment the backend offered for a
 	// NotEquivalent verdict. The harness replays it; a NEQ verdict with a
 	// missing or non-distinguishing CEX is a contract violation.
@@ -105,14 +89,14 @@ func (b *Backend) Applicable(m *aig.AIG) bool {
 // injector is parsed per call (hook counters like at= are consumed state,
 // and per-check injectors keep every case identically faulted regardless
 // of roster order), and the backend is marked Degradable.
-func facadeBackend(name string, complete bool, workers int, seed int64, cfg *core.Config, engine simsweep.Engine, faultSpec string) Backend {
+func facadeBackend(name string, e simsweep.EngineInfo, workers int, seed int64, cfg *core.Config, faultSpec string) Backend {
 	return Backend{
 		Name:       name,
-		Complete:   complete,
+		Complete:   e.Complete,
 		Degradable: faultSpec != "",
 		Check: func(m *aig.AIG) BackendResult {
 			opts := simsweep.Options{
-				Engine:    engine,
+				Engine:    e.Name,
 				Workers:   workers,
 				Seed:      seed,
 				SimConfig: cfg,
@@ -124,25 +108,11 @@ func facadeBackend(name string, complete bool, workers int, seed int64, cfg *cor
 			}
 			r, err := simsweep.CheckMiter(m, opts)
 			if err != nil {
-				return BackendResult{Verdict: Undecided}
+				return BackendResult{}
 			}
-			return BackendResult{
-				Verdict:  verdictOfOutcome(r.Outcome),
-				CEX:      r.CEX,
-				Degraded: r.Degraded,
-			}
+			return BackendResult{Verdict: r.Outcome, CEX: r.CEX, Degraded: r.Degraded}
 		},
 	}
-}
-
-func verdictOfOutcome(o simsweep.Outcome) Verdict {
-	switch o {
-	case simsweep.Equivalent:
-		return Equivalent
-	case simsweep.NotEquivalent:
-		return NotEquivalent
-	}
-	return Undecided
 }
 
 // tightConfig is a deliberately starved engine configuration: tiny windows,
@@ -187,15 +157,13 @@ func extConfig() *core.Config {
 }
 
 // DefaultBackends returns the full differential roster: the brute-force
-// truth-table oracle (≤16 PIs), the simulation engine under four
-// configurations (paper defaults, a starved windowing configuration, the
+// truth-table oracle (≤16 PIs), then every engine of the facade's engine
+// table (simsweep.Engines) with its default options — unlimited conflicts,
+// so the SAT-based engines are complete — and the simulation engine under
+// three more configurations (a starved windowing configuration, the
 // all-extensions configuration and a starved cut-enumeration
-// configuration), the hybrid flow, standalone SAT
-// sweeping with unlimited conflicts, the BDD engine, the portfolio, the
-// class scheduler (adaptive per-class routing with an unlimited backstop)
-// and the cube-and-conquer decomposition prover (unlimited final depth).
-// The oracle, hybrid, SAT, BDD, portfolio, sched and cube backends are
-// complete on the small circuits the harness generates; the sim-only
+// configuration). The oracle and every engine the table marks Complete
+// must decide the small circuits the harness generates; the sim-only
 // backends may return Undecided, which the harness tolerates.
 //
 // workers bounds each backend's parallel device (0: all CPUs); seed drives
@@ -224,20 +192,20 @@ func DefaultBackendsWithFaults(workers int, seed int64, spec string) ([]Backend,
 			return nil, err
 		}
 	}
-	return []Backend{
+	roster := []Backend{
 		{Name: "oracle", Complete: true, MaxPIs: OracleMaxPIs, Check: func(m *aig.AIG) BackendResult {
 			v, cex := TruthTable(m)
 			return BackendResult{Verdict: v, CEX: cex}
 		}},
-		facadeBackend("sim", false, workers, seed, nil, simsweep.EngineSim, spec),
-		facadeBackend("sim-tight", false, workers, seed, tightConfig(), simsweep.EngineSim, spec),
-		facadeBackend("sim-ext", false, workers, seed, extConfig(), simsweep.EngineSim, spec),
-		facadeBackend("sim-tiny-cuts", false, workers, seed, tinyCutsConfig(), simsweep.EngineSim, spec),
-		facadeBackend("hybrid", true, workers, seed, nil, simsweep.EngineHybrid, spec),
-		facadeBackend("sat", true, workers, seed, nil, simsweep.EngineSAT, spec),
-		facadeBackend("bdd", true, workers, seed, nil, simsweep.EngineBDD, spec),
-		facadeBackend("portfolio", true, workers, seed, nil, simsweep.EnginePortfolio, spec),
-		facadeBackend("sched", true, workers, seed, nil, simsweep.EngineSched, spec),
-		facadeBackend("cube", true, workers, seed, nil, simsweep.EngineCube, spec),
-	}, nil
+	}
+	for _, e := range simsweep.Engines() {
+		roster = append(roster, facadeBackend(string(e.Name), e, workers, seed, nil, spec))
+		if e.Name == simsweep.EngineSim {
+			roster = append(roster,
+				facadeBackend("sim-tight", e, workers, seed, tightConfig(), spec),
+				facadeBackend("sim-ext", e, workers, seed, extConfig(), spec),
+				facadeBackend("sim-tiny-cuts", e, workers, seed, tinyCutsConfig(), spec))
+		}
+	}
+	return roster, nil
 }

@@ -23,7 +23,7 @@ func device(t *testing.T) *par.Device {
 
 // bruteForce is an independent (and deliberately naive) oracle: single-bit
 // evaluation of every input assignment.
-func bruteForce(t *testing.T, m *aig.AIG) (difftest.Verdict, []bool) {
+func bruteForce(t *testing.T, m *aig.AIG) (miter.Outcome, []bool) {
 	t.Helper()
 	n := m.NumPIs()
 	if n > 12 {
@@ -37,11 +37,11 @@ func bruteForce(t *testing.T, m *aig.AIG) (difftest.Verdict, []bool) {
 		for _, v := range m.Eval(in) {
 			if v {
 				cex := append([]bool(nil), in...)
-				return difftest.NotEquivalent, cex
+				return miter.NotEquivalent, cex
 			}
 		}
 	}
-	return difftest.Equivalent, nil
+	return miter.Equivalent, nil
 }
 
 func TestTruthTableOracleMatchesEval(t *testing.T) {
@@ -63,7 +63,7 @@ func TestTruthTableOracleMatchesEval(t *testing.T) {
 		if gotV != wantV {
 			t.Fatalf("seed %d: oracle %s, brute force %s", seed, gotV, wantV)
 		}
-		if gotV == difftest.NotEquivalent && !difftest.CEXDistinguishes(device(t), m, gotCEX) {
+		if gotV == miter.NotEquivalent && !difftest.CEXDistinguishes(device(t), m, gotCEX) {
 			t.Fatalf("seed %d: oracle cex %v does not replay", seed, gotCEX)
 		}
 	}
@@ -166,7 +166,7 @@ func TestCounterexampleContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if v, _ := difftest.TruthTable(mm); v == difftest.NotEquivalent {
+				if v, _ := difftest.TruthTable(mm); v == miter.NotEquivalent {
 					m = mm
 					break
 				}
@@ -180,11 +180,11 @@ func TestCounterexampleContract(t *testing.T) {
 					continue
 				}
 				res := b.Check(m)
-				if b.Complete && res.Verdict != difftest.NotEquivalent {
+				if b.Complete && res.Verdict != miter.NotEquivalent {
 					t.Errorf("%s: verdict %s on an inequivalent miter", b.Name, res.Verdict)
 					continue
 				}
-				if res.Verdict != difftest.NotEquivalent {
+				if res.Verdict != miter.NotEquivalent {
 					continue
 				}
 				if len(res.CEX) == 0 {
@@ -207,7 +207,7 @@ func lyingBackends(victim string) []difftest.Backend {
 	for i := range backends {
 		if backends[i].Name == victim {
 			backends[i].Check = func(m *aig.AIG) difftest.BackendResult {
-				return difftest.BackendResult{Verdict: difftest.Equivalent}
+				return difftest.BackendResult{Verdict: miter.Equivalent}
 			}
 		}
 	}
@@ -277,7 +277,7 @@ func TestShrinkReachesMinimalNEQMiter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v, _ := difftest.TruthTable(mm); v == difftest.NotEquivalent {
+		if v, _ := difftest.TruthTable(mm); v == miter.NotEquivalent {
 			m = mm
 			break
 		}
@@ -287,7 +287,7 @@ func TestShrinkReachesMinimalNEQMiter(t *testing.T) {
 			return false
 		}
 		v, _ := difftest.TruthTable(g)
-		return v == difftest.NotEquivalent
+		return v == miter.NotEquivalent
 	}
 	shrunk := difftest.Shrink(m, pred, 0)
 	if !pred(shrunk) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"simsweep/internal/difftest"
+	"simsweep/internal/miter"
 	"simsweep/internal/par"
 )
 
@@ -50,7 +51,7 @@ func FuzzCexValidity(f *testing.F) {
 				continue
 			}
 			res := b.Check(c.Miter)
-			if res.Verdict != difftest.NotEquivalent {
+			if res.Verdict != miter.NotEquivalent {
 				continue
 			}
 			if len(res.CEX) == 0 {

@@ -27,7 +27,7 @@ type Case struct {
 	// Expected is the ground-truth verdict when the generator could
 	// establish one (oracle for narrow miters, witness search otherwise);
 	// Undecided means the case is purely differential.
-	Expected Verdict
+	Expected miter.Outcome
 	// Witness is a validated distinguishing assignment when Expected is
 	// NotEquivalent.
 	Witness []bool
@@ -160,11 +160,11 @@ func GenerateCase(dev *par.Device, master int64, index, maxPIs int) (Case, error
 	}
 	c.Miter = m
 	c.Expected, c.Witness = groundTruth(dev, m, rng)
-	if !wantNEQ && c.Expected != Equivalent {
+	if !wantNEQ && c.Expected != miter.Equivalent {
 		// An equivalence-preserving construction that the oracle refutes
 		// would be an optimizer bug; surface it as a malformed case so
 		// the harness fails loudly rather than recording NEQ agreement.
-		if c.Expected == NotEquivalent {
+		if c.Expected == miter.NotEquivalent {
 			return c, fmt.Errorf("difftest: %s case (seed %d) expected EQ but oracle found witness %v", c.Kind, seed, c.Witness)
 		}
 	}
@@ -175,7 +175,7 @@ func GenerateCase(dev *par.Device, master int64, index, maxPIs int) (Case, error
 // oracle when the miter is narrow enough, otherwise a bounded random
 // witness search (2048 packed patterns). The witness, when found, is
 // validated by replay before being trusted.
-func groundTruth(dev *par.Device, m *aig.AIG, rng *rand.Rand) (Verdict, []bool) {
+func groundTruth(dev *par.Device, m *aig.AIG, rng *rand.Rand) (miter.Outcome, []bool) {
 	if m.NumPIs() <= OracleMaxPIs {
 		return TruthTable(m)
 	}
@@ -184,7 +184,7 @@ func groundTruth(dev *par.Device, m *aig.AIG, rng *rand.Rand) (Verdict, []bool) 
 	if err != nil {
 		// The harness device is never fault-injected, so this is a real
 		// kernel bug; report no ground truth rather than guess from garbage.
-		return Undecided, nil
+		return miter.Undecided, nil
 	}
 	if po, assign := p.FindNonZeroPO(m, sims); po >= 0 {
 		cex := make([]bool, m.NumPIs())
@@ -192,8 +192,8 @@ func groundTruth(dev *par.Device, m *aig.AIG, rng *rand.Rand) (Verdict, []bool) 
 			cex[av.Index] = av.Value
 		}
 		if CEXDistinguishes(dev, m, cex) {
-			return NotEquivalent, cex
+			return miter.NotEquivalent, cex
 		}
 	}
-	return Undecided, nil
+	return miter.Undecided, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"simsweep/internal/aig"
+	"simsweep/internal/miter"
 	"simsweep/internal/par"
 	"simsweep/internal/sim"
 )
@@ -21,7 +22,7 @@ const OracleMaxPIs = 16
 // simsweep): complete, simple enough to trust, and feasible only because
 // the harness keeps its miters at most OracleMaxPIs wide. It panics on
 // wider miters — callers gate on Backend.Applicable.
-func TruthTable(m *aig.AIG) (Verdict, []bool) {
+func TruthTable(m *aig.AIG) (miter.Outcome, []bool) {
 	n := m.NumPIs()
 	if n > OracleMaxPIs {
 		panic(fmt.Sprintf("difftest: truth-table oracle over %d PIs (max %d)", n, OracleMaxPIs))
@@ -84,11 +85,11 @@ func TruthTable(m *aig.AIG) (Verdict, []bool) {
 				for pi := 0; pi < n; pi++ {
 					cex[pi] = index>>uint(pi)&1 == 1
 				}
-				return NotEquivalent, cex
+				return miter.NotEquivalent, cex
 			}
 		}
 	}
-	return Equivalent, nil
+	return miter.Equivalent, nil
 }
 
 // repeatMask[i] is the packed truth-table word of variable i for i < 6.

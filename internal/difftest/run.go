@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"simsweep/internal/aig"
+	"simsweep/internal/miter"
 	"simsweep/internal/par"
 )
 
@@ -137,9 +138,9 @@ func Run(o Options, log io.Writer) (Summary, error) {
 		}
 
 		switch rep.Verdict {
-		case Equivalent:
+		case miter.Equivalent:
 			s.EQ++
-		case NotEquivalent:
+		case miter.NotEquivalent:
 			s.NEQ++
 		default:
 			s.Undecided++
@@ -159,7 +160,7 @@ func Run(o Options, log io.Writer) (Summary, error) {
 			failedCases++
 		}
 		fmt.Fprintf(log, "case %04d seed=%d kind=%s pi=%d and=%d verdict=%s backends=%s %s\n",
-			i, c.Seed, c.Kind, c.Miter.NumPIs(), c.Miter.NumAnds(), rep.Verdict, rep.summarize(), status)
+			i, c.Seed, c.Kind, c.Miter.NumPIs(), c.Miter.NumAnds(), token(rep.Verdict), rep.summarize(), status)
 
 		for fi := range failures {
 			f := &failures[fi]

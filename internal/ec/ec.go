@@ -58,6 +58,10 @@ func Build(numNodes int, sig func(id int) []uint64, include func(id int) bool) *
 	}
 	buckets := make(map[uint64]*bucket)
 	keys := make(map[uint64][]uint64) // hash -> canonical signature (collision check)
+	// order lists the buckets as first seen, so classes come out by
+	// ascending representative id rather than in map order: the SAT
+	// sweep's verdict under a conflict budget depends on its pair order.
+	var order []*bucket
 	normalised := func(id int) ([]uint64, bool) {
 		s := sig(id)
 		compl := len(s) > 0 && s[0]&1 == 1
@@ -82,6 +86,7 @@ func Build(numNodes int, sig func(id int) []uint64, include func(id int) bool) *
 			b = &bucket{}
 			buckets[h] = b
 			keys[h] = s
+			order = append(order, b)
 		} else if !sameWords(keys[h], s) {
 			// Hash collision: fall back to a secondary probe. Open
 			// addressing over rehashed keys keeps this correct.
@@ -93,6 +98,7 @@ func Build(numNodes int, sig func(id int) []uint64, include func(id int) bool) *
 					b2 = &bucket{}
 					buckets[h2] = b2
 					keys[h2] = s
+					order = append(order, b2)
 					b = b2
 					break
 				}
@@ -104,7 +110,7 @@ func Build(numNodes int, sig func(id int) []uint64, include func(id int) bool) *
 		}
 		b.members = append(b.members, int32(id))
 	}
-	for _, b := range buckets {
+	for _, b := range order {
 		if len(b.members) < 2 {
 			continue
 		}
@@ -145,7 +151,8 @@ func (m *Manager) NumClasses() int { return len(m.classes) }
 func (m *Manager) NumNodes() int { return m.numNodes }
 
 // Classes returns the member lists (each sorted by id; index 0 is the
-// representative). The caller must not mutate them.
+// representative), ordered by representative id. The caller must not
+// mutate them.
 func (m *Manager) Classes() [][]int32 { return m.classes }
 
 // ClassOf returns the class index of node id, or -1.

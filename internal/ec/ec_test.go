@@ -177,3 +177,24 @@ func TestHashCollisionsSeparateClasses(t *testing.T) {
 		}
 	}
 }
+
+func TestClassesInRepresentativeOrder(t *testing.T) {
+	// 64 two-member classes, members interleaved (i and 64+i share a
+	// signature): the classes come out by ascending representative id, the
+	// order the SAT sweep's pairs follow, whatever the map's iteration
+	// order.
+	sigs := map[int][]uint64{0: {0}}
+	for i := 1; i <= 64; i++ {
+		sigs[i] = []uint64{uint64(i) << 1}
+		sigs[64+i] = []uint64{uint64(i) << 1}
+	}
+	m := Build(129, sigFunc(sigs), func(int) bool { return true })
+	if m.NumClasses() != 64 {
+		t.Fatalf("classes = %d, want 64", m.NumClasses())
+	}
+	for i, members := range m.Classes() {
+		if members[0] != int32(i+1) {
+			t.Fatalf("class %d has representative %d, want %d", i, members[0], i+1)
+		}
+	}
+}

@@ -24,7 +24,7 @@ import (
 type family struct {
 	name     string
 	miter    *simsweep.AIG
-	expected difftest.Verdict
+	expected simsweep.Outcome
 }
 
 // families builds the chaos miters: two equivalent pairs (different adder
@@ -65,7 +65,7 @@ func families(t *testing.T) []family {
 	// The suite's assertions lean on these ground truths; pin them so a
 	// generator regression fails loudly here rather than as a mysterious
 	// chaos failure.
-	for i, want := range []difftest.Verdict{difftest.Equivalent, difftest.Equivalent, difftest.NotEquivalent} {
+	for i, want := range []simsweep.Outcome{simsweep.Equivalent, simsweep.Equivalent, simsweep.NotEquivalent} {
 		if fams[i].expected != want {
 			t.Fatalf("family %s: oracle says %v, want %v", fams[i].name, fams[i].expected, want)
 		}
@@ -73,24 +73,12 @@ func families(t *testing.T) []family {
 	return fams
 }
 
-// verdictOf maps the oracle's verdict onto the facade's outcome type.
-func verdictOf(o simsweep.Outcome) difftest.Verdict {
-	switch o {
-	case simsweep.Equivalent:
-		return difftest.Equivalent
-	case simsweep.NotEquivalent:
-		return difftest.NotEquivalent
-	}
-	return difftest.Undecided
-}
-
 // checkNeverWrong asserts the chaos invariant on one result: the verdict is
 // the oracle's or Undecided, and NotEquivalent carries a counter-example
 // that actually distinguishes the circuits.
 func checkNeverWrong(t *testing.T, label string, f family, res simsweep.Result) {
 	t.Helper()
-	got := verdictOf(res.Outcome)
-	if got != difftest.Undecided && got != f.expected {
+	if res.Outcome != simsweep.Undecided && res.Outcome != f.expected {
 		t.Fatalf("%s: verdict %v contradicts oracle %v (degraded=%v faults=%v)",
 			label, res.Outcome, f.expected, res.Degraded, res.Faults)
 	}
@@ -114,19 +102,11 @@ func checkNeverWrong(t *testing.T, label string, f family, res simsweep.Result) 
 	}
 }
 
-// TestChaosMatrix drives every hook spec through every backend on every
-// miter family and asserts the no-crash / never-wrong / reusable-pool
-// contract. Run under -race (make chaos) it is additionally the data-race
-// gate for the recovery paths.
+// TestChaosMatrix drives every hook spec through every engine of the
+// engine table on every miter family and asserts the no-crash /
+// never-wrong / reusable-pool contract. Run under -race (make chaos) it is
+// additionally the data-race gate for the recovery paths.
 func TestChaosMatrix(t *testing.T) {
-	engines := []simsweep.Engine{
-		simsweep.EngineSim,
-		simsweep.EngineHybrid,
-		simsweep.EngineSAT,
-		simsweep.EnginePortfolio,
-		simsweep.EngineSched,
-		simsweep.EngineCube,
-	}
 	specs := []struct {
 		name string
 		spec string
@@ -146,9 +126,9 @@ func TestChaosMatrix(t *testing.T) {
 			// One device per family, shared across every faulted run: the
 			// reuse assertions below prove faults never wedge the pool.
 			dev := simsweep.NewDevice(4)
-			for _, eng := range engines {
+			for _, e := range simsweep.Engines() {
 				for _, sp := range specs {
-					label := string(eng) + "/" + sp.name
+					label := string(e.Name) + "/" + sp.name
 					// A fresh injector per run: hook counters (at=, limit=)
 					// are consumed state.
 					in, err := simsweep.ParseFaults(sp.spec, 42)
@@ -156,7 +136,7 @@ func TestChaosMatrix(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					res, err := simsweep.CheckMiter(f.miter, simsweep.Options{
-						Engine: eng,
+						Engine: e.Name,
 						Dev:    dev,
 						Seed:   1,
 						Faults: in,
@@ -167,10 +147,10 @@ func TestChaosMatrix(t *testing.T) {
 					checkNeverWrong(t, label, f, res)
 
 					// Pool-reuse invariant: the same device immediately runs
-					// a clean check, and complete backends reach the exact
+					// a clean check, and complete engines reach the exact
 					// oracle verdict with no residual degradation.
 					clean, err := simsweep.CheckMiter(f.miter, simsweep.Options{
-						Engine: eng,
+						Engine: e.Name,
 						Dev:    dev,
 						Seed:   1,
 					})
@@ -180,12 +160,11 @@ func TestChaosMatrix(t *testing.T) {
 					if clean.Degraded || len(clean.Faults) != 0 {
 						t.Fatalf("%s: clean re-check degraded (faults=%v): fault state leaked", label, clean.Faults)
 					}
-					got := verdictOf(clean.Outcome)
-					if eng == simsweep.EngineSim {
-						if got != difftest.Undecided && got != f.expected {
-							t.Fatalf("%s: clean sim re-check verdict %v contradicts oracle %v", label, clean.Outcome, f.expected)
+					if !e.Complete {
+						if clean.Outcome != simsweep.Undecided && clean.Outcome != f.expected {
+							t.Fatalf("%s: clean re-check verdict %v contradicts oracle %v", label, clean.Outcome, f.expected)
 						}
-					} else if got != f.expected {
+					} else if clean.Outcome != f.expected {
 						t.Fatalf("%s: clean re-check verdict %v, oracle %v", label, clean.Outcome, f.expected)
 					}
 				}
@@ -273,7 +252,7 @@ func TestChaosGuaranteedDegradation(t *testing.T) {
 			t.Fatalf("fully-faulted hybrid not degraded: faults=%v", res.Faults)
 		}
 		checkNeverWrong(t, "hybrid/ladder", mult, res)
-		if verdictOf(res.Outcome) != mult.expected {
+		if res.Outcome != mult.expected {
 			t.Fatalf("ladder did not rescue the verdict: %v (engine %s)", res.Outcome, res.EngineUsed)
 		}
 	})

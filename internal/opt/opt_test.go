@@ -118,7 +118,7 @@ func TestResyn2FormallyEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equal, cex, err := bdd.CheckMiter(m, 0)
+	equal, cex, err := bdd.CheckMiter(m, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,69 +7,38 @@ package portfolio
 
 import (
 	"sync"
-	"time"
 
 	"simsweep/internal/aig"
+	"simsweep/internal/miter"
 )
-
-// Verdict is a portfolio-level CEC verdict.
-type Verdict int
-
-// Verdicts.
-const (
-	Undecided Verdict = iota
-	Equivalent
-	NotEquivalent
-)
-
-// String renders the verdict for logs.
-func (v Verdict) String() string {
-	switch v {
-	case Equivalent:
-		return "equivalent"
-	case NotEquivalent:
-		return "NOT equivalent"
-	}
-	return "undecided"
-}
 
 // Result reports the winning engine's verdict.
 type Result struct {
-	Verdict Verdict
+	Outcome miter.Outcome
 	CEX     []bool // PI counter-example when NotEquivalent
 	Engine  string // name of the engine that decided (or "" if none)
-	Runtime time.Duration
-	// PerEngine lists the verdict each engine reached (Undecided for
-	// engines cancelled or still losing the race).
-	PerEngine map[string]Verdict
 }
 
 // Engine is one member of the portfolio. Run must watch stop and return
 // Undecided promptly once it is closed.
 type Engine struct {
 	Name string
-	Run  func(m *aig.AIG, stop <-chan struct{}) (Verdict, []bool)
+	Run  func(m *aig.AIG, stop <-chan struct{}) (miter.Outcome, []bool)
 }
 
 // Check runs all engines concurrently on m and returns as soon as one
 // produces a definitive verdict, cancelling the rest. When every engine
 // returns Undecided, so does Check.
 func Check(m *aig.AIG, engines []Engine) Result {
-	start := time.Now()
-	type answer struct {
-		name    string
-		verdict Verdict
-		cex     []bool
-	}
-	answers := make(chan answer, len(engines))
+	answers := make(chan Result, len(engines))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, e := range engines {
 		wg.Add(1)
 		go func(e Engine) {
 			defer wg.Done()
-			v, cex := e.Run(m, stop)
-			answers <- answer{e.Name, v, cex}
+			o, cex := e.Run(m, stop)
+			answers <- Result{Outcome: o, CEX: cex, Engine: e.Name}
 		}(e)
 	}
 	go func() {
@@ -77,26 +46,19 @@ func Check(m *aig.AIG, engines []Engine) Result {
 		close(answers)
 	}()
 
-	res := Result{PerEngine: make(map[string]Verdict, len(engines))}
 	for a := range answers {
-		res.PerEngine[a.name] = a.verdict
-		if a.verdict == Undecided {
+		if a.Outcome == miter.Undecided {
 			continue
 		}
 		// First definitive answer wins: cancel the losers and return
 		// immediately; a background goroutine drains their replies.
-		res.Verdict = a.verdict
-		res.CEX = a.cex
-		res.Engine = a.name
-		res.Runtime = time.Since(start)
 		close(stop)
 		go func() {
 			for range answers {
 			}
 		}()
-		return res
+		return a
 	}
 	close(stop)
-	res.Runtime = time.Since(start)
-	return res
+	return Result{}
 }

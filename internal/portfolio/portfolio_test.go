@@ -6,6 +6,7 @@ import (
 
 	"simsweep/internal/aig"
 	"simsweep/internal/bdd"
+	"simsweep/internal/miter"
 	"simsweep/internal/satsweep"
 )
 
@@ -25,15 +26,15 @@ func xorMiter(equivalent bool) *aig.AIG {
 func bddEngine(limit int) Engine {
 	return Engine{
 		Name: "bdd",
-		Run: func(m *aig.AIG, stop <-chan struct{}) (Verdict, []bool) {
-			equal, cex, err := bdd.CheckMiter(m, limit)
+		Run: func(m *aig.AIG, stop <-chan struct{}) (miter.Outcome, []bool) {
+			equal, cex, err := bdd.CheckMiter(m, limit, stop)
 			if err != nil {
-				return Undecided, nil
+				return miter.Undecided, nil
 			}
 			if equal {
-				return Equivalent, nil
+				return miter.Equivalent, nil
 			}
-			return NotEquivalent, cex
+			return miter.NotEquivalent, cex
 		},
 	}
 }
@@ -41,23 +42,17 @@ func bddEngine(limit int) Engine {
 func satEngine() Engine {
 	return Engine{
 		Name: "satsweep",
-		Run: func(m *aig.AIG, stop <-chan struct{}) (Verdict, []bool) {
+		Run: func(m *aig.AIG, stop <-chan struct{}) (miter.Outcome, []bool) {
 			res := satsweep.CheckMiter(m, satsweep.Options{Stop: stop, Seed: 11})
-			switch res.Outcome {
-			case satsweep.Equivalent:
-				return Equivalent, nil
-			case satsweep.NotEquivalent:
-				return NotEquivalent, res.CEX
-			}
-			return Undecided, nil
+			return res.Outcome, res.CEX
 		},
 	}
 }
 
 func TestPortfolioEquivalent(t *testing.T) {
 	res := Check(xorMiter(true), []Engine{bddEngine(0), satEngine()})
-	if res.Verdict != Equivalent {
-		t.Fatalf("verdict = %v (engine %s)", res.Verdict, res.Engine)
+	if res.Outcome != miter.Equivalent {
+		t.Fatalf("verdict = %v (engine %s)", res.Outcome, res.Engine)
 	}
 	if res.Engine == "" {
 		t.Fatal("no winning engine recorded")
@@ -67,8 +62,8 @@ func TestPortfolioEquivalent(t *testing.T) {
 func TestPortfolioInequivalent(t *testing.T) {
 	m := xorMiter(false)
 	res := Check(m, []Engine{bddEngine(0), satEngine()})
-	if res.Verdict != NotEquivalent {
-		t.Fatalf("verdict = %v", res.Verdict)
+	if res.Outcome != miter.NotEquivalent {
+		t.Fatalf("verdict = %v", res.Outcome)
 	}
 	if res.Engine == "bdd" && res.CEX == nil {
 		t.Fatal("bdd won without a counter-example")
@@ -87,13 +82,13 @@ func TestPortfolioInequivalent(t *testing.T) {
 func TestPortfolioAllUndecided(t *testing.T) {
 	undecided := Engine{
 		Name: "stub",
-		Run: func(m *aig.AIG, stop <-chan struct{}) (Verdict, []bool) {
-			return Undecided, nil
+		Run: func(m *aig.AIG, stop <-chan struct{}) (miter.Outcome, []bool) {
+			return miter.Undecided, nil
 		},
 	}
 	res := Check(xorMiter(true), []Engine{undecided, undecided})
-	if res.Verdict != Undecided {
-		t.Fatalf("verdict = %v", res.Verdict)
+	if res.Outcome != miter.Undecided {
+		t.Fatalf("verdict = %v", res.Outcome)
 	}
 	if res.Engine != "" {
 		t.Fatalf("undecided run credited engine %q", res.Engine)
@@ -104,25 +99,25 @@ func TestPortfolioCancelsLosers(t *testing.T) {
 	cancelled := make(chan struct{})
 	slow := Engine{
 		Name: "slow",
-		Run: func(m *aig.AIG, stop <-chan struct{}) (Verdict, []bool) {
+		Run: func(m *aig.AIG, stop <-chan struct{}) (miter.Outcome, []bool) {
 			select {
 			case <-stop:
 				close(cancelled)
-				return Undecided, nil
+				return miter.Undecided, nil
 			case <-time.After(10 * time.Second):
-				return Undecided, nil
+				return miter.Undecided, nil
 			}
 		},
 	}
 	fast := Engine{
 		Name: "fast",
-		Run: func(m *aig.AIG, stop <-chan struct{}) (Verdict, []bool) {
-			return Equivalent, nil
+		Run: func(m *aig.AIG, stop <-chan struct{}) (miter.Outcome, []bool) {
+			return miter.Equivalent, nil
 		},
 	}
 	start := time.Now()
 	res := Check(xorMiter(true), []Engine{slow, fast})
-	if res.Verdict != Equivalent || res.Engine != "fast" {
+	if res.Outcome != miter.Equivalent || res.Engine != "fast" {
 		t.Fatalf("res = %+v", res)
 	}
 	if time.Since(start) > 5*time.Second {
@@ -132,8 +127,5 @@ func TestPortfolioCancelsLosers(t *testing.T) {
 	case <-cancelled:
 	case <-time.After(2 * time.Second):
 		t.Fatal("loser engine was not cancelled")
-	}
-	if res.PerEngine["fast"] != Equivalent {
-		t.Fatalf("per-engine verdicts = %v", res.PerEngine)
 	}
 }

@@ -21,27 +21,6 @@ import (
 	"simsweep/internal/trace"
 )
 
-// Outcome is the verdict of a CEC run.
-type Outcome int
-
-// CEC verdicts.
-const (
-	Undecided Outcome = iota
-	Equivalent
-	NotEquivalent
-)
-
-// String renders the verdict for logs and CLI output.
-func (o Outcome) String() string {
-	switch o {
-	case Equivalent:
-		return "equivalent"
-	case NotEquivalent:
-		return "NOT equivalent"
-	}
-	return "undecided"
-}
-
 // Options configures a sweep.
 type Options struct {
 	// Dev supplies the parallel device for simulation; nil creates a
@@ -110,7 +89,7 @@ type Stats struct {
 // Result is the outcome of CheckMiter: the verdict, a PI counter-example
 // when NotEquivalent, the final (possibly reduced) miter, and statistics.
 type Result struct {
-	Outcome Outcome
+	Outcome miter.Outcome
 	// Stopped reports that the sweep returned Undecided because
 	// Options.Stop cancelled it.
 	Stopped bool
@@ -138,7 +117,7 @@ func CheckMiter(m *aig.AIG, opt Options) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{
-				Outcome: Undecided,
+				Outcome: miter.Undecided,
 				Reduced: m,
 				Faults:  []string{fmt.Sprintf("satsweep.recovered: %v", r)},
 			}
@@ -167,7 +146,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 		}
 		res.Stats.Rounds++
 		if miter.IsProved(cur) {
-			res.Outcome = Equivalent
+			res.Outcome = miter.Equivalent
 			res.Reduced = cur
 			return res
 		}
@@ -181,7 +160,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 			return res
 		}
 		if po, assign := partial.FindNonZeroPO(cur, sims); po >= 0 {
-			res.Outcome = NotEquivalent
+			res.Outcome = miter.NotEquivalent
 			res.CEX = assignToInputs(cur, assign)
 			res.Reduced = cur
 			return res
@@ -286,7 +265,7 @@ func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
 			continue
 		}
 		if po == aig.True {
-			res.Outcome = NotEquivalent
+			res.Outcome = miter.NotEquivalent
 			res.Reduced = cur
 			return res
 		}
@@ -313,7 +292,7 @@ func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
 			merged[po] = true
 		case sat.Sat:
 			res.Stats.Disproved++
-			res.Outcome = NotEquivalent
+			res.Outcome = miter.NotEquivalent
 			res.CEX = assignToInputs(cur, modelPattern(cur, enc, piIndex))
 			res.Reduced = cur
 			return res
@@ -335,7 +314,7 @@ func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
 	}
 	res.Reduced = cur
 	if !undecided && miter.IsProved(cur) {
-		res.Outcome = Equivalent
+		res.Outcome = miter.Equivalent
 	}
 	// An Unknown may be a cancelled solve rather than a budget miss: a
 	// stop can land inside the final PO's solve, after the last loop-top

@@ -43,7 +43,7 @@ func TestSweepProvesAdderEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := CheckMiter(m, Options{Seed: 1})
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v, stats = %+v", res.Outcome, res.Stats)
 	}
 	if res.Stats.SATCalls == 0 {
@@ -61,7 +61,7 @@ func TestSweepFindsBug(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := CheckMiter(m, Options{Seed: 2})
-	if res.Outcome != NotEquivalent {
+	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	if res.CEX == nil {
@@ -103,7 +103,7 @@ func TestSweepSubtleBugNeedsSAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := CheckMiter(m, Options{Seed: 3, SimWords: 1})
-	if res.Outcome != NotEquivalent {
+	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	for i, v := range res.CEX {
@@ -147,7 +147,7 @@ func TestSweepConflictBudgetUndecided(t *testing.T) {
 	res := CheckMiter(m, Options{Seed: 5, ConflictLimit: 1, MaxRounds: 2})
 	// With a tiny budget the verdict may be Undecided; it must never be
 	// NotEquivalent (the circuits are equivalent by construction).
-	if res.Outcome == NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatalf("budgeted sweep produced a wrong disproof")
 	}
 }
@@ -160,13 +160,13 @@ func TestSweepStopCancels(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
 	res := CheckMiter(m, Options{Seed: 6, Stop: stop})
-	if res.Outcome != Undecided {
+	if res.Outcome != miter.Undecided {
 		t.Fatalf("cancelled sweep returned %v", res.Outcome)
 	}
 }
 
 func TestOutcomeStrings(t *testing.T) {
-	if Equivalent.String() != "equivalent" || NotEquivalent.String() != "NOT equivalent" || Undecided.String() != "undecided" {
+	if miter.Equivalent.String() != "equivalent" || miter.NotEquivalent.String() != "NOT equivalent" || miter.Undecided.String() != "undecided" {
 		t.Fatal("outcome strings wrong")
 	}
 }
@@ -193,7 +193,7 @@ func TestSweepFallsThroughToPOProof(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := CheckMiter(m, Options{Seed: 12, SimWords: 4})
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v (stats %+v)", res.Outcome, res.Stats)
 	}
 }
@@ -214,7 +214,7 @@ func TestSweepPOProofDisproves(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := CheckMiter(m, Options{Seed: 13, SimWords: 1})
-	if res.Outcome != NotEquivalent {
+	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	if !fires(m, res.CEX) {
@@ -240,12 +240,12 @@ func TestSweepBudgetExhaustionReachesPOStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := CheckMiter(m, Options{Seed: 14, ConflictLimit: 1, MaxRounds: 3})
-	if res.Outcome == NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("budgeted sweep disproved an equivalent miter")
 	}
 	// And with the budget lifted, the same miter is proved.
 	res = CheckMiter(m, Options{Seed: 14})
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("unbudgeted outcome = %v", res.Outcome)
 	}
 }
@@ -267,7 +267,7 @@ func TestSweepReducedMiterSmaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := CheckMiter(m, Options{Seed: 7})
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	if res.Reduced.NumAnds() != 0 {
@@ -317,9 +317,9 @@ func TestQuickSweepAgreesWithEnumeration(t *testing.T) {
 		}
 		res := CheckMiter(m, Options{Seed: rng.Int63(), SimWords: 1})
 		if same {
-			return res.Outcome == Equivalent
+			return res.Outcome == miter.Equivalent
 		}
-		return res.Outcome == NotEquivalent && fires(m, res.CEX)
+		return res.Outcome == miter.NotEquivalent && fires(m, res.CEX)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

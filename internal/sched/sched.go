@@ -66,27 +66,6 @@ const bddSupportCap = 24
 // class whose true united support exceeds bddSupportCap.
 const bddWideSupport = 32
 
-// Outcome is the verdict of a scheduled CEC run.
-type Outcome int
-
-// CEC verdicts.
-const (
-	Undecided Outcome = iota
-	Equivalent
-	NotEquivalent
-)
-
-// String renders the verdict for logs and CLI output.
-func (o Outcome) String() string {
-	switch o {
-	case Equivalent:
-		return "equivalent"
-	case NotEquivalent:
-		return "NOT equivalent"
-	}
-	return "undecided"
-}
-
 // Options configures a scheduled sweep.
 type Options struct {
 	// Dev supplies the parallel device; nil creates a default one.
@@ -188,7 +167,7 @@ func (o *Options) traceBuf() *trace.Buf {
 // when NotEquivalent, the final (possibly reduced) miter, and scheduling
 // statistics.
 type Result struct {
-	Outcome Outcome
+	Outcome miter.Outcome
 	// Stopped reports that the sweep returned Undecided because
 	// Options.Stop cancelled it.
 	Stopped bool
@@ -273,7 +252,7 @@ func CheckMiter(m *aig.AIG, opt Options) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{
-				Outcome: Undecided,
+				Outcome: miter.Undecided,
 				Reduced: m,
 				Faults:  []string{fmt.Sprintf("sched.recovered: %v", r)},
 			}
@@ -310,7 +289,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 		}
 		res.Stats.Rounds++
 		if miter.IsProved(cur) {
-			res.Outcome = Equivalent
+			res.Outcome = miter.Equivalent
 			res.Reduced = cur
 			return res
 		}
@@ -324,7 +303,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 			return res
 		}
 		if po, assign := sc.partial.FindNonZeroPO(cur, sims); po >= 0 {
-			res.Outcome = NotEquivalent
+			res.Outcome = miter.NotEquivalent
 			res.CEX = assignToInputs(cur, assign)
 			res.Reduced = cur
 			return res
@@ -527,7 +506,7 @@ func (sc *sweeper) replayShared(cur *aig.AIG, units []*classUnit, pattern []bool
 	val := evalNodes(cur, pattern)
 	for i := 0; i < cur.NumPOs(); i++ {
 		if aig.LitValue(val, cur.PO(i)) {
-			sc.res.Outcome = NotEquivalent
+			sc.res.Outcome = miter.NotEquivalent
 			sc.res.CEX = append([]bool(nil), pattern...)
 			return true
 		}
@@ -729,7 +708,7 @@ func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
 			continue
 		}
 		if po == aig.True {
-			res.Outcome = NotEquivalent
+			res.Outcome = miter.NotEquivalent
 			res.Reduced = cur
 			return res
 		}
@@ -768,7 +747,7 @@ func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
 			})
 			merged[po] = true
 		case sat.Sat:
-			res.Outcome = NotEquivalent
+			res.Outcome = miter.NotEquivalent
 			res.CEX = assignToInputs(cur, modelPattern(cur, enc, piIndex))
 			res.Reduced = cur
 			return res
@@ -789,7 +768,7 @@ func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
 	}
 	res.Reduced = cur
 	if !undecided && miter.IsProved(cur) {
-		res.Outcome = Equivalent
+		res.Outcome = miter.Equivalent
 	}
 	if undecided && opt.stopped() {
 		res.Stopped = true

@@ -74,7 +74,7 @@ func mustMiter(t *testing.T, a, b *aig.AIG) *aig.AIG {
 func TestSchedProvesAdderEquivalence(t *testing.T) {
 	m := mustMiter(t, adder(6, false), adder(6, true))
 	res := CheckMiter(m, Options{Seed: 1})
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v, stats = %+v, faults = %v", res.Outcome, res.Stats, res.Faults)
 	}
 	if res.Stats.Classes == 0 {
@@ -96,7 +96,7 @@ func TestSchedFindsBug(t *testing.T) {
 	bad.SetPO(2, bad.PO(2).Not())
 	m := mustMiter(t, good, bad)
 	res := CheckMiter(m, Options{Seed: 2})
-	if res.Outcome != NotEquivalent {
+	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	if res.CEX == nil {
@@ -134,7 +134,7 @@ func TestSchedSubtleBugExhaustiveSim(t *testing.T) {
 	g2.AddPO(g2.Xor(g2.Xor(x2[0], x2[1]), andAll(g2, x2)))
 	m := mustMiter(t, g1, g2)
 	res := CheckMiter(m, Options{Seed: 3, SimWords: 1})
-	if res.Outcome != NotEquivalent {
+	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	for i, v := range res.CEX {
@@ -148,7 +148,7 @@ func TestSchedForcedEnginesStayComplete(t *testing.T) {
 	for _, engine := range []string{EngineSim, EngineSAT, EngineBDD} {
 		m := mustMiter(t, adder(5, false), adder(5, true))
 		res := CheckMiter(m, Options{Seed: 4, Force: engine})
-		if res.Outcome != Equivalent {
+		if res.Outcome != miter.Equivalent {
 			t.Fatalf("force=%s: outcome = %v, faults = %v", engine, res.Outcome, res.Faults)
 		}
 	}
@@ -159,14 +159,14 @@ func TestSchedAgreesByConstruction(t *testing.T) {
 		g := gen.Random(8, 2, 40, seed)
 		twin := g.Copy()
 		m := mustMiter(t, g, twin)
-		if res := CheckMiter(m, Options{Seed: seed}); res.Outcome != Equivalent {
+		if res := CheckMiter(m, Options{Seed: seed}); res.Outcome != miter.Equivalent {
 			t.Fatalf("seed %d: identical circuits judged %v", seed, res.Outcome)
 		}
 		bad := g.Copy()
 		bad.SetPO(0, bad.PO(0).Not())
 		m = mustMiter(t, g, bad)
 		res := CheckMiter(m, Options{Seed: seed})
-		if res.Outcome != NotEquivalent {
+		if res.Outcome != miter.NotEquivalent {
 			t.Fatalf("seed %d: negated PO judged %v", seed, res.Outcome)
 		}
 	}
@@ -178,7 +178,7 @@ func TestSchedEscalationLadder(t *testing.T) {
 	// and the verdict must still land via BDD or the final pass.
 	m := mustMiter(t, tangle(false), tangle(true))
 	res := CheckMiter(m, Options{Seed: 5, SupportCap: 1, RouteConflictLimit: 1})
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v, faults = %v", res.Outcome, res.Faults)
 	}
 	if res.Stats.Escalations == 0 {
@@ -195,7 +195,7 @@ func TestSchedZeroClassStatsGuard(t *testing.T) {
 	g2.AddPO(g2.AddPI().Not())
 	m := mustMiter(t, g1, g2)
 	res := CheckMiter(m, Options{Seed: 6})
-	if res.Outcome != NotEquivalent {
+	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	if res.Stats.Classes != 0 {
@@ -217,10 +217,10 @@ func TestSchedFaultDegradesNeverFlips(t *testing.T) {
 	inj := fault.MustParse("satsweep.pair.oom:p=1", 7)
 	m := mustMiter(t, adder(5, false), adder(5, true))
 	res := CheckMiter(m, Options{Seed: 7, Faults: inj})
-	if res.Outcome == NotEquivalent {
+	if res.Outcome == miter.NotEquivalent {
 		t.Fatalf("sabotaged sweep flipped an equivalent miter: %+v", res.Stats)
 	}
-	if res.Outcome == Undecided && len(res.Faults) == 0 {
+	if res.Outcome == miter.Undecided && len(res.Faults) == 0 {
 		t.Fatal("degraded run reports no faults")
 	}
 }
@@ -230,7 +230,7 @@ func TestSchedPriorsPersist(t *testing.T) {
 	m := mustMiter(t, adder(6, false), adder(6, true))
 	family := m.Fingerprint()
 	res := CheckMiter(m, Options{Seed: 8, Priors: store})
-	if res.Outcome != Equivalent {
+	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
 	if store.Len() != 1 {
@@ -262,7 +262,7 @@ func TestSchedStopCancels(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
 	res := CheckMiter(m, Options{Seed: 10, Stop: stop})
-	if res.Outcome != Undecided || !res.Stopped {
+	if res.Outcome != miter.Undecided || !res.Stopped {
 		t.Fatalf("cancelled run: outcome = %v, stopped = %v", res.Outcome, res.Stopped)
 	}
 }

@@ -22,7 +22,7 @@ type JobRequest struct {
 	B     string `json:"b,omitempty"`
 	Miter string `json:"miter,omitempty"`
 
-	Engine        string `json:"engine,omitempty"` // hybrid|sim|sat|bdd|portfolio|sched|cube
+	Engine        string `json:"engine,omitempty"` // a simsweep.Engines name; "" selects the default
 	Seed          int64  `json:"seed,omitempty"`
 	ConflictLimit int64  `json:"conflict_limit,omitempty"`
 	TimeoutMS     int64  `json:"timeout_ms,omitempty"`
@@ -231,12 +231,17 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // DecodeRequest imports a wire-format job body into an executable Request:
-// the base64 AIGER payloads are parsed into circuits and the engine name is
-// validated. It is the import half of the cluster's job forwarding — the
+// the engine name is resolved against the engine table (simsweep.Engines;
+// "" selects the default) and the base64 AIGER payloads are parsed into
+// circuits. It is the import half of the cluster's job forwarding — the
 // coordinator and every worker accept exactly the same bodies.
 func DecodeRequest(body JobRequest) (Request, error) {
+	e, ok := simsweep.LookupEngine(simsweep.Engine(body.Engine))
+	if !ok {
+		return Request{}, fmt.Errorf("unknown engine %q", body.Engine)
+	}
 	req := Request{
-		Engine:        simsweep.Engine(body.Engine),
+		Engine:        e.Name,
 		Seed:          body.Seed,
 		ConflictLimit: body.ConflictLimit,
 		Timeout:       time.Duration(body.TimeoutMS) * time.Millisecond,
@@ -255,13 +260,6 @@ func DecodeRequest(body JobRequest) (Request, error) {
 		if req.B, err = decodeAIGER("b", body.B); err != nil {
 			return Request{}, err
 		}
-	}
-	switch req.Engine {
-	case "", simsweep.EngineHybrid, simsweep.EngineSim, simsweep.EngineSAT,
-		simsweep.EngineBDD, simsweep.EnginePortfolio, simsweep.EngineSched,
-		simsweep.EngineCube:
-	default:
-		return Request{}, fmt.Errorf("unknown engine %q", body.Engine)
 	}
 	return req, nil
 }

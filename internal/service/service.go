@@ -50,7 +50,7 @@ type Request struct {
 	A, B  *aig.AIG // pair mode (Miter nil)
 	Miter *aig.AIG // miter mode (A, B nil)
 
-	Engine        simsweep.Engine // "" selects the hybrid flow
+	Engine        simsweep.Engine // "" selects the default (simsweep.Engines)
 	Seed          int64
 	ConflictLimit int64
 	// Timeout bounds the job's execution (not its queue wait); 0 selects
@@ -918,9 +918,10 @@ func (s *Service) logf(format string, args ...interface{}) {
 	}
 }
 
+// engineName resolves "" to the default engine's name.
 func engineName(e simsweep.Engine) string {
-	if e == "" {
-		return string(simsweep.EngineHybrid)
+	if d, ok := simsweep.LookupEngine(e); ok {
+		return string(d.Name)
 	}
 	return string(e)
 }

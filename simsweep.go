@@ -24,6 +24,7 @@
 package simsweep
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -157,28 +158,17 @@ func Double(g *AIG, n int) *AIG { return aig.DoubleN(g, n) }
 // BuildMiter builds the miter of two circuits with matching interfaces.
 func BuildMiter(a, b *AIG) (*AIG, error) { return miter.Build(a, b) }
 
-// Outcome is a CEC verdict.
-type Outcome int
+// Outcome is a CEC verdict, shared by every engine (see miter.Outcome).
+type Outcome = miter.Outcome
 
 // Verdicts of a check.
 const (
-	Undecided Outcome = iota
-	Equivalent
-	NotEquivalent
+	Undecided     = miter.Undecided
+	Equivalent    = miter.Equivalent
+	NotEquivalent = miter.NotEquivalent
 )
 
-// String renders the verdict for logs and CLI output.
-func (o Outcome) String() string {
-	switch o {
-	case Equivalent:
-		return "equivalent"
-	case NotEquivalent:
-		return "NOT equivalent"
-	}
-	return "undecided"
-}
-
-// Engine selects the checking algorithm.
+// Engine selects the checking algorithm by name; Engines lists them all.
 type Engine string
 
 // Available engines. EngineHybrid is the two-stage run-level flow: the
@@ -201,6 +191,60 @@ const (
 	EngineSched     Engine = "sched"
 	EngineCube      Engine = "cube"
 )
+
+// EngineInfo is one row of the engine table (Engines), the single list of
+// engines: CheckMiter runs them, the service admits exactly their names,
+// the cec CLI offers them and the differential and chaos harnesses sweep
+// them.
+type EngineInfo struct {
+	// Name selects the engine (Options.Engine, cec -engine, the service's
+	// "engine" field).
+	Name Engine
+	// Complete marks an engine that decides every miter within its
+	// budgets unless a fault or Options.Stop cuts it short; an incomplete
+	// engine (sim alone) may settle Undecided by design.
+	Complete bool
+	run      func(m *AIG, o Options, dev *par.Device) Result
+	// races enters the engine in the portfolio race.
+	races bool
+}
+
+// engines is the engine table. The first row is the default that an empty
+// Options.Engine selects. The racing rows enter the portfolio in table
+// order with seeds Seed, Seed+1, ...; BDD, the last of them, draws no
+// random patterns. init fills the table because runHybrid and
+// runPortfolio refer back to it.
+var engines []EngineInfo
+
+func init() {
+	engines = []EngineInfo{
+		{Name: EngineHybrid, Complete: true, run: runHybrid, races: true},
+		{Name: EngineSim, run: runSim},
+		{Name: EngineSAT, Complete: true, run: runSAT, races: true},
+		{Name: EngineCube, Complete: true, run: runCube, races: true},
+		{Name: EngineBDD, Complete: true, run: runBDD, races: true},
+		{Name: EngineSched, Complete: true, run: runSched},
+		{Name: EnginePortfolio, Complete: true, run: runPortfolio},
+	}
+}
+
+// Engines returns a copy of the engine table, the default engine
+// (EngineHybrid) first.
+func Engines() []EngineInfo { return append([]EngineInfo(nil), engines...) }
+
+// LookupEngine returns the table row of the named engine, the default row
+// for "", and false for a name the table does not list.
+func LookupEngine(name Engine) (EngineInfo, bool) {
+	if name == "" {
+		return engines[0], true
+	}
+	for _, e := range engines {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return EngineInfo{}, false
+}
 
 // Options configures a check. The zero value selects the hybrid engine
 // with the paper's parameters on all CPUs.
@@ -387,9 +431,14 @@ func CheckMiter(m *AIG, o Options) (Result, error) {
 }
 
 func checkMiter(m *AIG, o Options) (Result, error) {
+	e, ok := LookupEngine(o.Engine)
+	if !ok {
+		return Result{}, fmt.Errorf("simsweep: unknown engine %q", o.Engine)
+	}
 	dev := o.Dev
 	if dev == nil {
 		dev = par.NewDevice(o.Workers)
+		defer dev.Close()
 	}
 	if o.Trace.Enabled() {
 		dev.SetTracer(o.Trace)
@@ -399,25 +448,7 @@ func checkMiter(m *AIG, o Options) (Result, error) {
 		dev.SetFaults(o.Faults)
 		defer dev.SetFaults(nil)
 	}
-	switch o.Engine {
-	case "", EngineHybrid:
-		return runHybrid(m, o, dev), nil
-	case EngineSim:
-		r := runSim(m, o, dev)
-		return r, nil
-	case EngineSAT:
-		return runSAT(m, o, dev), nil
-	case EngineBDD:
-		return runBDD(m, o), nil
-	case EnginePortfolio:
-		return runPortfolio(m, o), nil
-	case EngineSched:
-		return runSched(m, o, dev), nil
-	case EngineCube:
-		return runCube(m, o, dev), nil
-	default:
-		return Result{}, fmt.Errorf("simsweep: unknown engine %q", o.Engine)
-	}
+	return e.run(m, o, dev), nil
 }
 
 func (o Options) simConfig(dev *par.Device) core.Config {
@@ -446,31 +477,11 @@ func (o Options) simConfig(dev *par.Device) core.Config {
 	return cfg
 }
 
-func outcomeOfCore(o core.Outcome) Outcome {
-	switch o {
-	case core.Equivalent:
-		return Equivalent
-	case core.NotEquivalent:
-		return NotEquivalent
-	}
-	return Undecided
-}
-
-func outcomeOfSweep(o satsweep.Outcome) Outcome {
-	switch o {
-	case satsweep.Equivalent:
-		return Equivalent
-	case satsweep.NotEquivalent:
-		return NotEquivalent
-	}
-	return Undecided
-}
-
 func runSim(m *AIG, o Options, dev *par.Device) Result {
 	cr := core.CheckMiter(m, o.simConfig(dev))
 	stats := cr.Stats
 	return Result{
-		Outcome:        outcomeOfCore(cr.Outcome),
+		Outcome:        cr.Outcome,
 		Stopped:        cr.Stopped,
 		Degraded:       cr.Degraded,
 		Faults:         cr.Faults,
@@ -494,7 +505,7 @@ func runSAT(m *AIG, o Options, dev *par.Device) Result {
 		Faults:        o.Faults,
 	})
 	return Result{
-		Outcome:    outcomeOfSweep(sr.Outcome),
+		Outcome:    sr.Outcome,
 		Stopped:    sr.Stopped,
 		Degraded:   len(sr.Faults) > 0,
 		Faults:     sr.Faults,
@@ -517,16 +528,6 @@ type SchedPriorStore = sched.Store
 // (cap<=0 selects a default of 1024).
 func NewSchedPriorStore(cap int) *SchedPriorStore { return sched.NewStore(cap) }
 
-func outcomeOfSched(o sched.Outcome) Outcome {
-	switch o {
-	case sched.Equivalent:
-		return Equivalent
-	case sched.NotEquivalent:
-		return NotEquivalent
-	}
-	return Undecided
-}
-
 func runSched(m *AIG, o Options, dev *par.Device) Result {
 	sr := sched.CheckMiter(m, sched.Options{
 		Dev:           dev,
@@ -539,7 +540,7 @@ func runSched(m *AIG, o Options, dev *par.Device) Result {
 	})
 	stats := sr.Stats
 	return Result{
-		Outcome:    outcomeOfSched(sr.Outcome),
+		Outcome:    sr.Outcome,
 		Stopped:    sr.Stopped,
 		Degraded:   len(sr.Faults) > 0,
 		Faults:     sr.Faults,
@@ -552,16 +553,6 @@ func runSched(m *AIG, o Options, dev *par.Device) Result {
 
 // CubeStats re-exports the cube-and-conquer backend's run statistics.
 type CubeStats = cube.Stats
-
-func outcomeOfCube(o cube.Outcome) Outcome {
-	switch o {
-	case cube.Equivalent:
-		return Equivalent
-	case cube.NotEquivalent:
-		return NotEquivalent
-	}
-	return Undecided
-}
 
 // runCube runs the cube-and-conquer decomposition prover. When a sched
 // prior store is supplied, the run's outcome is folded into the miter
@@ -586,7 +577,7 @@ func runCube(m *AIG, o Options, dev *par.Device) Result {
 			Conflicts: uint64(stats.SATConflicts),
 			TimeNS:    uint64(time.Since(start)),
 		}
-		if cr.Outcome != cube.Undecided {
+		if cr.Outcome != Undecided {
 			delta.Wins = 1
 		} else {
 			delta.Escalations = 1
@@ -596,7 +587,7 @@ func runCube(m *AIG, o Options, dev *par.Device) Result {
 		})
 	}
 	return Result{
-		Outcome:    outcomeOfCube(cr.Outcome),
+		Outcome:    cr.Outcome,
 		Stopped:    cr.Stopped,
 		Degraded:   len(cr.Faults) > 0,
 		Faults:     cr.Faults,
@@ -607,12 +598,11 @@ func runCube(m *AIG, o Options, dev *par.Device) Result {
 	}
 }
 
-func runBDD(m *AIG, o Options) Result {
-	equal, cex, err := bdd.CheckMiter(m, o.BDDNodeLimit)
-	r := Result{EngineUsed: "bdd", Reduced: m}
+func runBDD(m *AIG, o Options, _ *par.Device) Result {
+	equal, cex, err := bdd.CheckMiter(m, o.BDDNodeLimit, o.Stop)
+	r := Result{EngineUsed: "bdd", Reduced: m, Stopped: errors.Is(err, bdd.ErrStopped)}
 	switch {
 	case err != nil:
-		r.Outcome = Undecided
 	case equal:
 		r.Outcome = Equivalent
 	default:
@@ -636,7 +626,7 @@ func runHybrid(m *AIG, o Options, dev *par.Device) Result {
 	cr := core.CheckMiter(m, o.simConfig(dev))
 	stats := cr.Stats
 	r := Result{
-		Outcome:        outcomeOfCore(cr.Outcome),
+		Outcome:        cr.Outcome,
 		Stopped:        cr.Stopped,
 		Degraded:       cr.Degraded,
 		Faults:         cr.Faults,
@@ -662,7 +652,7 @@ func runHybrid(m *AIG, o Options, dev *par.Device) Result {
 		Faults:        o.Faults,
 	})
 	r.SATTime = time.Since(satStart)
-	r.Outcome = outcomeOfSweep(sr.Outcome)
+	r.Outcome = sr.Outcome
 	r.Stopped = sr.Stopped
 	r.CEX = sr.CEX
 	r.Reduced = sr.Reduced
@@ -674,7 +664,7 @@ func runHybrid(m *AIG, o Options, dev *par.Device) Result {
 	// remaining engines rather than give up. Portfolio members never take
 	// this step (noFallback), so a faulty portfolio cannot recurse.
 	if r.Outcome == Undecided && !r.Stopped && len(sr.Faults) > 0 && !o.noFallback {
-		pr := runPortfolio(m, o)
+		pr := runPortfolio(m, o, nil)
 		pr.Degraded = true
 		pr.Faults = append(r.Faults, pr.Faults...)
 		pr.EngineUsed = "hybrid→" + pr.EngineUsed
@@ -683,90 +673,54 @@ func runHybrid(m *AIG, o Options, dev *par.Device) Result {
 	return r
 }
 
-// runPortfolio races the hybrid flow, standalone SAT sweeping, the BDD
-// engine and the cube-and-conquer decomposition prover, first definitive
-// verdict wins — the execution model the paper attributes to commercial
-// multi-engine checkers. An external Options.Stop is merged with the
-// portfolio's own loser-cancellation channel.
+// runPortfolio races the engine table's portfolio members — the hybrid
+// flow, standalone SAT sweeping, the cube-and-conquer decomposition prover
+// and the BDD engine — first definitive verdict wins: the execution model
+// the paper attributes to commercial multi-engine checkers. Each member
+// gets a fresh fault-armed device, an Options.Stop merged with the
+// portfolio's own loser-cancellation channel, and no tracer; a hybrid
+// member never falls back to a nested portfolio (noFallback).
 //
-// Each racing member gets its own fault-armed device, so injected faults
-// exercise the members independently; a member that degrades to Undecided
-// simply loses the race. The fault collector is mutex-guarded because
-// portfolio.Check returns at the first verdict while loser goroutines are
-// still running — faults they report after the winner returns are lost,
-// which is fine: the chain is diagnostic, not load-bearing.
-func runPortfolio(m *AIG, o Options) Result {
+// Injected faults exercise the members independently; a member that
+// degrades to Undecided simply loses the race. The fault collector is
+// mutex-guarded because portfolio.Check returns at the first verdict while
+// loser goroutines are still running — faults they report after the
+// winner returns are lost, which is fine: the chain is diagnostic, not
+// load-bearing.
+func runPortfolio(m *AIG, o Options, _ *par.Device) Result {
 	var fmu sync.Mutex
 	var faults []string
-	engines := []portfolio.Engine{
-		{
-			Name: "hybrid",
-			Run: func(mm *AIG, stop <-chan struct{}) (portfolio.Verdict, []bool) {
-				oo := o
+	var members []portfolio.Engine
+	for _, e := range engines {
+		if !e.races {
+			continue
+		}
+		oo := o
+		oo.Seed = o.Seed + int64(len(members))
+		oo.Dev, oo.Trace, oo.noFallback = nil, nil, true
+		members = append(members, portfolio.Engine{
+			Name: string(e.Name),
+			Run: func(mm *AIG, stop <-chan struct{}) (Outcome, []bool) {
+				oo := oo
 				oo.Stop = mergeStop(stop, o.Stop)
-				oo.noFallback = true
-				oo.Dev = nil
 				dev := par.NewDevice(o.Workers)
+				defer dev.Close()
 				if o.Faults != nil {
 					dev.SetFaults(o.Faults)
-					defer dev.SetFaults(nil)
 				}
-				r := runHybrid(mm, oo, dev)
+				r := e.run(mm, oo, dev)
 				addFaults(&fmu, &faults, r.Faults)
-				return portfolioVerdict(r.Outcome), r.CEX
+				return r.Outcome, r.CEX
 			},
-		},
-		{
-			Name: "sat",
-			Run: func(mm *AIG, stop <-chan struct{}) (portfolio.Verdict, []bool) {
-				dev := par.NewDevice(o.Workers)
-				if o.Faults != nil {
-					dev.SetFaults(o.Faults)
-					defer dev.SetFaults(nil)
-				}
-				sr := satsweep.CheckMiter(mm, satsweep.Options{
-					Dev:           dev,
-					ConflictLimit: o.ConflictLimit,
-					Seed:          o.Seed + 1,
-					Stop:          mergeStop(stop, o.Stop),
-					Faults:        o.Faults,
-				})
-				addFaults(&fmu, &faults, sr.Faults)
-				return portfolioVerdict(outcomeOfSweep(sr.Outcome)), sr.CEX
-			},
-		},
-		{
-			Name: "bdd",
-			Run: func(mm *AIG, stop <-chan struct{}) (portfolio.Verdict, []bool) {
-				r := runBDD(mm, o)
-				return portfolioVerdict(r.Outcome), r.CEX
-			},
-		},
-		{
-			Name: "cube",
-			Run: func(mm *AIG, stop <-chan struct{}) (portfolio.Verdict, []bool) {
-				dev := par.NewDevice(o.Workers)
-				if o.Faults != nil {
-					dev.SetFaults(o.Faults)
-					defer dev.SetFaults(nil)
-				}
-				oo := o
-				oo.Stop = mergeStop(stop, o.Stop)
-				oo.Seed = o.Seed + 2
-				oo.Trace = nil // racing members are not traced
-				r := runCube(mm, oo, dev)
-				addFaults(&fmu, &faults, r.Faults)
-				return portfolioVerdict(r.Outcome), r.CEX
-			},
-		},
+		})
 	}
-	pr := portfolio.Check(m, engines)
+	pr := portfolio.Check(m, members)
 	fmu.Lock()
 	chain := append([]string(nil), faults...)
 	fmu.Unlock()
 	return Result{
-		Outcome:    outcomeOfPortfolio(pr.Verdict),
-		Stopped:    pr.Verdict == portfolio.Undecided && stopRequested(o.Stop),
+		Outcome:    pr.Outcome,
+		Stopped:    pr.Outcome == Undecided && stopRequested(o.Stop),
 		Degraded:   len(chain) > 0,
 		Faults:     chain,
 		CEX:        pr.CEX,
@@ -786,14 +740,16 @@ func addFaults(mu *sync.Mutex, dst *[]string, src []string) {
 	mu.Unlock()
 }
 
-// mergeStop returns a channel closed as soon as either input closes. The
-// portfolio always closes its own channel when Check returns, so the
-// forwarding goroutine cannot leak.
+// mergeStop returns a channel closed as soon as either input closes. An
+// input that is already closed is returned as is, so a member of a
+// portfolio started after its stop sees it at once rather than after the
+// forwarding goroutine runs. The portfolio always closes its own channel
+// when Check returns, so that goroutine cannot leak.
 func mergeStop(a, b <-chan struct{}) <-chan struct{} {
-	if b == nil {
+	switch {
+	case b == nil || stopRequested(a):
 		return a
-	}
-	if a == nil {
+	case a == nil || stopRequested(b):
 		return b
 	}
 	out := make(chan struct{})
@@ -818,24 +774,4 @@ func stopRequested(stop <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-func portfolioVerdict(o Outcome) portfolio.Verdict {
-	switch o {
-	case Equivalent:
-		return portfolio.Equivalent
-	case NotEquivalent:
-		return portfolio.NotEquivalent
-	}
-	return portfolio.Undecided
-}
-
-func outcomeOfPortfolio(v portfolio.Verdict) Outcome {
-	switch v {
-	case portfolio.Equivalent:
-		return Equivalent
-	case portfolio.NotEquivalent:
-		return NotEquivalent
-	}
-	return Undecided
 }

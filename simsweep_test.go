@@ -3,6 +3,7 @@ package simsweep
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -18,7 +19,8 @@ func genPair(t *testing.T, name string, scale int) (*AIG, *AIG) {
 
 func TestAllEnginesAgreeOnEquivalentPair(t *testing.T) {
 	g, o := genPair(t, "multiplier", 6)
-	for _, engine := range []Engine{EngineHybrid, EngineSim, EngineSAT, EngineBDD, EnginePortfolio} {
+	for _, e := range Engines() {
+		engine := e.Name
 		res, err := CheckEquivalence(g, o, Options{Engine: engine, Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -37,7 +39,8 @@ func TestAllEnginesAgreeOnBuggyPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{EngineHybrid, EngineSim, EngineSAT, EngineBDD, EnginePortfolio} {
+	for _, e := range Engines() {
+		engine := e.Name
 		res, err := CheckMiter(m, Options{Engine: engine, Seed: 8})
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -169,7 +172,8 @@ func TestStoppedDistinguishesCancelledRun(t *testing.T) {
 	g, o := genPair(t, "multiplier", 8)
 	stop := make(chan struct{})
 	close(stop)
-	for _, engine := range []Engine{EngineHybrid, EngineSim, EngineSAT} {
+	for _, e := range Engines() {
+		engine := e.Name
 		res, err := CheckEquivalence(g, o, Options{Engine: engine, Seed: 3, Stop: stop})
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -188,6 +192,29 @@ func TestStoppedDistinguishesCancelledRun(t *testing.T) {
 	}
 	if res.Outcome != Equivalent || res.Stopped {
 		t.Fatalf("clean run: outcome=%v stopped=%v", res.Outcome, res.Stopped)
+	}
+}
+
+// TestPortfolioLosersStopWithTheVerdict pins loser cancellation: once the
+// portfolio returns, every member — the BDD engine included, which alone
+// runs for seconds on this pair — sees the merged stop and exits, so the
+// goroutine count is back to its baseline within a second.
+func TestPortfolioLosersStopWithTheVerdict(t *testing.T) {
+	g, o := genPair(t, "multiplier", 10)
+	base := runtime.NumGoroutine()
+	res, err := CheckEquivalence(g, o, Options{Engine: EnginePortfolio, Workers: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != Equivalent {
+		t.Fatalf("outcome = %v (engine %s)", res.Outcome, res.EngineUsed)
+	}
+	deadline := time.Now().Add(time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 1s after the verdict (won by %s), %d before the check", n, res.EngineUsed, base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
