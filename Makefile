@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build vet test doccheck race service-race trace-race cluster-race cube-race bench benchtab bench-service bench-cluster fuzz fuzz-soak bench-difftest chaos soak-faults bench-fault bench-cuts bench-sched bench-cube ledger-test ledger-check
+.PHONY: all build vet test doccheck race service-race trace-race cluster-race cube-race bench benchtab bench-service bench-cluster fuzz fuzz-soak bench-difftest chaos soak-faults bench-fault bench-sched bench-cube ledger-test ledger-check
 
-all: build vet doccheck test ledger-test fuzz chaos cluster-race cube-race bench-cuts bench-sched bench-cube
+all: build vet doccheck test ledger-test fuzz chaos race service-race trace-race cluster-race cube-race bench-sched bench-cube
 
 build:
 	$(GO) build ./...
@@ -104,15 +104,13 @@ soak-faults:
 bench-fault:
 	$(GO) run ./cmd/benchtab -fault
 
+# Microbenchmarks: the worker pool and exhaustive simulator, and the cut
+# kernels — BenchmarkCutsPass (strata kernel) against
+# BenchmarkCutsPassReference (the retained per-level reference) is the
+# before/after measurement of the cut enumeration.
 bench:
 	$(GO) test -bench 'BenchmarkExhaustiveCheckBatch|BenchmarkDeviceLaunch' -benchmem ./internal/par/ ./internal/sim/
 	$(GO) test -bench 'BenchmarkCutsPass|BenchmarkEnumerateNode' -benchmem ./internal/cuts/
-
-# Before/after comparison of the cut-enumeration kernels on every benchmark
-# family (strata kernel vs the retained per-level reference), written to
-# BENCH_cuts.json. A verdict disagreement between the two fails the run.
-bench-cuts:
-	$(GO) run ./cmd/benchtab -cuts
 
 # Adaptive class scheduler vs each forced single prover on every benchmark
 # family, with the hybrid flow as the verdict reference, written to

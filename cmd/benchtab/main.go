@@ -11,8 +11,6 @@
 //	                         processes + SIGKILL chaos (BENCH_cluster.json)
 //	benchtab -fault          fault-injection hook overhead, disabled vs
 //	                         armed-idle (BENCH_fault.json)
-//	benchtab -cuts           strata vs per-level cut enumeration on every
-//	                         family (BENCH_cuts.json)
 //	benchtab -sched          adaptive class scheduler vs each forced single
 //	                         prover on every family (BENCH_sched.json)
 //	benchtab -cube           hard-miter experiment: starved sim + budgeted
@@ -21,9 +19,8 @@
 //
 // -size scales the instances (1 = quick, 2 = larger); -only restricts to a
 // comma-separated list of families. A filtered run is not a canonical
-// artifact: with -only set, the Table/Figure kernel profile, -sched and
-// -cuts write their JSON only to a path named explicitly (-benchjson,
-// -schedjson, -cutsjson).
+// artifact: with -only set, the Table/Figure kernel profile and -sched write
+// their JSON only to a path named explicitly (-benchjson, -schedjson).
 package main
 
 import (
@@ -70,8 +67,6 @@ func run() int {
 	dtN := flag.Int("difftest-n", 50, "cases for the -difftest sweep")
 	fltBench := flag.Bool("fault", false, "measure the fault-injection layer's overhead (nil vs armed-idle injector)")
 	fltJSON := flag.String("faultjson", "BENCH_fault.json", "fault overhead report path")
-	cutsBench := flag.Bool("cuts", false, "compare the strata cut-enumeration kernel against the per-level reference on every family")
-	cutsJSON := flag.String("cutsjson", "BENCH_cuts.json", "cut-enumeration benchmark report path")
 	schedBench := flag.Bool("sched", false, "compare the adaptive class scheduler against each forced single prover on every family")
 	schedJSON := flag.String("schedjson", "BENCH_sched.json", "class-scheduler benchmark report path")
 	schedBudget := flag.Duration("sched-budget", 90*time.Second, "wall-clock budget per forced single-prover baseline run for -sched (0: unlimited)")
@@ -83,12 +78,12 @@ func run() int {
 	if *only != "" {
 		named := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { named[f.Name] = true })
-		for name, path := range map[string]*string{"benchjson": benchJSON, "schedjson": schedJSON, "cutsjson": cutsJSON} {
+		for name, path := range map[string]*string{"benchjson": benchJSON, "schedjson": schedJSON} {
 			if !named[name] {
 				*path = ""
 			}
 		}
-		fmt.Println("filtered run (-only): no canonical BENCH_*.json is written; name -benchjson, -schedjson or -cutsjson to write a report")
+		fmt.Println("filtered run (-only): no canonical BENCH_*.json is written; name -benchjson or -schedjson to write a report")
 	}
 
 	if *cpuProfile != "" {
@@ -113,13 +108,6 @@ func run() int {
 	}
 	if *schedBench {
 		if err := runSchedBench(*schedJSON, *size, *only, *workers, *seed, *schedBudget); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			return 2
-		}
-		return 0
-	}
-	if *cutsBench {
-		if err := runCutsBench(*cutsJSON, *size, *only, *workers, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtab:", err)
 			return 2
 		}

@@ -239,3 +239,12 @@ func measureSchedRun(inst *bench.Instance, workers int, seed int64, force string
 	}
 	return run
 }
+
+// nsRatio is a/b guarding against a zero denominator (reported as 0, not
+// +Inf, to keep the JSON portable).
+func nsRatio(a, b int64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
+}

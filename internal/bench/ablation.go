@@ -60,10 +60,7 @@ func ablationGroups() map[string][]ablationVariant {
 		},
 		"extensions": {
 			{"baseline", starve},
-			{"distance1", func(cfg *core.Config) { starve(cfg); cfg.Distance1CEX = true }},
 			{"adaptive", func(cfg *core.Config) { starve(cfg); cfg.AdaptivePasses = true }},
-			{"rewrite", func(cfg *core.Config) { starve(cfg); cfg.InterleaveRewrite = true }},
-			{"guided", func(cfg *core.Config) { starve(cfg); cfg.GuidedPatterns = true }},
 		},
 	}
 }

@@ -113,3 +113,14 @@ func (e *Encoder) Model(id int) (value, ok bool) {
 	}
 	return e.s.Value(int(v)), true
 }
+
+// ModelInputs reads the PI assignment (by PI index) of the model after a
+// Sat answer. PIs the encoder never reached are unconstrained and read
+// false.
+func (e *Encoder) ModelInputs() []bool {
+	in := make([]bool, e.g.NumPIs())
+	for i := range in {
+		in[i], _ = e.Model(e.g.PIID(i))
+	}
+	return in
+}

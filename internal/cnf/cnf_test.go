@@ -101,6 +101,31 @@ func TestXorAssumptionSemantics(t *testing.T) {
 	}
 }
 
+// TestModelInputsReadsWitness checks the PI vector read back from a model:
+// indexed by PI position, a witness of the solved literal, and false for a
+// PI the query never encoded.
+func TestModelInputsReadsWitness(t *testing.T) {
+	g := aig.New()
+	a := g.AddPI()
+	b := g.AddPI()
+	g.AddPI() // outside every query's cone
+	po := g.And(a, b.Not())
+	g.AddPO(po)
+
+	s := sat.New()
+	enc := NewEncoder(g, s)
+	if st := s.Solve(enc.LitOf(po)); st != sat.Sat {
+		t.Fatalf("a AND NOT b unsatisfiable: %v", st)
+	}
+	in := enc.ModelInputs()
+	if len(in) != 3 || !in[0] || in[1] || in[2] {
+		t.Fatalf("ModelInputs = %v, want [true false false]", in)
+	}
+	if !g.Eval(in)[0] {
+		t.Fatalf("model inputs %v do not satisfy the PO", in)
+	}
+}
+
 func TestLazyConeOfInfluence(t *testing.T) {
 	g := aig.New()
 	a := g.AddPI()

@@ -45,30 +45,10 @@ type Config struct {
 	// saturates the device's worker pool. Non-positive selects the
 	// simulator's built-in default.
 	SimSliceWork int
-	// MaxWindowWork caps the simulation effort of a single window in
-	// node·word units (truth-table words × slots). Windows beyond it are
-	// skipped — first retried unmerged, then dropped — which is how the
-	// CPU build realises the paper's per-phase computational budget: the
-	// GPU original affords KP=32 one-shot checks, a CPU does not.
-	MaxWindowWork int64
-	// CutBufferCap is the capacity of the common-cut buffer interleaving
-	// cut generation with local checking (Algorithm 2's buf).
-	CutBufferCap int
-	// MaxCutsPerPair bounds the common cuts tried per candidate pair in
-	// each pass.
-	MaxCutsPerPair int
 	// CutBudget caps the candidate cuts the generator enumerates per node
 	// before selection (cuts.Config.Budget). Non-positive selects the
 	// generator's default of 4·C.
 	CutBudget int
-	// CutStrataNodes is the minimum node count of one cut-enumeration
-	// launch stratum (cuts.Config.StrataNodes). Non-positive selects the
-	// generator's default; 1 reproduces per-level dispatch.
-	CutStrataNodes int
-	// ReferenceCuts selects the retained per-level reference cut
-	// enumeration (kernel "cuts.level") instead of the strata kernel —
-	// a benchmarking and differential-testing knob, not a tuning one.
-	ReferenceCuts bool
 	// MaxLocalPhases caps the repeated L phases (fixpoint reached earlier
 	// stops the loop anyway).
 	MaxLocalPhases int
@@ -76,27 +56,10 @@ type Config struct {
 	// phases (Figure 7's PG/PGL flows). Costs one Clean per phase.
 	KeepSnapshots bool
 
-	// Distance1CEX additionally injects, for every counter-example
-	// pattern, patterns with each assigned input flipped — the
-	// distance-1 simulation of [Mishchenko et al. 2006] the paper lists
-	// as a §V improvement. It sharpens class refinement at the cost of
-	// extra patterns.
-	Distance1CEX bool
 	// AdaptivePasses disables, in each repeated L phase, the cut
 	// generation passes that proved nothing in the previous phase — the
 	// paper's §V "more adaptive flow" tweak.
 	AdaptivePasses bool
-	// InterleaveRewrite restructures the miter with a zero-cost rewrite
-	// pass once the L phases reach a fixpoint, then resumes checking:
-	// fresh structure yields fresh cuts (§V's "interleaving sweeping
-	// with logic rewriting", after Mishchenko et al. 2006).
-	InterleaveRewrite bool
-	// GuidedPatterns injects justification-based patterns that toggle
-	// the most biased nodes before classes are built, breaking the
-	// spuriously large classes random stimulus leaves behind (after the
-	// simulation-quality techniques of Lee et al. / Amarú et al. that
-	// the paper cites as pattern-generation related work).
-	GuidedPatterns bool
 
 	// DisableWindowMerge turns off window merging in the P and G phases
 	// (ablation of §III-B3).
@@ -119,10 +82,10 @@ type Config struct {
 	PhaseBudget time.Duration
 	// PhaseWorkBudget caps the estimated simulation effort one phase may
 	// submit, in node·word units (the windowWork metric that also drives
-	// MaxWindowWork). A phase that would exceed it stops submitting
-	// windows and the run degrades as for PhaseBudget — the watchdog's
-	// memory/work estimate, complementing the wall-clock bound. Zero
-	// disables the cap.
+	// the per-window cap maxWindowWork). A phase that would exceed it stops
+	// submitting windows and the run degrades as for PhaseBudget — the
+	// watchdog's memory/work estimate, complementing the wall-clock bound.
+	// Zero disables the cap.
 	PhaseWorkBudget int64
 	// Faults, when armed, injects deterministic faults into the engine and
 	// the simulators under it (see internal/fault). The caller also arms it
@@ -144,6 +107,22 @@ type Config struct {
 	Trace *trace.Tracer
 }
 
+// Fixed engine limits.
+const (
+	// maxWindowWork caps the simulation effort of a single window in
+	// node·word units (truth-table words × slots). Windows beyond it are
+	// skipped — first retried unmerged, then dropped — which is how the
+	// CPU build realises the paper's per-phase computational budget: the
+	// GPU original affords KP=32 one-shot checks, a CPU does not.
+	maxWindowWork int64 = 1 << 28
+	// cutBufferCap is the capacity of the common-cut buffer interleaving
+	// cut generation with local checking (Algorithm 2's buf).
+	cutBufferCap = 4096
+	// maxCutsPerPair bounds the common cuts tried per candidate pair in
+	// each pass.
+	maxCutsPerPair = 8
+)
+
 // DefaultConfig returns the paper's parameter values.
 func DefaultConfig() Config {
 	return Config{
@@ -154,9 +133,6 @@ func DefaultConfig() Config {
 		C:              8,
 		SimWords:       8,
 		MemBudgetWords: 1 << 22,
-		MaxWindowWork:  1 << 28,
-		CutBufferCap:   4096,
-		MaxCutsPerPair: 8,
 		MaxLocalPhases: 16,
 	}
 }
@@ -184,15 +160,6 @@ func (c *Config) fill() {
 	if c.MemBudgetWords <= 0 {
 		c.MemBudgetWords = d.MemBudgetWords
 	}
-	if c.MaxWindowWork <= 0 {
-		c.MaxWindowWork = d.MaxWindowWork
-	}
-	if c.CutBufferCap <= 0 {
-		c.CutBufferCap = d.CutBufferCap
-	}
-	if c.MaxCutsPerPair <= 0 {
-		c.MaxCutsPerPair = d.MaxCutsPerPair
-	}
 	if c.MaxLocalPhases <= 0 {
 		c.MaxLocalPhases = d.MaxLocalPhases
 	}
@@ -208,17 +175,8 @@ func (c *Config) logf(format string, args ...interface{}) {
 	}
 }
 
-func (c *Config) stopped() bool {
-	if c.Stop == nil {
-		return false
-	}
-	select {
-	case <-c.Stop:
-		return true
-	default:
-		return false
-	}
-}
+// stopped reports whether the caller cancelled the run.
+func (c *Config) stopped() bool { return par.Stopped(c.Stop) }
 
 // PhaseKind labels the three phase types of the flow.
 type PhaseKind int

@@ -9,7 +9,7 @@ import (
 	"simsweep/internal/cuts"
 	"simsweep/internal/ec"
 	"simsweep/internal/miter"
-	"simsweep/internal/opt"
+	"simsweep/internal/par"
 	"simsweep/internal/sim"
 	"simsweep/internal/trace"
 )
@@ -125,13 +125,9 @@ func (e *engine) stopped() bool {
 	if e.cfg.stopped() {
 		return true
 	}
-	if e.wdStop != nil {
-		select {
-		case <-e.wdStop:
-			e.abortPhase("core.watchdog: phase %s exceeded wall-clock budget %v", e.curPhase, e.cfg.PhaseBudget)
-			return true
-		default:
-		}
+	if par.Stopped(e.wdStop) {
+		e.abortPhase("core.watchdog: phase %s exceeded wall-clock budget %v", e.curPhase, e.cfg.PhaseBudget)
+		return true
 	}
 	return false
 }
@@ -210,23 +206,12 @@ func (e *engine) run() {
 		return
 	}
 
-	rewriteUsed := false
 	for phase := 0; phase < e.cfg.MaxLocalPhases; phase++ {
 		merged := 0
 		ok := e.runPhase(PhaseL, func() { merged = e.phaseL() })
-		if !ok || e.decided || e.cfg.stopped() {
-			break
-		}
-		if merged == 0 {
-			// Fixpoint: the current structure yields no new cuts.
-			if e.cfg.InterleaveRewrite && !rewriteUsed && !miter.IsProved(e.cur) {
-				rewriteUsed = true
-				before := e.cur.NumAnds()
-				e.cur = opt.Rewrite(e.cur, opt.RewriteOptions{K: 8, ZeroCost: true, Dev: e.cfg.Dev})
-				e.lastPassProved = nil // new structure: re-enable all passes
-				e.cfg.logf("interleaved rewrite: %d -> %d ands", before, e.cur.NumAnds())
-				continue
-			}
+		// merged == 0 is the fixpoint: the structure, and with it the
+		// cuts, did not change.
+		if !ok || e.decided || e.cfg.stopped() || merged == 0 {
 			break
 		}
 	}
@@ -274,59 +259,8 @@ func (e *engine) disprove(cex []bool) {
 	e.decided = true
 }
 
-// piIndexOf maps PI node ids of the current miter to PI positions.
-func (e *engine) piIndexOf() map[int32]int {
-	m := make(map[int32]int, e.cur.NumPIs())
-	for i := 0; i < e.cur.NumPIs(); i++ {
-		m[int32(e.cur.PIID(i))] = i
-	}
-	return m
-}
-
-// cexToInputs expands a window counter-example (over PI-node inputs) into
-// a full PI assignment; untouched PIs default to false.
-func (e *engine) cexToInputs(cex *sim.CEX) []bool {
-	piIdx := e.piIndexOf()
-	in := make([]bool, e.cur.NumPIs())
-	for j, id := range cex.Inputs {
-		if idx, ok := piIdx[id]; ok {
-			in[idx] = cex.Values[j]
-		}
-	}
-	return in
-}
-
-// cexToPattern converts a window counter-example into a partial-simulator
-// pattern for class refinement.
-func (e *engine) cexToPattern(cex *sim.CEX) []sim.PIValue {
-	piIdx := e.piIndexOf()
-	out := make([]sim.PIValue, 0, len(cex.Inputs))
-	for j, id := range cex.Inputs {
-		if idx, ok := piIdx[id]; ok {
-			out = append(out, sim.PIValue{Index: idx, Value: cex.Values[j]})
-		}
-	}
-	return out
-}
-
-// addCEXPattern injects a counter-example pattern, optionally with its
-// distance-1 neighbourhood (each assigned input flipped once).
-func (e *engine) addCEXPattern(cex *sim.CEX) {
-	pattern := e.cexToPattern(cex)
-	e.partial.AddPattern(pattern)
-	if !e.cfg.Distance1CEX {
-		return
-	}
-	for flip := range pattern {
-		neighbour := make([]sim.PIValue, len(pattern))
-		copy(neighbour, pattern)
-		neighbour[flip].Value = !neighbour[flip].Value
-		e.partial.AddPattern(neighbour)
-	}
-}
-
 // windowWork estimates the simulation effort of a window in node·word
-// units — the budget metric of MaxWindowWork.
+// units — the budget metric of maxWindowWork.
 func windowWork(w *sim.Window) int64 {
 	return int64(w.TTWords()) * int64(w.NumSlots())
 }
@@ -403,7 +337,7 @@ func (e *engine) checkChunked(pairs []sim.Pair, specs []sim.Spec, ks int) sim.Re
 		if err != nil {
 			continue // inputs were not a cut; skip the job
 		}
-		if windowWork(w) <= e.cfg.MaxWindowWork {
+		if windowWork(w) <= maxWindowWork {
 			enqueue(w)
 			continue
 		}
@@ -414,7 +348,7 @@ func (e *engine) checkChunked(pairs []sim.Pair, specs []sim.Spec, ks int) sim.Re
 		// pairs' individual windows.
 		for _, pi := range spec.PairIdx {
 			ow, err := sim.BuildWindow(e.cur, origByPair[pi])
-			if err != nil || windowWork(ow) > e.cfg.MaxWindowWork {
+			if err != nil || windowWork(ow) > maxWindowWork {
 				continue
 			}
 			enqueue(ow)
@@ -518,7 +452,7 @@ func (e *engine) phaseP() {
 		if cex := res.CEXs[i]; cex != nil {
 			// A PO that can be driven to one disproves the miter.
 			stat.Disproved++
-			e.disprove(e.cexToInputs(cex))
+			e.disprove(cex.Vector(sim.PIIndex(e.cur), e.cur.NumPIs()))
 			return
 		}
 	}
@@ -553,11 +487,7 @@ func (e *engine) resimulate() [][]uint64 {
 		e.abortPhase("sim.partial: %v", err)
 		return nil
 	}
-	if po, assign := e.partial.FindNonZeroPO(e.cur, sims); po >= 0 {
-		in := make([]bool, e.cur.NumPIs())
-		for _, a := range assign {
-			in[a.Index] = a.Value
-		}
+	if po, in := e.partial.FindNonZeroPO(e.cur, sims); po >= 0 {
 		e.disprove(in)
 		return nil
 	}
@@ -588,15 +518,6 @@ func (e *engine) phaseG() {
 	sims := e.resimulate()
 	if sims == nil {
 		return // decided or faulted
-	}
-	if e.cfg.GuidedPatterns {
-		if added := e.partial.AddGuidedPatterns(e.cur, sims, 64, e.cfg.Seed+1); added > 0 {
-			e.cfg.logf("guided patterns: %d injected", added)
-			sims = e.resimulate()
-			if sims == nil {
-				return
-			}
-		}
 	}
 	classes := e.buildEC(sims)
 	sup := e.cur.SupportsCapped(e.cfg.Kg)
@@ -639,6 +560,7 @@ func (e *engine) phaseG() {
 	res := e.checkChunked(pairs, specs, ks)
 
 	var merges []miter.Merge
+	piIndex := sim.PIIndex(e.cur)
 	for i, p := range pairs {
 		if res.Equal[i] {
 			stat.Proved++
@@ -652,7 +574,7 @@ func (e *engine) phaseG() {
 		}
 		if cex := res.CEXs[i]; cex != nil {
 			stat.Disproved++
-			e.addCEXPattern(cex)
+			e.partial.AddPattern(cex.Pattern(piIndex))
 		}
 	}
 	e.reduce(merges)
@@ -720,9 +642,7 @@ func (e *engine) phaseL() int {
 				K:            e.cfg.Kl,
 				C:            e.cfg.C,
 				Budget:       e.cfg.CutBudget,
-				StrataNodes:  e.cfg.CutStrataNodes,
 				NoSimilarity: e.cfg.DisableSimilarity,
-				Reference:    e.cfg.ReferenceCuts,
 			})
 			gen.Trace = e.cfg.Trace
 		}
@@ -758,8 +678,8 @@ func (e *engine) phaseL() int {
 				return
 			}
 			n := len(pc.Cuts)
-			if n > e.cfg.MaxCutsPerPair {
-				n = e.cfg.MaxCutsPerPair
+			if n > maxCutsPerPair {
+				n = maxCutsPerPair
 			}
 			for _, cut := range pc.Cuts[:n] {
 				roots := []int32{pc.Pair.Member}
@@ -776,7 +696,7 @@ func (e *engine) phaseL() int {
 			}
 			// The constant-sized common-cut buffer of Algorithm 2:
 			// local checking interleaves with enumeration.
-			if len(pairs) >= e.cfg.CutBufferCap {
+			if len(pairs) >= cutBufferCap {
 				flush()
 			}
 		})

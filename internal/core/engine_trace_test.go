@@ -57,6 +57,15 @@ func checkTraceMatchesPhaseStats(t *testing.T, m *aig.AIG, want miter.Outcome) {
 		t.Fatalf("disproof not taken by the P-phase sweep: phases %+v, %d words simulated",
 			res.Phases, res.Stats.WordsSimulated)
 	}
+	if want == miter.NotEquivalent {
+		fired := false
+		for _, v := range m.Eval(res.CEX) {
+			fired = fired || v
+		}
+		if !fired {
+			t.Fatalf("CEX %v does not fire the miter", res.CEX)
+		}
+	}
 
 	rows := trace.PhaseRows(tr)
 	if len(rows) != len(res.Phases) {

@@ -1,10 +1,9 @@
 package core
 
-// Tests of the §V extensions: distance-1 CEX simulation, adaptive pass
-// disabling, and the pattern-bank export used for EC transfer.
+// Tests of the §V extensions: adaptive pass disabling and the pattern-bank
+// export used for EC transfer.
 
 import (
-	"math/rand"
 	"testing"
 
 	"simsweep/internal/cuts"
@@ -13,39 +12,6 @@ import (
 	"simsweep/internal/opt"
 	"simsweep/internal/satsweep"
 )
-
-func TestDistance1CEXStillCorrect(t *testing.T) {
-	g, err := gen.Multiplier(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := opt.Resyn2(g, nil)
-	for _, d1 := range []bool{false, true} {
-		cfg := smallConfig()
-		cfg.Distance1CEX = d1
-		res := CheckMiter(mustMiter(t, g, o), cfg)
-		if res.Outcome != miter.Equivalent {
-			t.Fatalf("distance1=%v: outcome %v", d1, res.Outcome)
-		}
-	}
-	// And on an inequivalent pair, distance-1 must not break disproofs.
-	bad := o.Copy()
-	bad.SetPO(1, bad.PO(1).Not())
-	cfg := smallConfig()
-	cfg.Distance1CEX = true
-	m := mustMiter(t, g, bad)
-	res := CheckMiter(m, cfg)
-	if res.Outcome != miter.NotEquivalent {
-		t.Fatalf("outcome = %v", res.Outcome)
-	}
-	fired := false
-	for _, v := range m.Eval(res.CEX) {
-		fired = fired || v
-	}
-	if !fired {
-		t.Fatal("CEX invalid under distance-1")
-	}
-}
 
 func TestAdaptivePassesStillProve(t *testing.T) {
 	g, err := gen.Multiplier(9)
@@ -89,78 +55,6 @@ func TestAdaptivePassesSkipIneffective(t *testing.T) {
 	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("wrong disproof")
 	}
-}
-
-func TestGuidedPatternsStillCorrect(t *testing.T) {
-	// A voter has exactly the bias profile guided patterns target
-	// (popcount comparators rarely fire); correctness must hold both
-	// ways, and on a corrupted copy the disproof must survive.
-	g, err := gen.Voter(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := opt.Resyn2(g, nil)
-	cfg := smallConfig()
-	cfg.GuidedPatterns = true
-	res := CheckMiter(mustMiter(t, g, o), cfg)
-	if res.Outcome == miter.NotEquivalent {
-		t.Fatal("guided-pattern run disproved an equivalent miter")
-	}
-	bad := o.Copy()
-	bad.SetPO(0, bad.PO(0).Not())
-	m := mustMiter(t, g, bad)
-	res = CheckMiter(m, cfg)
-	if res.Outcome != miter.NotEquivalent {
-		t.Fatalf("outcome = %v", res.Outcome)
-	}
-	fired := false
-	for _, v := range m.Eval(res.CEX) {
-		fired = fired || v
-	}
-	if !fired {
-		t.Fatal("CEX invalid with guided patterns")
-	}
-}
-
-func TestInterleaveRewriteSoundAndHelps(t *testing.T) {
-	g, err := gen.Multiplier(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := opt.Resyn2(g, nil)
-	m := mustMiter(t, g, o)
-	// Starved thresholds leave work for the L phases; compare final
-	// reductions with and without rewrite interleaving.
-	run := func(interleave bool) Result {
-		cfg := smallConfig()
-		cfg.KP, cfg.Kp, cfg.Kg = 8, 6, 6
-		cfg.Kl = 6
-		cfg.MaxLocalPhases = 6
-		cfg.InterleaveRewrite = interleave
-		return CheckMiter(m, cfg)
-	}
-	base := run(false)
-	inter := run(true)
-	if base.Outcome == miter.NotEquivalent || inter.Outcome == miter.NotEquivalent {
-		t.Fatal("wrong disproof")
-	}
-	// Soundness of the rewrite step: the reduced miter still computes
-	// the original function.
-	rng := rand.New(rand.NewSource(77))
-	for k := 0; k < 32; k++ {
-		in := make([]bool, m.NumPIs())
-		for i := range in {
-			in[i] = rng.Intn(2) == 1
-		}
-		a, b := m.Eval(in), inter.Reduced.Eval(in)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("interleaved rewrite changed the miter function")
-			}
-		}
-	}
-	t.Logf("reduction: base %.1f%%, interleaved %.1f%%",
-		base.Stats.ReductionPercent(), inter.Stats.ReductionPercent())
 }
 
 func TestPatternBankExportedAndTransfers(t *testing.T) {

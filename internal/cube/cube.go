@@ -44,6 +44,18 @@ import (
 	"simsweep/internal/trace"
 )
 
+// Fixed decomposition parameters.
+const (
+	// cutsetSize is k, the number of cutset variables of the initial split
+	// into 2^k cubes (capped by the available internal nodes).
+	cutsetSize = 4
+	// maxSplitDepth bounds the re-splitting of timed-out cubes.
+	maxSplitDepth = 3
+	// simWords is the number of 64-pattern words of random stimulus behind
+	// the cutset scoring.
+	simWords = 8
+)
+
 // Options configures a decomposition run.
 type Options struct {
 	// Dev supplies the parallel device the cubes are solved on; nil creates
@@ -51,9 +63,6 @@ type Options struct {
 	Dev *par.Device
 	// Seed drives the random stimulus behind the cutset scoring.
 	Seed int64
-	// CutsetSize is k, the number of cutset variables of the initial split
-	// into 2^k cubes (default 4, capped by the available internal nodes).
-	CutsetSize int
 	// ConflictLimit caps the per-cube conflict budget. 0 means the final
 	// re-split depth solves without a budget — the complete configuration.
 	// A positive limit keeps every cube budgeted and the run may end
@@ -62,11 +71,6 @@ type Options struct {
 	// InitialBudget is the conflict budget of a depth-0 cube (default 512);
 	// each re-split depth doubles it.
 	InitialBudget int64
-	// MaxSplitDepth bounds the re-splitting of timed-out cubes (default 3).
-	MaxSplitDepth int
-	// SimWords is the number of 64-pattern words of random stimulus behind
-	// the cutset scoring (default 8).
-	SimWords int
 	// Stop cancels the run cooperatively; a cancelled run returns Undecided
 	// with Stopped set.
 	Stop <-chan struct{}
@@ -83,31 +87,13 @@ func (o *Options) fill() {
 	if o.Dev == nil {
 		o.Dev = par.NewDevice(0)
 	}
-	if o.CutsetSize <= 0 {
-		o.CutsetSize = 4
-	}
 	if o.InitialBudget <= 0 {
 		o.InitialBudget = 512
 	}
-	if o.MaxSplitDepth <= 0 {
-		o.MaxSplitDepth = 3
-	}
-	if o.SimWords <= 0 {
-		o.SimWords = 8
-	}
 }
 
-func (o *Options) stopped() bool {
-	if o.Stop == nil {
-		return false
-	}
-	select {
-	case <-o.Stop:
-		return true
-	default:
-		return false
-	}
-}
+// stopped reports whether the caller cancelled the run.
+func (o *Options) stopped() bool { return par.Stopped(o.Stop) }
 
 // traceBuf returns the control-track buffer when tracing is on, else nil.
 func (o *Options) traceBuf() *trace.Buf {
@@ -121,7 +107,7 @@ func (o *Options) traceBuf() *trace.Buf {
 // depth: InitialBudget doubled per depth, clamped to ConflictLimit when one
 // is set, and unlimited (0) at the final depth of a complete run.
 func (o *Options) budgetAt(depth int) int64 {
-	if depth >= o.MaxSplitDepth && o.ConflictLimit == 0 {
+	if depth >= maxSplitDepth && o.ConflictLimit == 0 {
 		return 0 // final depth of a complete run: no budget
 	}
 	b := o.InitialBudget << uint(depth)
@@ -266,14 +252,13 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 
 	// Simulation pass: the signatures both score the cutset and, when some
 	// PO already toggles under random stimulus, settle the miter outright.
-	partial := sim.NewPartial(opt.Dev, m.NumPIs(), opt.SimWords, opt.Seed)
+	partial := sim.NewPartial(opt.Dev, m.NumPIs(), simWords, opt.Seed)
 	sims, err := partial.Simulate(m)
 	if err != nil {
 		res.Faults = append(res.Faults, fmt.Sprintf("cube.sim: %v", err))
 		return res
 	}
-	if po, assign := partial.FindNonZeroPO(m, sims); po >= 0 {
-		cex := assignToInputs(m, assign)
+	if po, cex := partial.FindNonZeroPO(m, sims); po >= 0 {
 		if replayDistinguishes(m, cex) {
 			res.Outcome = miter.NotEquivalent
 			res.CEX = cex
@@ -292,8 +277,8 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	if tb != nil {
 		csp = tb.Begin(trace.CatCube, "cube.cutset")
 	}
-	ranked := rankCutset(m, sims, opt.CutsetSize+opt.MaxSplitDepth)
-	k := opt.CutsetSize
+	ranked := rankCutset(m, sims, cutsetSize+maxSplitDepth)
+	k := cutsetSize
 	if k > len(ranked) {
 		k = len(ranked)
 	}
@@ -317,8 +302,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	}
 
 	st := &runState{}
-	piIndex := piIndexOf(m)
-	for depth := 0; depth <= opt.MaxSplitDepth; depth++ {
+	for depth := 0; depth <= maxSplitDepth; depth++ {
 		if opt.stopped() {
 			res.Stopped = true
 			res.Stats.Unknown += len(tasks)
@@ -338,7 +322,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 		// early-exit flag. A device-level chunk panic (par.worker.panic)
 		// leaves its cubes cubePending; the kernel error records the fault.
 		if err := opt.Dev.Launch("cube.solve", len(tasks), func(i int) {
-			outcomes[i] = solveCube(m, tasks[i], budget, piIndex, st, &opt)
+			outcomes[i] = solveCube(m, tasks[i], budget, st, &opt)
 		}); err != nil {
 			st.addFault(fmt.Sprintf("cube.launch: %v", err))
 		}
@@ -380,7 +364,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 		if len(next) == 0 {
 			break
 		}
-		if depth == opt.MaxSplitDepth {
+		if depth == maxSplitDepth {
 			// Out of depths: whatever timed out at the final budget stays
 			// open.
 			res.Stats.Unknown += len(next)
@@ -425,7 +409,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 // budgeted solve that cooperates with cancellation and the first-SAT
 // early exit. A panic (real or injected via cube.solve.panic) degrades
 // only this cube.
-func solveCube(m *aig.AIG, t cubeTask, budget int64, piIndex map[int]int, st *runState, opt *Options) (status cubeStatus) {
+func solveCube(m *aig.AIG, t cubeTask, budget int64, st *runState, opt *Options) (status cubeStatus) {
 	defer func() {
 		if r := recover(); r != nil {
 			st.addFault(fmt.Sprintf("cube.solve.recovered: %v", r))
@@ -476,7 +460,7 @@ func solveCube(m *aig.AIG, t cubeTask, budget int64, piIndex map[int]int, st *ru
 		// be consistent with the cube, so reading every PI (unencoded ones
 		// default to false) yields the full assignment — which must still
 		// survive replay through aig.Eval before anyone sees it.
-		cex := assignToInputs(m, modelPattern(m, enc, piIndex))
+		cex := enc.ModelInputs()
 		if !replayDistinguishes(m, cex) {
 			st.addFault("cube.witness.invalid: model failed aig.Eval replay")
 			return cubeFaulted
@@ -500,32 +484,4 @@ func replayDistinguishes(m *aig.AIG, cex []bool) bool {
 		}
 	}
 	return false
-}
-
-// piIndexOf maps PI node ids to PI positions.
-func piIndexOf(g *aig.AIG) map[int]int {
-	idx := make(map[int]int, g.NumPIs())
-	for i := 0; i < g.NumPIs(); i++ {
-		idx[g.PIID(i)] = i
-	}
-	return idx
-}
-
-// modelPattern extracts the PI assignment of the current SAT model.
-// Unencoded PIs are unconstrained and default to false.
-func modelPattern(g *aig.AIG, enc *cnf.Encoder, piIndex map[int]int) []sim.PIValue {
-	out := make([]sim.PIValue, 0, len(piIndex))
-	for id, idx := range piIndex {
-		v, ok := enc.Model(id)
-		out = append(out, sim.PIValue{Index: idx, Value: v && ok})
-	}
-	return out
-}
-
-func assignToInputs(g *aig.AIG, assign []sim.PIValue) []bool {
-	in := make([]bool, g.NumPIs())
-	for _, a := range assign {
-		in[a.Index] = a.Value
-	}
-	return in
 }

@@ -113,7 +113,7 @@ type Config struct {
 	// original per-level, allocation-heavy enumeration (kernel
 	// "cuts.level") with semantics identical to the strata kernel. It
 	// exists for differential tests and before/after benchmarking
-	// (benchtab -cuts), not for production use.
+	// (BenchmarkCutsPassReference); the engine never selects it.
 	Reference bool
 }
 

@@ -11,6 +11,7 @@ import (
 	"simsweep/internal/aig"
 	"simsweep/internal/ec"
 	"simsweep/internal/fault"
+	"simsweep/internal/gen"
 	"simsweep/internal/par"
 )
 
@@ -41,7 +42,10 @@ func randAIG(r *rand.Rand, nand int) *aig.AIG {
 }
 
 // exactClasses simulates all 64 input patterns of a ≤6-PI graph in one
-// word, so the resulting classes are exact functional equivalences.
+// word, so the resulting classes are exact functional equivalences. On a
+// wider graph PI i reuses the pattern of PI i mod 6, so the classes are
+// those of that aliased function: still a well-formed class set, which is
+// all a differential run of two cut kernels needs.
 func exactClasses(g *aig.AIG) *ec.Manager {
 	vars := [6]uint64{
 		0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
@@ -102,11 +106,42 @@ func collectRun(t *testing.T, gen *Generator, pass Pass, m *ec.Manager) []PairCu
 	return out
 }
 
+// propertyGraph is one input of the differential property test.
+type propertyGraph struct {
+	name string
+	g    *aig.AIG
+}
+
+// propertyGraphs returns the inputs of the differential property test:
+// seeded random AIGs, plus small benchmark-family circuits whose
+// structure — reconvergent arithmetic, wide control fan-in — random DAGs
+// do not have. The family circuits are used as generated: their resyn2
+// miters would need internal/opt, which imports this package.
+func propertyGraphs(t *testing.T) []propertyGraph {
+	t.Helper()
+	var out []propertyGraph
+	for seed := int64(1); seed <= 5; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		out = append(out, propertyGraph{fmt.Sprintf("random-%d", seed), randAIG(r, 120+r.Intn(150))})
+	}
+	for _, f := range []struct {
+		name  string
+		scale int
+	}{{"voter", 2}, {"ac97_ctrl", 2}, {"multiplier", 6}} {
+		g, err := gen.Benchmark(f.name, f.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, propertyGraph{fmt.Sprintf("%s-%d", f.name, f.scale), g})
+	}
+	return out
+}
+
 // TestStrataMatchesReference is the differential property test: on seeded
-// random AIGs, across all three passes and several configurations, the
-// strata kernel must emit the same PairCuts (order-insensitive per pair)
-// as the retained per-level reference, and keep identical per-node
-// priority cuts.
+// random AIGs and small benchmark-family circuits, across all three passes
+// and several configurations, the strata kernel must emit the same
+// PairCuts (order-insensitive per pair) as the retained per-level
+// reference, and keep identical per-node priority cuts.
 func TestStrataMatchesReference(t *testing.T) {
 	configs := []Config{
 		{K: 8, C: 8},
@@ -116,9 +151,8 @@ func TestStrataMatchesReference(t *testing.T) {
 		{K: 5, C: 3, KeepDominated: true},
 		{K: 8, C: 8, StrataNodes: 1}, // per-level strata, still the wave kernel
 	}
-	for seed := int64(1); seed <= 5; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		g := randAIG(r, 120+r.Intn(150))
+	for _, pg := range propertyGraphs(t) {
+		g := pg.g
 		m := exactClasses(g)
 		for ci, cfg := range configs {
 			refCfg := cfg
@@ -129,20 +163,20 @@ func TestStrataMatchesReference(t *testing.T) {
 			for _, pass := range Passes {
 				want := collectRun(t, ref, pass, m)
 				have := collectRun(t, got, pass, m)
-				comparePairCuts(t, fmt.Sprintf("seed=%d cfg=%d pass=%v", seed, ci, pass), want, have)
+				comparePairCuts(t, fmt.Sprintf("%s cfg=%d pass=%v", pg.name, ci, pass), want, have)
 				for id := 1; id < g.NumNodes(); id++ {
 					if !g.IsAnd(id) {
 						continue
 					}
 					w, h := ref.PriorityCuts(id), got.PriorityCuts(id)
 					if len(w) != len(h) {
-						t.Fatalf("seed=%d cfg=%d pass=%v node %d: %d priority cuts vs reference %d",
-							seed, ci, pass, id, len(h), len(w))
+						t.Fatalf("%s cfg=%d pass=%v node %d: %d priority cuts vs reference %d",
+							pg.name, ci, pass, id, len(h), len(w))
 					}
 					for k := range w {
 						if cutKey(w[k]) != cutKey(h[k]) {
-							t.Fatalf("seed=%d cfg=%d pass=%v node %d cut %d: %s vs reference %s",
-								seed, ci, pass, id, k, cutKey(h[k]), cutKey(w[k]))
+							t.Fatalf("%s cfg=%d pass=%v node %d cut %d: %s vs reference %s",
+								pg.name, ci, pass, id, k, cutKey(h[k]), cutKey(w[k]))
 						}
 					}
 				}

@@ -11,7 +11,8 @@ import (
 // "cuts.level" launch per enumeration level and allocates freely in the
 // kernel body — the exact shape the strata kernel replaced — but computes
 // the same cuts: the property tests diff the two implementations on random
-// AIGs, and benchtab -cuts uses it as the in-run before/after baseline.
+// and benchmark-family AIGs, and BenchmarkCutsPassReference measures it as
+// the before side of the kernel's before/after benchmark.
 // The one repair it did receive is the historical double hashLeaves per
 // accepted cut (the hash is now computed once and threaded through
 // addUnique).

@@ -145,14 +145,11 @@ func tinyCutsConfig() *core.Config {
 	return &c
 }
 
-// extConfig enables every §V extension at once: distance-1 CEX patterns,
-// guided patterns, adaptive passes and rewrite interleaving.
+// extConfig enables the §V adaptive flow: L-phase cut passes that proved
+// nothing in the previous phase are skipped.
 func extConfig() *core.Config {
 	c := core.DefaultConfig()
-	c.Distance1CEX = true
-	c.GuidedPatterns = true
 	c.AdaptivePasses = true
-	c.InterleaveRewrite = true
 	return &c
 }
 
@@ -161,7 +158,7 @@ func extConfig() *core.Config {
 // table (simsweep.Engines) with its default options — unlimited conflicts,
 // so the SAT-based engines are complete — and the simulation engine under
 // three more configurations (a starved windowing configuration, the
-// all-extensions configuration and a starved cut-enumeration
+// adaptive-passes configuration and a starved cut-enumeration
 // configuration). The oracle and every engine the table marks Complete
 // must decide the small circuits the harness generates; the sim-only
 // backends may return Undecided, which the harness tolerates.

@@ -186,11 +186,7 @@ func groundTruth(dev *par.Device, m *aig.AIG, rng *rand.Rand) (miter.Outcome, []
 		// kernel bug; report no ground truth rather than guess from garbage.
 		return miter.Undecided, nil
 	}
-	if po, assign := p.FindNonZeroPO(m, sims); po >= 0 {
-		cex := make([]bool, m.NumPIs())
-		for _, av := range assign {
-			cex[av.Index] = av.Value
-		}
+	if po, cex := p.FindNonZeroPO(m, sims); po >= 0 {
 		if CEXDistinguishes(dev, m, cex) {
 			return miter.NotEquivalent, cex
 		}

@@ -42,8 +42,7 @@ func TestRewriteControlMiterTerminatesAndPreserves(t *testing.T) {
 			}
 		}
 	}
-	// Repeated zero-cost passes must stay stable too (this is what the
-	// engine's InterleaveRewrite option does on every fixpoint).
+	// Repeated zero-cost passes must stay stable too.
 	r2 := Rewrite(r, RewriteOptions{K: 8, ZeroCost: true})
 	if err := r2.Validate(); err != nil {
 		t.Fatal(err)

@@ -61,6 +61,18 @@ func (e *KernelPanicError) Unwrap() error {
 	return nil
 }
 
+// Stopped reports whether the cooperative cancellation channel stop has been
+// closed, without blocking. A nil channel never stops. Every engine polls its
+// Stop option through it between units of work.
+func Stopped(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // Device executes flat index spaces in parallel. The zero value is not
 // usable; create one with NewDevice. A Device is safe for concurrent use,
 // although the engine launches kernels from a single control goroutine,

@@ -52,17 +52,8 @@ type Options struct {
 	Faults *fault.Injector
 }
 
-func (o *Options) stopped() bool {
-	if o.Stop == nil {
-		return false
-	}
-	select {
-	case <-o.Stop:
-		return true
-	default:
-		return false
-	}
-}
+// stopped reports whether the caller cancelled the sweep.
+func (o *Options) stopped() bool { return par.Stopped(o.Stop) }
 
 func (o *Options) fill() {
 	if o.Dev == nil {
@@ -159,9 +150,9 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 			res.Reduced = cur
 			return res
 		}
-		if po, assign := partial.FindNonZeroPO(cur, sims); po >= 0 {
+		if po, cex := partial.FindNonZeroPO(cur, sims); po >= 0 {
 			res.Outcome = miter.NotEquivalent
-			res.CEX = assignToInputs(cur, assign)
+			res.CEX = cex
 			res.Reduced = cur
 			return res
 		}
@@ -197,7 +188,6 @@ func sweepRound(cur *aig.AIG, classes *ec.Manager, partial *sim.Partial, opt Opt
 	solver.SetConflictLimit(opt.ConflictLimit)
 	solver.SetStop(opt.stopped)
 	enc := cnf.NewEncoder(cur, solver)
-	piIndex := piIndexOf(cur)
 	tb := opt.traceBuf()
 
 	var merges []miter.Merge
@@ -234,7 +224,7 @@ func sweepRound(cur *aig.AIG, classes *ec.Manager, partial *sim.Partial, opt Opt
 		case sat.Sat:
 			stats.Disproved++
 			progressed = true
-			partial.AddPattern(modelPattern(cur, enc, piIndex))
+			partial.AddPattern(sim.PatternOf(enc.ModelInputs()))
 		default:
 			stats.Unknown++
 		}
@@ -248,7 +238,6 @@ func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
 	solver.SetConflictLimit(opt.ConflictLimit)
 	solver.SetStop(opt.stopped)
 	enc := cnf.NewEncoder(cur, solver)
-	piIndex := piIndexOf(cur)
 	tb := opt.traceBuf()
 
 	var merges []miter.Merge
@@ -293,7 +282,7 @@ func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
 		case sat.Sat:
 			res.Stats.Disproved++
 			res.Outcome = miter.NotEquivalent
-			res.CEX = assignToInputs(cur, modelPattern(cur, enc, piIndex))
+			res.CEX = enc.ModelInputs()
 			res.Reduced = cur
 			return res
 		default:
@@ -346,32 +335,4 @@ func (o *Options) traceBuf() *trace.Buf {
 		return o.Trace.Buf(trace.ControlTrack)
 	}
 	return nil
-}
-
-// piIndexOf maps PI node ids to PI positions.
-func piIndexOf(g *aig.AIG) map[int]int {
-	m := make(map[int]int, g.NumPIs())
-	for i := 0; i < g.NumPIs(); i++ {
-		m[g.PIID(i)] = i
-	}
-	return m
-}
-
-// modelPattern extracts the PI assignment of the current SAT model.
-// Unencoded PIs are unconstrained and default to false.
-func modelPattern(g *aig.AIG, enc *cnf.Encoder, piIndex map[int]int) []sim.PIValue {
-	out := make([]sim.PIValue, 0, len(piIndex))
-	for id, idx := range piIndex {
-		v, ok := enc.Model(id)
-		out = append(out, sim.PIValue{Index: idx, Value: v && ok})
-	}
-	return out
-}
-
-func assignToInputs(g *aig.AIG, assign []sim.PIValue) []bool {
-	in := make([]bool, g.NumPIs())
-	for _, a := range assign {
-		in[a.Index] = a.Value
-	}
-	return in
 }

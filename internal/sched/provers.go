@@ -77,7 +77,7 @@ const maxBatchWork = 1 << 24
 // across classes so the device's cross-window parallelism applies. A
 // truth-table match over the full support is a sound global proof; a
 // mismatch is a genuine counter-example.
-func (sc *sweeper) runSimGroup(cur *aig.AIG, g []*classUnit, piIndex map[int]int) []*attempt {
+func (sc *sweeper) runSimGroup(cur *aig.AIG, g []*classUnit) []*attempt {
 	atts := make([]*attempt, len(g))
 	for i := range atts {
 		atts[i] = &attempt{}
@@ -121,6 +121,7 @@ func (sc *sweeper) runSimGroup(cur *aig.AIG, g []*classUnit, piIndex map[int]int
 	}
 
 	// Greedy batching under the memory and work bounds.
+	piIndex := sim.PIIndex(cur)
 	for lo := 0; lo < len(slots); {
 		hi, sumSlots, sumWork := lo, 0, 0
 		for hi < len(slots) {
@@ -174,7 +175,7 @@ func (sc *sweeper) runSimGroup(cur *aig.AIG, g []*classUnit, piIndex map[int]int
 					a.proved = append(a.proved, r.pi)
 				} else if cex := res.CEXs[k]; cex != nil {
 					a.disproved = append(a.disproved, r.pi)
-					a.cexs = append(a.cexs, windowCEXToInputs(cur, cex, piIndex))
+					a.cexs = append(a.cexs, cex.Vector(piIndex, cur.NumPIs()))
 				} else {
 					a.failed = true
 				}
@@ -185,18 +186,6 @@ func (sc *sweeper) runSimGroup(cur *aig.AIG, g []*classUnit, piIndex map[int]int
 	return atts
 }
 
-// windowCEXToInputs expands a window counter-example (over window input
-// node ids) into a full PI assignment.
-func windowCEXToInputs(g *aig.AIG, cex *sim.CEX, piIndex map[int]int) []bool {
-	in := make([]bool, g.NumPIs())
-	for k, id := range cex.Inputs {
-		if idx, ok := piIndex[int(id)]; ok {
-			in[idx] = cex.Values[k]
-		}
-	}
-	return in
-}
-
 // runSATGroup runs one conflict-limited SAT attempt per class against a
 // single incremental solver and encoder shared by the whole wave — the
 // satsweep idiom: overlapping cones are encoded once, not once per class,
@@ -204,7 +193,7 @@ func windowCEXToInputs(g *aig.AIG, cex *sim.CEX, piIndex map[int]int) []bool {
 // blow-up (injected or real) is recovered per class; because it may have
 // poisoned the shared solver, the rest of the wave fails conservatively
 // and escalates.
-func (sc *sweeper) runSATGroup(cur *aig.AIG, g []*classUnit, piIndex map[int]int) []*attempt {
+func (sc *sweeper) runSATGroup(cur *aig.AIG, g []*classUnit) []*attempt {
 	atts := make([]*attempt, len(g))
 	solver := sat.New()
 	solver.SetConflictLimit(sc.opt.RouteConflictLimit)
@@ -232,7 +221,7 @@ func (sc *sweeper) runSATGroup(cur *aig.AIG, g []*classUnit, piIndex map[int]int
 			break
 		}
 		unitStart := time.Now()
-		atts[i] = sc.satUnit(cur, u, solver, enc, piIndex)
+		atts[i] = sc.satUnit(cur, u, solver, enc)
 		atts[i].elapsed = time.Since(unitStart)
 		sc.satSpent += atts[i].elapsed
 		probeCalls += atts[i].satCalls
@@ -265,7 +254,7 @@ func (sc *sweeper) satFuse() time.Duration {
 
 // satUnit runs the conflict-limited SAT attempt for one class on the
 // wave's shared solver.
-func (sc *sweeper) satUnit(cur *aig.AIG, u *classUnit, solver *sat.Solver, enc *cnf.Encoder, piIndex map[int]int) (a *attempt) {
+func (sc *sweeper) satUnit(cur *aig.AIG, u *classUnit, solver *sat.Solver, enc *cnf.Encoder) (a *attempt) {
 	a = &attempt{}
 	defer func() {
 		if r := recover(); r != nil {
@@ -303,7 +292,7 @@ func (sc *sweeper) satUnit(cur *aig.AIG, u *classUnit, solver *sat.Solver, enc *
 			a.proved = append(a.proved, i)
 		case sat.Sat:
 			a.disproved = append(a.disproved, i)
-			a.cexs = append(a.cexs, assignToInputs(cur, modelPattern(cur, enc, piIndex)))
+			a.cexs = append(a.cexs, enc.ModelInputs())
 		default:
 			a.failed = true
 		}
@@ -348,7 +337,7 @@ func (sc *sweeper) bddUnit(cur *aig.AIG, u *classUnit) (a *attempt) {
 		a.failed = true
 		return a
 	}
-	man := bdd.New(cur.NumPIs(), sc.opt.BDDNodeLimit)
+	man := bdd.New(cur.NumPIs(), bddNodeLimit)
 	lits := []aig.Lit{aig.MakeLit(int(u.repr), false)}
 	var idxs []int
 	for i, p := range u.pairs {

@@ -66,6 +66,18 @@ const bddSupportCap = 24
 // class whose true united support exceeds bddSupportCap.
 const bddWideSupport = 32
 
+// Fixed sweep limits.
+const (
+	// maxRounds bounds the sweep-reduce iterations.
+	maxRounds = 64
+	// simBudgetWords caps the exhaustive simulator's table memory in
+	// 64-bit words.
+	simBudgetWords = 1 << 22
+	// bddNodeLimit bounds each per-class BDD manager; hitting it fails the
+	// attempt and escalates the class.
+	bddNodeLimit = 1 << 16
+)
+
 // Options configures a scheduled sweep.
 type Options struct {
 	// Dev supplies the parallel device; nil creates a default one.
@@ -82,17 +94,9 @@ type Options struct {
 	SimWords int
 	// Seed seeds the random patterns.
 	Seed int64
-	// MaxRounds bounds the sweep-reduce iterations (default 64).
-	MaxRounds int
 	// SupportCap is the widest class support the sim prover will
 	// exhaustively enumerate (default 14, i.e. 16384 patterns).
 	SupportCap int
-	// SimBudgetWords caps the exhaustive simulator's table memory in
-	// 64-bit words (default 1<<22).
-	SimBudgetWords int
-	// BDDNodeLimit bounds each per-class BDD manager; hitting it fails the
-	// attempt and escalates the class (default 1<<16).
-	BDDNodeLimit int
 	// Force, when set to an engine name, collapses every class's ladder to
 	// that single rung — the single-engine comparison rows of benchtab
 	// -sched. Classes the engine cannot decide fall through to the final
@@ -114,17 +118,8 @@ type Options struct {
 	Faults *fault.Injector
 }
 
-func (o *Options) stopped() bool {
-	if o.Stop == nil {
-		return false
-	}
-	select {
-	case <-o.Stop:
-		return true
-	default:
-		return false
-	}
-}
+// stopped reports whether the caller cancelled the sweep.
+func (o *Options) stopped() bool { return par.Stopped(o.Stop) }
 
 func (o *Options) fill() {
 	if o.Dev == nil {
@@ -133,20 +128,11 @@ func (o *Options) fill() {
 	if o.SimWords <= 0 {
 		o.SimWords = 8
 	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 64
-	}
 	if o.SupportCap <= 0 {
 		o.SupportCap = 14
 	}
 	if o.RouteConflictLimit <= 0 {
 		o.RouteConflictLimit = 2000
-	}
-	if o.SimBudgetWords <= 0 {
-		o.SimBudgetWords = 1 << 22
-	}
-	if o.BDDNodeLimit <= 0 {
-		o.BDDNodeLimit = 1 << 16
 	}
 	switch o.Force {
 	case EngineSim, EngineSAT, EngineBDD:
@@ -275,13 +261,13 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	}
 	sc.prior = sc.prior0
 	sc.partial = sim.NewPartial(opt.Dev, m.NumPIs(), opt.SimWords, opt.Seed)
-	sc.ex = sim.NewExhaustive(opt.Dev, opt.SimBudgetWords)
+	sc.ex = sim.NewExhaustive(opt.Dev, simBudgetWords)
 	sc.ex.Trace = opt.Trace
 	sc.ex.Faults = opt.Faults
 	sc.ex.Stop = opt.stopped
 
 	cur := m
-	for round := 0; round < opt.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		if opt.stopped() || sc.stop {
 			res.Stopped = true
 			res.Reduced = cur
@@ -302,9 +288,9 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 			res.Reduced = cur
 			return res
 		}
-		if po, assign := sc.partial.FindNonZeroPO(cur, sims); po >= 0 {
+		if po, cex := sc.partial.FindNonZeroPO(cur, sims); po >= 0 {
 			res.Outcome = miter.NotEquivalent
-			res.CEX = assignToInputs(cur, assign)
+			res.CEX = cex
 			res.Reduced = cur
 			return res
 		}
@@ -352,7 +338,6 @@ func (sc *sweeper) scheduleRound(cur *aig.AIG, classes *ec.Manager, sims [][]uin
 	if len(units) == 0 {
 		return nil, false, false
 	}
-	piIndex := piIndexOf(cur)
 	progressed := false
 
 	// Waves: every unit attempts its current rung; failures move the
@@ -379,9 +364,9 @@ func (sc *sweeper) scheduleRound(cur *aig.AIG, classes *ec.Manager, sims [][]uin
 			var atts []*attempt
 			switch engine {
 			case EngineSim:
-				atts = sc.runSimGroup(cur, g, piIndex)
+				atts = sc.runSimGroup(cur, g)
 			case EngineSAT:
-				atts = sc.runSATGroup(cur, g, piIndex)
+				atts = sc.runSATGroup(cur, g)
 			case EngineBDD:
 				atts = sc.runBDDGroup(cur, g)
 			}
@@ -491,7 +476,7 @@ func (sc *sweeper) apply(cur *aig.AIG, units []*classUnit, u *classUnit, engine 
 	// signatures and is replayed against every still-pending pair right
 	// now — a cex one prover paid for prunes the others' queues for free.
 	for _, pattern := range a.cexs {
-		sc.partial.AddPattern(fullAssign(pattern))
+		sc.partial.AddPattern(sim.PatternOf(pattern))
 		if sc.replayShared(cur, units, pattern) {
 			return progressed, escalated, true
 		}
@@ -692,7 +677,6 @@ func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
 	solver.SetConflictLimit(opt.ConflictLimit)
 	solver.SetStop(opt.stopped)
 	enc := cnf.NewEncoder(cur, solver)
-	piIndex := piIndexOf(cur)
 
 	var merges []miter.Merge
 	merged := make(map[aig.Lit]bool)
@@ -748,7 +732,7 @@ func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
 			merged[po] = true
 		case sat.Sat:
 			res.Outcome = miter.NotEquivalent
-			res.CEX = assignToInputs(cur, modelPattern(cur, enc, piIndex))
+			res.CEX = enc.ModelInputs()
 			res.Reduced = cur
 			return res
 		default:
@@ -792,42 +776,4 @@ func evalNodes(g *aig.AIG, inputs []bool) []bool {
 		val[id] = aig.LitValue(val, f0) && aig.LitValue(val, f1)
 	}
 	return val
-}
-
-// fullAssign converts a full PI vector into the sparse form AddPattern
-// takes.
-func fullAssign(inputs []bool) []sim.PIValue {
-	out := make([]sim.PIValue, len(inputs))
-	for i, v := range inputs {
-		out[i] = sim.PIValue{Index: i, Value: v}
-	}
-	return out
-}
-
-// piIndexOf maps PI node ids to PI positions.
-func piIndexOf(g *aig.AIG) map[int]int {
-	m := make(map[int]int, g.NumPIs())
-	for i := 0; i < g.NumPIs(); i++ {
-		m[g.PIID(i)] = i
-	}
-	return m
-}
-
-// modelPattern extracts the PI assignment of the current SAT model.
-// Unencoded PIs are unconstrained and default to false.
-func modelPattern(g *aig.AIG, enc *cnf.Encoder, piIndex map[int]int) []sim.PIValue {
-	out := make([]sim.PIValue, 0, len(piIndex))
-	for id, idx := range piIndex {
-		v, ok := enc.Model(id)
-		out = append(out, sim.PIValue{Index: idx, Value: v && ok})
-	}
-	return out
-}
-
-func assignToInputs(g *aig.AIG, assign []sim.PIValue) []bool {
-	in := make([]bool, g.NumPIs())
-	for _, a := range assign {
-		in[a.Index] = a.Value
-	}
-	return in
 }

@@ -63,6 +63,9 @@ type Request struct {
 	Trace bool
 }
 
+// crashBackoffMax caps a crashed runner's backoff.
+const crashBackoffMax = 2 * time.Second
+
 // Config sizes the service. The zero value selects sensible defaults.
 type Config struct {
 	// MaxConcurrent is K, the number of jobs running at once (default 2).
@@ -94,12 +97,10 @@ type Config struct {
 	// PhaseBudget bounds each simulation-engine phase of every job by wall
 	// clock (see simsweep.Options.PhaseBudget). Zero disables the watchdog.
 	PhaseBudget time.Duration
-	// CrashBackoffBase is the first delay of a crashed runner's capped
-	// exponential backoff (default 50ms); CrashBackoffMax caps it
-	// (default 2s). A runner that completes a job cleanly resets to base.
+	// CrashBackoffBase is the first delay of a crashed runner's
+	// exponential backoff (default 50ms), capped at crashBackoffMax. A
+	// runner that completes a job cleanly resets to base.
 	CrashBackoffBase time.Duration
-	// CrashBackoffMax caps the crashed-runner backoff (default 2s).
-	CrashBackoffMax time.Duration
 	// Remote, when non-nil, federates the result cache across nodes: a
 	// submission that misses the local LRU consults it before running, and
 	// decided, non-degraded results are published back (asynchronously, so
@@ -127,9 +128,6 @@ func (c *Config) fill() {
 	}
 	if c.CrashBackoffBase <= 0 {
 		c.CrashBackoffBase = 50 * time.Millisecond
-	}
-	if c.CrashBackoffMax <= 0 {
-		c.CrashBackoffMax = 2 * time.Second
 	}
 }
 
@@ -546,8 +544,8 @@ func (s *Service) runner(dev *par.Device) {
 		}
 		time.Sleep(backoff)
 		backoff *= 2
-		if backoff > s.cfg.CrashBackoffMax {
-			backoff = s.cfg.CrashBackoffMax
+		if backoff > crashBackoffMax {
+			backoff = crashBackoffMax
 		}
 	}
 }
@@ -584,7 +582,7 @@ func (s *Service) crashed(j *job, cause interface{}) {
 		s.logf("runner: recovered crash after job %s settled: %v", j.ID, cause)
 		return
 	}
-	if j.Retries == 0 && !s.closed && !stopClosed(j.stop) {
+	if j.Retries == 0 && !s.closed && !par.Stopped(j.stop) {
 		j.Retries++
 		j.State = StateQueued
 		select {
@@ -604,23 +602,13 @@ func (s *Service) crashed(j *job, cause interface{}) {
 	s.logf("job %s: failed (%s)", j.ID, j.Err)
 }
 
-// stopClosed reports whether a job's stop channel has been closed.
-func stopClosed(stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
-}
-
 func (s *Service) runJob(j *job, dev *par.Device) {
 	s.mu.Lock()
 	if j.State != StateQueued { // cancelled while waiting
 		s.mu.Unlock()
 		return
 	}
-	if stopClosed(j.stop) {
+	if par.Stopped(j.stop) {
 		// The job's stop channel closed while it sat in the queue (service
 		// shutdown, or a cancel that raced the state update): settle it
 		// without ever running — a withdrawn job must never report
@@ -809,7 +797,7 @@ func (s *Service) resolveFollowersLocked(j *job) {
 	for len(live) > 0 {
 		lead := live[0]
 		live = live[1:]
-		if s.closed || stopClosed(lead.stop) {
+		if s.closed || par.Stopped(lead.stop) {
 			settle(lead, StateCancelled, "")
 			continue
 		}

@@ -30,6 +30,42 @@ type CEX struct {
 	Index  uint64
 }
 
+// PIIndex maps the PI node ids of g to PI positions: the lookup that turns
+// a window counter-example over g into PI assignments (CEX.Pattern,
+// CEX.Vector).
+func PIIndex(g *aig.AIG) map[int32]int {
+	m := make(map[int32]int, g.NumPIs())
+	for i := 0; i < g.NumPIs(); i++ {
+		m[int32(g.PIID(i))] = i
+	}
+	return m
+}
+
+// Pattern converts the counter-example into a partial-simulator pattern:
+// one assignment per window input that is a PI (piIndex from PIIndex). PIs
+// outside the window stay unassigned, so AddPattern fills them randomly.
+func (c *CEX) Pattern(piIndex map[int32]int) []PIValue {
+	out := make([]PIValue, 0, len(c.Inputs))
+	for j, id := range c.Inputs {
+		if idx, ok := piIndex[id]; ok {
+			out = append(out, PIValue{Index: idx, Value: c.Values[j]})
+		}
+	}
+	return out
+}
+
+// Vector expands the counter-example into a full assignment of numPIs
+// inputs (piIndex from PIIndex); PIs outside the window are false.
+func (c *CEX) Vector(piIndex map[int32]int, numPIs int) []bool {
+	in := make([]bool, numPIs)
+	for j, id := range c.Inputs {
+		if idx, ok := piIndex[id]; ok {
+			in[idx] = c.Values[j]
+		}
+	}
+	return in
+}
+
 // Result reports the verdicts of a CheckBatch call, indexed like the pair
 // slice passed in. Equal[i] is true when the truth tables matched over the
 // window; CEXs[i] is non-nil when they did not. The interpretation is the

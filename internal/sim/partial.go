@@ -21,6 +21,16 @@ type PIValue struct {
 	Value bool
 }
 
+// PatternOf converts a full PI assignment (by PI index) into the pattern
+// form AddPattern takes.
+func PatternOf(in []bool) []PIValue {
+	out := make([]PIValue, len(in))
+	for i, v := range in {
+		out[i] = PIValue{Index: i, Value: v}
+	}
+	return out
+}
+
 // Partial is the partial simulator. It owns a persistent pattern bank at
 // the primary inputs: an initial block of random pattern words plus words
 // appended for counter-example patterns. The bank survives miter rebuilds
@@ -189,10 +199,11 @@ func (p *Partial) Simulate(g *aig.AIG) ([][]uint64, error) {
 }
 
 // FindNonZeroPO scans PO simulation values and returns the index of a PO
-// that evaluates to 1 under some bank pattern, together with the PI
-// assignment of the first such pattern — an immediate disproof of a miter.
-// It returns (-1, nil) when every PO is zero over the whole bank.
-func (p *Partial) FindNonZeroPO(g *aig.AIG, sims [][]uint64) (int, []PIValue) {
+// that evaluates to 1 under some bank pattern, together with the full PI
+// assignment (by PI index) of the first such pattern — an immediate
+// disproof of a miter. It returns (-1, nil) when every PO is zero over the
+// whole bank.
+func (p *Partial) FindNonZeroPO(g *aig.AIG, sims [][]uint64) (int, []bool) {
 	for i := 0; i < g.NumPOs(); i++ {
 		po := g.PO(i)
 		words := sims[po.ID()]
@@ -204,11 +215,11 @@ func (p *Partial) FindNonZeroPO(g *aig.AIG, sims [][]uint64) (int, []PIValue) {
 			v := words[w] ^ m
 			if v != 0 {
 				bit := uint(bits.TrailingZeros64(v))
-				assign := make([]PIValue, g.NumPIs())
-				for k := 0; k < g.NumPIs(); k++ {
-					assign[k] = PIValue{Index: k, Value: (p.bank[k][w]>>bit)&1 == 1}
+				in := make([]bool, g.NumPIs())
+				for k := range in {
+					in[k] = (p.bank[k][w]>>bit)&1 == 1
 				}
-				return i, assign
+				return i, in
 			}
 		}
 	}

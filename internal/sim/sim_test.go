@@ -62,6 +62,33 @@ func TestAddPatternPacksAndApplies(t *testing.T) {
 	}
 }
 
+// TestCEXConversions checks the two PI views of a window counter-example:
+// internal window inputs are dropped, PIs map to their positions, and the
+// full vector leaves PIs outside the window false.
+func TestCEXConversions(t *testing.T) {
+	g := aig.New()
+	a := g.AddPI()
+	b := g.AddPI()
+	g.AddPI()
+	n := g.And(a, b)
+	cex := &CEX{
+		Inputs: []int32{int32(b.ID()), int32(n.ID()), int32(a.ID())},
+		Values: []bool{true, true, false},
+	}
+	piIndex := PIIndex(g)
+	pat := cex.Pattern(piIndex)
+	if len(pat) != 2 || pat[0] != (PIValue{1, true}) || pat[1] != (PIValue{0, false}) {
+		t.Fatalf("Pattern = %v, want [{1 true} {0 false}]", pat)
+	}
+	if in := cex.Vector(piIndex, g.NumPIs()); len(in) != 3 || in[0] || !in[1] || in[2] {
+		t.Fatalf("Vector = %v, want [false true false]", in)
+	}
+	full := PatternOf([]bool{true, false})
+	if len(full) != 2 || full[0] != (PIValue{0, true}) || full[1] != (PIValue{1, false}) {
+		t.Fatalf("PatternOf = %v", full)
+	}
+}
+
 func TestFindNonZeroPO(t *testing.T) {
 	g := aig.New()
 	a := g.AddPI()
@@ -71,13 +98,9 @@ func TestFindNonZeroPO(t *testing.T) {
 	p := NewPartial(dev(), 2, 1, 5)
 	p.AddPattern([]PIValue{{0, true}, {1, true}})
 	sims, _ := p.Simulate(g)
-	po, assign := p.FindNonZeroPO(g, sims)
+	po, in := p.FindNonZeroPO(g, sims)
 	if po != 1 {
 		t.Fatalf("nonzero PO = %d, want 1", po)
-	}
-	in := make([]bool, 2)
-	for _, av := range assign {
-		in[av.Index] = av.Value
 	}
 	if out := g.Eval(in); !out[1] {
 		t.Fatal("returned assignment does not set the PO")

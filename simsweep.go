@@ -262,8 +262,6 @@ type Options struct {
 	// ConflictLimit bounds each SAT call of the sweeping backend
 	// (0: unlimited — complete checking).
 	ConflictLimit int64
-	// BDDNodeLimit bounds the BDD engine (0: default 4M nodes).
-	BDDNodeLimit int
 	// SimConfig overrides the simulation engine parameters; nil selects
 	// the paper's defaults.
 	SimConfig *core.Config
@@ -290,12 +288,9 @@ type Options struct {
 	// PhaseBudget bounds each simulation-engine phase by wall clock; a
 	// phase still running at the deadline is cancelled cooperatively and
 	// the check degrades (Result.Degraded) instead of hanging. Zero
-	// disables the watchdog. See core.Config.PhaseBudget.
+	// disables the watchdog. See core.Config.PhaseBudget; a work budget per
+	// phase is set through SimConfig.PhaseWorkBudget.
 	PhaseBudget time.Duration
-	// PhaseWorkBudget bounds each simulation-engine phase by estimated
-	// simulation effort in node·word units. Zero disables the cap. See
-	// core.Config.PhaseWorkBudget.
-	PhaseWorkBudget int64
 	// SchedPriors, when non-nil, supplies and accumulates the sched
 	// engine's per-family routing history across checks. The service layer
 	// keeps one store next to its result cache so repeated workloads
@@ -471,9 +466,6 @@ func (o Options) simConfig(dev *par.Device) core.Config {
 	if o.PhaseBudget > 0 {
 		cfg.PhaseBudget = o.PhaseBudget
 	}
-	if o.PhaseWorkBudget > 0 {
-		cfg.PhaseWorkBudget = o.PhaseWorkBudget
-	}
 	return cfg
 }
 
@@ -599,7 +591,7 @@ func runCube(m *AIG, o Options, dev *par.Device) Result {
 }
 
 func runBDD(m *AIG, o Options, _ *par.Device) Result {
-	equal, cex, err := bdd.CheckMiter(m, o.BDDNodeLimit, o.Stop)
+	equal, cex, err := bdd.CheckMiter(m, 0, o.Stop) // 0: the bdd default of 4M nodes
 	r := Result{EngineUsed: "bdd", Reduced: m, Stopped: errors.Is(err, bdd.ErrStopped)}
 	switch {
 	case err != nil:
@@ -720,7 +712,7 @@ func runPortfolio(m *AIG, o Options, _ *par.Device) Result {
 	fmu.Unlock()
 	return Result{
 		Outcome:    pr.Outcome,
-		Stopped:    pr.Outcome == Undecided && stopRequested(o.Stop),
+		Stopped:    pr.Outcome == Undecided && par.Stopped(o.Stop),
 		Degraded:   len(chain) > 0,
 		Faults:     chain,
 		CEX:        pr.CEX,
@@ -747,9 +739,9 @@ func addFaults(mu *sync.Mutex, dst *[]string, src []string) {
 // when Check returns, so that goroutine cannot leak.
 func mergeStop(a, b <-chan struct{}) <-chan struct{} {
 	switch {
-	case b == nil || stopRequested(a):
+	case b == nil || par.Stopped(a):
 		return a
-	case a == nil || stopRequested(b):
+	case a == nil || par.Stopped(b):
 		return b
 	}
 	out := make(chan struct{})
@@ -761,17 +753,4 @@ func mergeStop(a, b <-chan struct{}) <-chan struct{} {
 		close(out)
 	}()
 	return out
-}
-
-// stopRequested reports whether a cancellation channel has been closed.
-func stopRequested(stop <-chan struct{}) bool {
-	if stop == nil {
-		return false
-	}
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
 }
