@@ -1,8 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet test doccheck race service-race trace-race cluster-race cube-race bench benchtab bench-service bench-cluster fuzz fuzz-soak bench-difftest chaos soak-faults bench-fault bench-sched bench-cube ledger-test ledger-check
+.PHONY: all build vet test doccheck race service-race trace-race cluster-race cube-race bench benchtab fuzz fuzz-soak chaos soak-faults bench-sched bench-cube ledger-test ledger-check
 
-all: build vet doccheck test ledger-test fuzz chaos race service-race trace-race cluster-race cube-race bench-sched bench-cube
+# all runs the -sched and -cube experiments for their verdict gates but
+# writes their reports under .bench_build/, so it never rewrites the
+# committed BENCH_sched.json and BENCH_cube.json (make bench-sched and
+# make bench-cube regenerate those).
+all: build vet doccheck test ledger-test fuzz chaos race service-race trace-race cluster-race cube-race
+	mkdir -p .bench_build
+	$(GO) run ./cmd/benchtab -sched -schedjson .bench_build/BENCH_sched.json
+	$(GO) run ./cmd/benchtab -cube -cubejson .bench_build/BENCH_cube.json
 
 build:
 	$(GO) build ./...
@@ -74,11 +81,6 @@ fuzz-soak:
 	$(GO) run ./cmd/cecfuzz -seed 1 -n 2000 -shrink -timing
 	$(GO) test -race -fuzz FuzzBackendAgreement -fuzztime $(FUZZTIME) ./internal/difftest/
 
-# Differential smoke row for the bench report: agreement rate + per-backend
-# timing into BENCH_difftest.json.
-bench-difftest:
-	$(GO) run ./cmd/benchtab -difftest
-
 # Race-enabled chaos pass: injected worker panics, stalls and SAT blow-ups
 # across every backend and miter family (never-wrong + reusable-pool
 # contract), the watchdog accounting tests, the kernel panic-recovery
@@ -98,11 +100,6 @@ SOAK_N ?= 1000
 SOAK_FAULTS ?= par.worker.panic:p=0.3;sim.round.stall:p=0.05,delay=2ms;satsweep.pair.oom:p=0.3
 soak-faults:
 	$(GO) run ./cmd/cecfuzz -seed 1 -n $(SOAK_N) -no-metamorphic -faults "$(SOAK_FAULTS)"
-
-# Fault-layer overhead row (disabled vs armed-idle injector) into
-# BENCH_fault.json.
-bench-fault:
-	$(GO) run ./cmd/benchtab -fault
 
 # Microbenchmarks: the worker pool and exhaustive simulator, and the cut
 # kernels — BenchmarkCutsPass (strata kernel) against
@@ -132,18 +129,6 @@ cube-race:
 # the run.
 bench-cube:
 	$(GO) run ./cmd/benchtab -cube
-
-# Replay a generated-miter workload through the service layer and write
-# throughput + cache hit rate to BENCH_service.json.
-bench-service:
-	$(GO) run ./cmd/benchtab -service
-
-# Drive the full job workload through a coordinator fronting three real
-# worker processes (spawned via re-exec), cross-check every verdict against
-# a single-node replay, SIGKILL a worker mid-flight, and write aggregate
-# throughput + scaling vs BENCH_service.json to BENCH_cluster.json.
-bench-cluster:
-	$(GO) run ./cmd/benchtab -cluster
 
 benchtab:
 	$(GO) run ./cmd/benchtab -all

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -86,7 +84,7 @@ type cubeReport struct {
 // runCubeBench measures the cube-and-conquer prover on the Booth-vs-array
 // hard-miter families (EQ by construction and single-gate-flip NEQ) against
 // a starved simulation baseline and a conflict-budgeted SAT baseline, and
-// writes BENCH_cube.json. The run fails (non-zero exit) when:
+// writes the comparison to path. The run fails (non-zero exit) when:
 //
 //   - any verdict contradicts the ground truth (truth-table oracle up to 16
 //     PIs, by-construction beyond),
@@ -186,15 +184,10 @@ func runCubeBench(path string, size, workers int, seed int64) error {
 			"no family had both baselines undecided with cube deciding — not a hard-miter demonstrator")
 	}
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
+	fmt.Printf("%d/%d demonstrator rows\n", report.Totals.Demonstrators, len(report.Families))
+	if err := writeReport(path, "cube benchmark", report); err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("cube benchmark written to %s (%d/%d demonstrator rows)\n",
-		path, report.Totals.Demonstrators, len(report.Families))
 	if len(violations) > 0 {
 		return fmt.Errorf("cube benchmark violations:\n  %s", strings.Join(violations, "\n  "))
 	}

@@ -5,12 +5,6 @@
 //	benchtab -fig 6          Figure 6  (engine phase breakdown)
 //	benchtab -fig 7          Figure 7  (SAT time on P/PG/PGL miters)
 //	benchtab -all            everything
-//	benchtab -service        service-layer throughput + cache hit rate
-//	                         (BENCH_service.json)
-//	benchtab -cluster        coordinator/worker throughput over real worker
-//	                         processes + SIGKILL chaos (BENCH_cluster.json)
-//	benchtab -fault          fault-injection hook overhead, disabled vs
-//	                         armed-idle (BENCH_fault.json)
 //	benchtab -sched          adaptive class scheduler vs each forced single
 //	                         prover on every family (BENCH_sched.json)
 //	benchtab -cube           hard-miter experiment: starved sim + budgeted
@@ -18,9 +12,13 @@
 //	                         on Booth-vs-array miters (BENCH_cube.json)
 //
 // -size scales the instances (1 = quick, 2 = larger); -only restricts to a
-// comma-separated list of families. A filtered run is not a canonical
-// artifact: with -only set, the Table/Figure kernel profile and -sched write
-// their JSON only to a path named explicitly (-benchjson, -schedjson).
+// comma-separated list of families. The Table/Figure kernel profile is
+// written only to a path named with -benchjson. A filtered run is not a
+// canonical artifact: with -only set, -sched writes its JSON only to a path
+// named explicitly with -schedjson.
+//
+// Speed claims rest on the benchmark ledger (cmd/ledger), not on these
+// one-off runs.
 package main
 
 import (
@@ -50,23 +48,7 @@ func run() int {
 	only := flag.String("only", "", "comma-separated benchmark families to run")
 	workers := flag.Int("workers", 0, "parallel workers (0: all CPUs)")
 	seed := flag.Int64("seed", 1, "random simulation seed")
-	benchJSON := flag.String("benchjson", "BENCH_sim.json", "write per-kernel device statistics to this file (empty: disabled)")
-	svcBench := flag.Bool("service", false, "benchmark the service layer (queue+scheduler+cache) instead of the engines")
-	svcJSON := flag.String("servicejson", "BENCH_service.json", "service benchmark report path")
-	svcK := flag.Int("service-k", 2, "concurrent jobs (K) for -service")
-	svcJobs := flag.Int("service-jobs", 0, "total jobs replayed by -service, recorded in the report (0: rounds x distinct pairs)")
-	svcRounds := flag.Int("service-rounds", 3, "workload replay rounds for -service (round 1 misses, later rounds hit the cache)")
-	cluBench := flag.Bool("cluster", false, "benchmark the distributed path: an in-process coordinator driving real re-exec'd worker processes, then a SIGKILL chaos phase")
-	cluJSON := flag.String("clusterjson", "BENCH_cluster.json", "cluster benchmark report path")
-	cluJobs := flag.Int("cluster-jobs", 100000, "replay submissions for the -cluster throughput phase")
-	cluWorkers := flag.Int("cluster-workers", 3, "worker processes spawned by -cluster")
-	cluWorkerJoin := flag.String("cluster-worker-join", "", "internal: become a -cluster worker process joined to this coordinator URL")
-	cluWorkerID := flag.String("cluster-worker-id", "", "internal: worker identity for -cluster-worker-join")
-	dtBench := flag.Bool("difftest", false, "run the differential-harness smoke sweep and record the backend agreement rate")
-	dtJSON := flag.String("difftestjson", "BENCH_difftest.json", "difftest smoke report path")
-	dtN := flag.Int("difftest-n", 50, "cases for the -difftest sweep")
-	fltBench := flag.Bool("fault", false, "measure the fault-injection layer's overhead (nil vs armed-idle injector)")
-	fltJSON := flag.String("faultjson", "BENCH_fault.json", "fault overhead report path")
+	benchJSON := flag.String("benchjson", "", "write per-kernel device statistics to this file (empty: disabled)")
 	schedBench := flag.Bool("sched", false, "compare the adaptive class scheduler against each forced single prover on every family")
 	schedJSON := flag.String("schedjson", "BENCH_sched.json", "class-scheduler benchmark report path")
 	schedBudget := flag.Duration("sched-budget", 90*time.Second, "wall-clock budget per forced single-prover baseline run for -sched (0: unlimited)")
@@ -78,12 +60,10 @@ func run() int {
 	if *only != "" {
 		named := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { named[f.Name] = true })
-		for name, path := range map[string]*string{"benchjson": benchJSON, "schedjson": schedJSON} {
-			if !named[name] {
-				*path = ""
-			}
+		if !named["schedjson"] {
+			*schedJSON = ""
 		}
-		fmt.Println("filtered run (-only): no canonical BENCH_*.json is written; name -benchjson or -schedjson to write a report")
+		fmt.Println("filtered run (-only): no canonical BENCH_*.json is written; name -schedjson to write a report")
 	}
 
 	if *cpuProfile != "" {
@@ -114,37 +94,6 @@ func run() int {
 		return 0
 	}
 
-	if *fltBench {
-		if err := runFaultBench(*fltJSON, *seed, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			return 2
-		}
-		return 0
-	}
-	if *dtBench {
-		if err := runDifftestBench(*dtJSON, *seed, *dtN, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			return 2
-		}
-		return 0
-	}
-	if *cluWorkerJoin != "" {
-		return runClusterWorker(*cluWorkerJoin, *cluWorkerID)
-	}
-	if *cluBench {
-		if err := runClusterBench(*cluJSON, *svcJSON, *cluJobs, *cluWorkers); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			return 2
-		}
-		return 0
-	}
-	if *svcBench {
-		if err := runServiceBench(*svcJSON, *svcK, *workers, *svcRounds, *svcJobs); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			return 2
-		}
-		return 0
-	}
 	if *all {
 		*table = 2
 		*fig = 67

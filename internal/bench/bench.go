@@ -100,7 +100,7 @@ type Options struct {
 	SimConfig *core.Config
 	// Dev, when non-nil, is the shared parallel device every engine run
 	// dispatches on, so one kernel profile accumulates across the whole
-	// harness run (the machine-readable BENCH_sim.json of benchtab).
+	// harness run (the kernel profile benchtab writes with -benchjson).
 	// When nil, each run gets a fresh device with Workers workers.
 	Dev *par.Device
 }

@@ -22,14 +22,11 @@ type nodeClient struct {
 	hc   *http.Client
 }
 
-func newNodeClient(base string, timeout time.Duration) *nodeClient {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
+func newNodeClient(base string) *nodeClient {
 	return &nodeClient{
 		base: strings.TrimRight(base, "/"),
 		hc: &http.Client{
-			Timeout: timeout,
+			Timeout: requestTimeout,
 			Transport: &http.Transport{
 				MaxIdleConnsPerHost: 16,
 				IdleConnTimeout:     30 * time.Second,

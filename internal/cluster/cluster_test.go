@@ -41,8 +41,10 @@ func circuits(t *testing.T) {
 		if eqA, eqB, buildErr = mk("multiplier", 6); buildErr != nil {
 			return
 		}
+		// The bug masks PO 3 with PI 0: only inputs with PI 0 low and PO 3
+		// high tell the pair apart, so not every pattern is a counter-example.
 		neqA, neqB = eqA.Copy(), eqB.Copy()
-		neqB.SetPO(3, neqB.PO(3).Not())
+		neqB.SetPO(3, neqB.And(neqB.PO(3), neqB.PI(0)))
 		slowA, slowB, buildErr = mk("multiplier", 8)
 	})
 	if buildErr != nil {
@@ -50,24 +52,24 @@ func circuits(t *testing.T) {
 	}
 }
 
-// eqVariant returns the fast pair with PO i complemented on both sides:
-// still equivalent, structurally distinct per i (distinct semantic key).
-func eqVariant(i int) (*aig.AIG, *aig.AIG) {
-	a, b := eqA.Copy(), eqB.Copy()
+// poVariant returns copies of the pair with PO i complemented on both
+// sides: the verdict is unchanged, the semantic key is distinct per i.
+func poVariant(a, b *aig.AIG, i int) (*aig.AIG, *aig.AIG) {
+	a, b = a.Copy(), b.Copy()
 	i %= a.NumPOs()
 	a.SetPO(i, a.PO(i).Not())
 	b.SetPO(i, b.PO(i).Not())
 	return a, b
 }
 
-// slowVariant is eqVariant over the slow pair.
-func slowVariant(i int) (*aig.AIG, *aig.AIG) {
-	a, b := slowA.Copy(), slowB.Copy()
-	i %= a.NumPOs()
-	a.SetPO(i, a.PO(i).Not())
-	b.SetPO(i, b.PO(i).Not())
-	return a, b
-}
+// eqVariant is poVariant over the fast pair: still equivalent.
+func eqVariant(i int) (*aig.AIG, *aig.AIG) { return poVariant(eqA, eqB, i) }
+
+// neqVariant is poVariant over the buggy pair: still not equivalent.
+func neqVariant(i int) (*aig.AIG, *aig.AIG) { return poVariant(neqA, neqB, i) }
+
+// slowVariant is poVariant over the slow pair.
+func slowVariant(i int) (*aig.AIG, *aig.AIG) { return poVariant(slowA, slowB, i) }
 
 func pairBody(t *testing.T, a, b *aig.AIG) []byte {
 	return pairBodyEngine(t, a, b, "")
@@ -317,12 +319,15 @@ func TestWorkerDeathRequeuesWithoutLossOrLies(t *testing.T) {
 	w1 := startWorker(t, base, "w1", 1, false)
 	waitWorkers(t, co, 1, 10*time.Second)
 
-	// Pin w1 down with a slow SAT job, then pile on fast ones.
+	// Pin w1 down with a slow SAT job, then pile on fast ones. Wait until
+	// the slow job runs on w1's single runner: dispatch alone races with
+	// the fast jobs' submits, and a fast job that reaches w1 first would
+	// settle there before the death.
 	sj, _ := postJob(t, base, pairBodyEngine(t, slowA, slowB, simsweep.EngineSAT))
 	deadline := time.Now().Add(30 * time.Second)
-	for getJob(t, base, sj.ID).Node != "w1" {
+	for getJob(t, base, sj.ID).Node != "w1" || w1.svc.Stats().Running == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("slow job never dispatched to w1")
+			t.Fatal("slow job never started on w1")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

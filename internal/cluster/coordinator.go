@@ -33,6 +33,24 @@ import (
 	"simsweep/internal/service"
 )
 
+// Fixed coordinator tuning.
+const (
+	// pollInterval is the initial remote-job poll period (backs off to
+	// ~10x under a steady poll).
+	pollInterval = 2 * time.Millisecond
+	// maxRequeues caps how often one job survives node deaths before it
+	// is failed outright.
+	maxRequeues = 5
+	// replicas is the number of virtual ring points per worker.
+	replicas = 64
+	// requestTimeout bounds each coordinator->worker HTTP call.
+	requestTimeout = 10 * time.Second
+	// federationSize bounds the verdict index.
+	federationSize = 4096
+	// retainJobs bounds how many finished job records are kept for GET.
+	retainJobs = 4096
+)
+
 // Config tunes a Coordinator. The zero value works for tests; New fills
 // defaults.
 type Config struct {
@@ -42,26 +60,9 @@ type Config struct {
 	SweepInterval time.Duration // default HeartbeatTimeout/4
 	// Slots is the number of concurrent dispatches per worker.
 	Slots int // default 4
-	// PollInterval is the initial remote-job poll period (backs off to
-	// ~10x under a steady poll).
-	PollInterval time.Duration // default 2ms
-	// MaxRequeues caps how often one job survives node deaths before it
-	// is failed outright.
-	MaxRequeues int // default 5
-	// Replicas is the number of virtual ring points per worker.
-	Replicas int // default 64
-	// RequestTimeout bounds each coordinator->worker HTTP call.
-	RequestTimeout time.Duration // default 10s
-	// FederationSize bounds the verdict index.
-	FederationSize int // default 4096
-	// RetainJobs bounds how many finished job records are kept for GET.
-	RetainJobs int // default 4096
 	// Faults optionally arms the cluster.worker.kill hook: each fire
-	// sabotages the dispatch target (via Sabotage) and declares it dead.
+	// declares the dispatch target dead.
 	Faults *fault.Injector
-	// Sabotage, if set, is invoked with the node ID when the kill hook
-	// fires; harnesses install a real process killer here.
-	Sabotage func(node string)
 	// Log receives one-line operational events (nil = silent).
 	Log io.Writer
 }
@@ -75,24 +76,6 @@ func (c *Config) fill() {
 	}
 	if c.Slots <= 0 {
 		c.Slots = 4
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 2 * time.Millisecond
-	}
-	if c.MaxRequeues <= 0 {
-		c.MaxRequeues = 5
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.FederationSize <= 0 {
-		c.FederationSize = 4096
-	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 4096
 	}
 }
 
@@ -184,11 +167,11 @@ func New(cfg Config) *Coordinator {
 		cfg:     cfg,
 		jobs:    make(map[string]*cjob),
 		infl:    make(map[service.Key]*cjob),
-		ring:    newRing(cfg.Replicas),
+		ring:    newRing(replicas),
 		workers: make(map[string]*member),
 		memo:    make(map[string]bodyMeta),
 		byState: make(map[service.State]uint64),
-		fed:     newFedCache(cfg.FederationSize),
+		fed:     newFedCache(federationSize),
 		stop:    make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -258,7 +241,7 @@ func (c *Coordinator) Heartbeat(hb heartbeatWire) (int, error) {
 		m = &member{
 			id:     hb.ID,
 			url:    hb.URL,
-			client: newNodeClient(hb.URL, c.cfg.RequestTimeout),
+			client: newNodeClient(hb.URL),
 		}
 		c.workers[hb.ID] = m
 		c.ring.Add(hb.ID)
@@ -275,7 +258,7 @@ func (c *Coordinator) Heartbeat(hb heartbeatWire) (int, error) {
 	} else if m.url != hb.URL {
 		// Same identity, new address: the process restarted behind us.
 		m.url = hb.URL
-		m.client = newNodeClient(hb.URL, c.cfg.RequestTimeout)
+		m.client = newNodeClient(hb.URL)
 		c.logf("cluster: worker %s moved to %s", hb.ID, hb.URL)
 	}
 	m.lastBeat = now
@@ -323,7 +306,7 @@ func (c *Coordinator) requeueLocked(j *cjob, reason string) {
 	}
 	j.requeues++
 	c.requeues++
-	if j.requeues > c.cfg.MaxRequeues {
+	if j.requeues > maxRequeues {
 		c.settleLocked(j, service.StateFailed,
 			fmt.Sprintf("cluster: job requeued %d times without a verdict (last: %s)", j.requeues-1, reason))
 		return
@@ -414,9 +397,6 @@ func (c *Coordinator) takeLocked(m *member) *cjob {
 func (c *Coordinator) runRemote(m *member, j *cjob) {
 	if c.cfg.Faults.Fire(fault.HookClusterKill) {
 		c.logf("cluster: fault hook %s fired for node %s", fault.HookClusterKill, m.id)
-		if c.cfg.Sabotage != nil {
-			c.cfg.Sabotage(m.id)
-		}
 		c.failNode(m, j, errors.New("dispatch target sabotaged by "+fault.HookClusterKill))
 		return
 	}
@@ -457,8 +437,8 @@ func (c *Coordinator) runRemote(m *member, j *cjob) {
 		return
 	}
 
-	delay := c.cfg.PollInterval
-	maxDelay := 10 * c.cfg.PollInterval
+	delay := pollInterval
+	maxDelay := 10 * pollInterval
 	fails := 0
 	cancelSent := false
 	for {
@@ -586,7 +566,7 @@ func (c *Coordinator) settleLocked(j *cjob, st service.State, msg string) {
 		c.resolveFollowersLocked(j)
 	}
 	c.done = append(c.done, j.id)
-	for len(c.done) > c.cfg.RetainJobs {
+	for len(c.done) > retainJobs {
 		delete(c.jobs, c.done[0])
 		c.done = c.done[1:]
 	}

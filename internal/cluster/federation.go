@@ -139,9 +139,6 @@ type fedEntry struct {
 }
 
 func newFedCache(capacity int) *fedCache {
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	return &fedCache{cap: capacity, order: list.New(), byKey: make(map[service.Key]*list.Element)}
 }
 

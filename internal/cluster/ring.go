@@ -26,9 +26,6 @@ type ringPoint struct {
 }
 
 func newRing(replicas int) *hashRing {
-	if replicas <= 0 {
-		replicas = 64
-	}
 	return &hashRing{replicas: replicas, nodes: make(map[string]bool)}
 }
 

@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"slices"
 	"testing"
 	"time"
 
 	"simsweep"
+	"simsweep/internal/aig"
 	"simsweep/internal/service"
 )
 
@@ -71,7 +73,8 @@ func spawnWorkerProcess(t *testing.T, coURL, id string) *exec.Cmd {
 // TestSIGKILLWorkerMidSweep drives jobs through two real worker processes
 // and SIGKILLs the one running a long SAT sweep. Every job — including the
 // one that died mid-execution — must settle exactly once on the survivor
-// with a correct verdict: zero lost jobs, zero wrong verdicts.
+// with a correct verdict: zero lost jobs, zero wrong verdicts. The NEQ jobs
+// must also keep a counter-example that tells their two circuits apart.
 func TestSIGKILLWorkerMidSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills real processes")
@@ -105,6 +108,16 @@ func TestSIGKILLWorkerMidSweep(t *testing.T) {
 		j, _ := postJob(t, base, pairBody(t, a, b))
 		ids = append(ids, j.ID)
 	}
+	type neqJob struct {
+		id   string
+		a, b *aig.AIG
+	}
+	var neqs []neqJob
+	for i := 0; i < 3; i++ {
+		a, b := neqVariant(i)
+		j, _ := postJob(t, base, pairBody(t, a, b))
+		neqs = append(neqs, neqJob{j.ID, a, b})
+	}
 
 	// SIGKILL the worker process holding the slow job.
 	if err := procs[victim].Process.Kill(); err != nil {
@@ -120,6 +133,22 @@ func TestSIGKILLWorkerMidSweep(t *testing.T) {
 		j := waitJob(t, base, id, 180*time.Second)
 		if service.State(j.State) != service.StateDone || j.Verdict != simsweep.Equivalent.String() {
 			t.Fatalf("job %s after SIGKILL: state=%s verdict=%q err=%q", id, j.State, j.Verdict, j.Error)
+		}
+	}
+	for _, nj := range neqs {
+		j := waitJob(t, base, nj.id, 180*time.Second)
+		if service.State(j.State) != service.StateDone || j.Verdict != simsweep.NotEquivalent.String() {
+			t.Fatalf("NEQ job %s after SIGKILL: state=%s verdict=%q err=%q", nj.id, j.State, j.Verdict, j.Error)
+		}
+		if len(j.CEX) != nj.a.NumPIs() {
+			t.Fatalf("NEQ job %s: counter-example has %d inputs, want %d", nj.id, len(j.CEX), nj.a.NumPIs())
+		}
+		in := make([]bool, len(j.CEX))
+		for i, v := range j.CEX {
+			in[i] = v == 1
+		}
+		if slices.Equal(nj.a.Eval(in), nj.b.Eval(in)) {
+			t.Fatalf("NEQ job %s: counter-example %v does not tell the circuits apart", nj.id, j.CEX)
 		}
 	}
 	// The slow job must have been re-run by the survivor specifically.

@@ -253,19 +253,6 @@ func AddPOs(g *aig.AIG, b BV) {
 	}
 }
 
-// leadingOne returns, for an n-bit vector, a one-hot vector marking the
-// most significant set bit, plus a "zero" flag.
-func leadingOne(g *aig.AIG, x BV) (BV, aig.Lit) {
-	n := len(x)
-	oneHot := make(BV, n)
-	noneAbove := aig.True
-	for i := n - 1; i >= 0; i-- {
-		oneHot[i] = g.And(noneAbove, x[i])
-		noneAbove = g.And(noneAbove, x[i].Not())
-	}
-	return oneHot, noneAbove
-}
-
 // barrelShiftToMSB left-shifts x so its leading one lands at the top bit,
 // returning the normalised vector and the binary shift amount. This is the
 // normalisation stage of the log2 datapath.

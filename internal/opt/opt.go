@@ -449,38 +449,6 @@ func bestCut(pcuts []cuts.Cut) *cuts.Cut {
 	return best
 }
 
-// mffcSize counts the AND nodes of id's cone (stopped at the cut leaves)
-// that are referenced only from within the cone — the logic that dies if
-// the node is re-expressed over the cut.
-func mffcSize(g *aig.AIG, root int, leaves []int32, fanouts []int32) int {
-	stop := make(map[int]bool, len(leaves))
-	for _, l := range leaves {
-		stop[int(l)] = true
-	}
-	cone := g.ConeNodes([]int{root}, stop)
-	inCone := make(map[int32]bool, len(cone))
-	for _, id := range cone {
-		inCone[id] = true
-	}
-	// Count references into each cone node from inside the cone.
-	inner := make(map[int32]int32, len(cone))
-	for _, id := range cone {
-		f0, f1 := g.Fanins(int(id))
-		for _, f := range [2]aig.Lit{f0, f1} {
-			if inCone[int32(f.ID())] {
-				inner[int32(f.ID())]++
-			}
-		}
-	}
-	size := 0
-	for _, id := range cone {
-		if int(id) == root || fanouts[id] == inner[id] {
-			size++
-		}
-	}
-	return size
-}
-
 // localTT evaluates the truth table of root over the cut leaves.
 func localTT(g *aig.AIG, root int, leaves []int32) (tt.TT, bool) {
 	k := len(leaves)

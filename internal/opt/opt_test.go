@@ -158,35 +158,6 @@ func TestRewriteProducesDifferentStructure(t *testing.T) {
 	}
 }
 
-func TestMffcSize(t *testing.T) {
-	g := aig.New()
-	a := g.AddPI()
-	b := g.AddPI()
-	c := g.AddPI()
-	ab := g.And(a, b)
-	abc := g.And(ab, c)
-	g.AddPO(abc)
-	fanouts := g.FanoutCounts()
-	// Cut {a,b,c}: the whole cone {ab, abc} is the MFFC of abc.
-	size := mffcSize(g, abc.ID(), []int32{int32(a.ID()), int32(b.ID()), int32(c.ID())}, fanouts)
-	if size != 2 {
-		t.Fatalf("mffc = %d, want 2", size)
-	}
-	// Shared node: ab also feeds another output -> MFFC shrinks to 1.
-	g2 := aig.New()
-	a2 := g2.AddPI()
-	b2 := g2.AddPI()
-	c2 := g2.AddPI()
-	ab2 := g2.And(a2, b2)
-	abc2 := g2.And(ab2, c2)
-	g2.AddPO(abc2)
-	g2.AddPO(ab2)
-	size = mffcSize(g2, abc2.ID(), []int32{int32(a2.ID()), int32(b2.ID()), int32(c2.ID())}, g2.FanoutCounts())
-	if size != 1 {
-		t.Fatalf("mffc with shared node = %d, want 1", size)
-	}
-}
-
 func TestLocalTT(t *testing.T) {
 	g := aig.New()
 	a := g.AddPI()

@@ -191,19 +191,6 @@ func (t TT) Equal(u TT) bool {
 	return true
 }
 
-// EqualComplement reports whether t is the bitwise complement of u.
-func (t TT) EqualComplement(u TT) bool {
-	if t.NumVars != u.NumVars {
-		return false
-	}
-	for i, w := range t.Words {
-		if w != ^u.Words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // IsConst0 reports whether t is the constant-0 function.
 func (t TT) IsConst0() bool {
 	for _, w := range t.Words {
