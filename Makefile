@@ -1,15 +1,13 @@
 GO ?= go
 
-.PHONY: all build vet test doccheck race service-race trace-race cluster-race cube-race bench benchtab fuzz fuzz-soak chaos soak-faults bench-sched bench-cube ledger-test ledger-check
+.PHONY: all build vet test doccheck race service-race trace-race cluster-race bench benchtab fuzz fuzz-soak chaos soak-faults bench-sched ledger-test ledger-check
 
-# all runs the -sched and -cube experiments for their verdict gates but
-# writes their reports under .bench_build/, so it never rewrites the
-# committed BENCH_sched.json and BENCH_cube.json (make bench-sched and
-# make bench-cube regenerate those).
-all: build vet doccheck test ledger-test fuzz chaos race service-race trace-race cluster-race cube-race
+# all runs the -sched experiment for its verdict gate but writes its
+# report under .bench_build/, so it never rewrites the committed
+# BENCH_sched.json (make bench-sched regenerates that).
+all: build vet doccheck test ledger-test fuzz chaos race service-race trace-race cluster-race
 	mkdir -p .bench_build
 	$(GO) run ./cmd/benchtab -sched -schedjson .bench_build/BENCH_sched.json
-	$(GO) run ./cmd/benchtab -cube -cubejson .bench_build/BENCH_cube.json
 
 build:
 	$(GO) build ./...
@@ -114,21 +112,6 @@ bench:
 # BENCH_sched.json. Any verdict disagreement fails the run.
 bench-sched:
 	$(GO) run ./cmd/benchtab -sched
-
-# Race-detector pass over the cube-and-conquer prover: the decomposition
-# property tests, the hard-miter acceptance experiment and the chaos matrix
-# rows that sabotage cube solves mid-flight.
-cube-race:
-	$(GO) test -race ./internal/cube/
-	$(GO) test -race -run 'TestChaos' ./internal/fault/
-
-# Hard-miter experiment: starved sim + conflict-budgeted SAT baselines vs
-# the cube-and-conquer prover on Booth-vs-array multiplier miters, written
-# to BENCH_cube.json. Every verdict is oracle-cross-checked; any
-# contradiction, missing counter-example or absent demonstrator row fails
-# the run.
-bench-cube:
-	$(GO) run ./cmd/benchtab -cube
 
 benchtab:
 	$(GO) run ./cmd/benchtab -all

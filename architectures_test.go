@@ -50,6 +50,42 @@ func TestArrayVsBoothMultiplier(t *testing.T) {
 	if res.Outcome != Equivalent {
 		t.Fatalf("array vs booth = %v", res.Outcome)
 	}
+
+	// The Booth-vs-array miters of gen.BoothArrayMiter, both polarities:
+	// the default engine must reach the verdict the generator promises,
+	// and every counter-example must replay.
+	for w := 5; w <= 8; w++ {
+		for _, flip := range []bool{false, true} {
+			m, err := gen.BoothArrayMiter(w, flip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Equivalent
+			if flip {
+				want = NotEquivalent
+			}
+			res, err := CheckMiter(m, Options{Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outcome != want {
+				t.Fatalf("%s: outcome %v, want %v", m.Name, res.Outcome, want)
+			}
+			if !flip {
+				continue
+			}
+			if len(res.CEX) != m.NumPIs() {
+				t.Fatalf("%s: counter-example has %d inputs, want %d", m.Name, len(res.CEX), m.NumPIs())
+			}
+			fired := false
+			for _, v := range m.Eval(res.CEX) {
+				fired = fired || v
+			}
+			if !fired {
+				t.Fatalf("%s: counter-example does not fire the miter", m.Name)
+			}
+		}
+	}
 }
 
 func TestBoothWithInjectedRecodeBug(t *testing.T) {

@@ -7,9 +7,6 @@
 //	benchtab -all            everything
 //	benchtab -sched          adaptive class scheduler vs each forced single
 //	                         prover on every family (BENCH_sched.json)
-//	benchtab -cube           hard-miter experiment: starved sim + budgeted
-//	                         SAT baselines vs the cube-and-conquer prover
-//	                         on Booth-vs-array miters (BENCH_cube.json)
 //
 // -size scales the instances (1 = quick, 2 = larger); -only restricts to a
 // comma-separated list of families. The Table/Figure kernel profile is
@@ -52,8 +49,6 @@ func run() int {
 	schedBench := flag.Bool("sched", false, "compare the adaptive class scheduler against each forced single prover on every family")
 	schedJSON := flag.String("schedjson", "BENCH_sched.json", "class-scheduler benchmark report path")
 	schedBudget := flag.Duration("sched-budget", 90*time.Second, "wall-clock budget per forced single-prover baseline run for -sched (0: unlimited)")
-	cubeBench := flag.Bool("cube", false, "run the hard-miter experiment: starved sim + budgeted SAT baselines vs the cube-and-conquer prover on Booth-vs-array miters")
-	cubeJSON := flag.String("cubejson", "BENCH_cube.json", "cube benchmark report path")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	flag.Parse()
 
@@ -79,13 +74,6 @@ func run() int {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *cubeBench {
-		if err := runCubeBench(*cubeJSON, *size, *workers, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			return 2
-		}
-		return 0
-	}
 	if *schedBench {
 		if err := runSchedBench(*schedJSON, *size, *only, *workers, *seed, *schedBudget); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtab:", err)

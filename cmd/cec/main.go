@@ -2,7 +2,7 @@
 // (or decides a single miter) with any engine of the simsweep engine
 // table: the simulation-based sweeping engine, the SAT sweeping baseline,
 // the BDD engine, the hybrid sim+SAT flow, the adaptive per-class
-// scheduler, the cube-and-conquer prover or a portfolio race.
+// scheduler or a portfolio race.
 //
 // Usage:
 //
@@ -23,6 +23,7 @@ import (
 
 	"simsweep"
 	"simsweep/internal/core"
+	"simsweep/internal/fault"
 )
 
 func main() {
@@ -47,7 +48,7 @@ func run() int {
 	verbose := flag.Bool("v", false, "print per-phase statistics")
 	tracePath := flag.String("trace", "", "record an execution trace and write it as Chrome trace_event JSON to this file (load in Perfetto)")
 	phaseReport := flag.Bool("phase-report", false, "print the traced phase breakdown table (implies tracing)")
-	faults := flag.String("faults", "", "inject faults: 'hook:p=0.1,at=3,every=2,limit=1,delay=5ms;...' (hooks: par.worker.panic, sim.round.stall, satsweep.pair.oom, cube.solve.panic, service.runner.crash)")
+	faults := flag.String("faults", "", "inject faults: 'hook:p=0.1,at=3,every=2,limit=1,delay=5ms;...' (hooks: "+strings.Join(fault.Hooks(), ", ")+")")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault hooks")
 	phaseBudget := flag.Duration("phase-budget", 0, "wall-clock watchdog per simulation phase; a phase over budget is cancelled and the check degrades (0: off)")
 	cutK := flag.Int("cut-k", 0, "max cut size k_l for local function checking (0: paper default 8)")

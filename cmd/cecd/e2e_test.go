@@ -333,6 +333,7 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		"bad base64":     {"a": "!!!", "b": "!!!"},
 		"bad aiger":      {"a": base64.StdEncoding.EncodeToString([]byte("nonsense")), "b": base64.StdEncoding.EncodeToString([]byte("nonsense"))},
 		"unknown engine": {"miter": "YWFnIDEgMCAwIDEgMAox", "engine": "quantum"},
+		"retired engine": {"miter": "YWFnIDEgMCAwIDEgMAox", "engine": "cube"},
 	} {
 		_, status := postJob(t, ts.URL, body)
 		if status != http.StatusBadRequest {

@@ -58,7 +58,6 @@ func run() int {
 	timing := flag.Bool("timing", false, "print the per-backend timing table to stderr")
 	faults := flag.String("faults", "", "fault-injection spec armed inside every engine backend, e.g. \"par.worker.panic:p=0.3;sim.round.stall:p=0.1,delay=5ms\"")
 	schedFocus := flag.Bool("sched", false, "focus the roster on the class scheduler: oracle + hybrid + sched backends only")
-	cubeFocus := flag.Bool("cube", false, "focus the roster on the cube-and-conquer prover: oracle + hybrid + cube backends only")
 	clusterNodes := flag.Int("cluster", 0, "append an in-process coordinator/worker cluster backend with this many worker daemons (0: off)")
 	clusterKill := flag.Int("cluster-kill-every", 25, "with -cluster, crash-and-revive one worker every this many cluster checks (0: no sabotage)")
 	flag.Parse()
@@ -74,20 +73,14 @@ func run() int {
 		CorpusDir:    *corpus,
 		FaultSpec:    *faults,
 	}
-	if *schedFocus || *cubeFocus || *clusterNodes > 0 {
+	if *schedFocus || *clusterNodes > 0 {
 		backends, berr := difftest.DefaultBackendsWithFaults(*workers, *seed, *faults)
 		if berr != nil {
 			fmt.Fprintln(os.Stderr, "cecfuzz:", berr)
 			return 2
 		}
-		if *schedFocus || *cubeFocus {
-			keep := map[string]bool{"oracle": true, "hybrid": true}
-			if *schedFocus {
-				keep["sched"] = true
-			}
-			if *cubeFocus {
-				keep["cube"] = true
-			}
+		if *schedFocus {
+			keep := map[string]bool{"oracle": true, "hybrid": true, "sched": true}
 			var focused []difftest.Backend
 			for _, b := range backends {
 				if keep[b.Name] {

@@ -80,13 +80,13 @@ type Config struct {
 	// marked degraded: the trip only counts when the phase observes the
 	// cancel and abandons work. Zero disables the watchdog.
 	PhaseBudget time.Duration
-	// PhaseWorkBudget caps the estimated simulation effort one phase may
+	// phaseWorkBudget caps the estimated simulation effort one phase may
 	// submit, in node·word units (the windowWork metric that also drives
 	// the per-window cap maxWindowWork). A phase that would exceed it stops
 	// submitting windows and the run degrades as for PhaseBudget — the
 	// watchdog's memory/work estimate, complementing the wall-clock bound.
-	// Zero disables the cap.
-	PhaseWorkBudget int64
+	// Zero disables the cap. Only tests set it.
+	phaseWorkBudget int64
 	// Faults, when armed, injects deterministic faults into the engine and
 	// the simulators under it (see internal/fault). The caller also arms it
 	// on the device (Dev.SetFaults) for kernel-panic injection; the facade

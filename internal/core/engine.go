@@ -84,7 +84,7 @@ type engine struct {
 	// Watchdog state of the phase currently executing. wdStop is closed by
 	// the wall-clock timer when Config.PhaseBudget elapses and is polled at
 	// the same points as Config.Stop; wdWork accumulates submitted window
-	// work against Config.PhaseWorkBudget; phaseAborted records that the
+	// work against Config.phaseWorkBudget; phaseAborted records that the
 	// phase observed a trip (or a survivable fault) and abandoned work —
 	// only then is the run marked Degraded, so a phase that completes
 	// exactly at its budget is not spuriously penalised. curPhase labels
@@ -135,14 +135,14 @@ func (e *engine) stopped() bool {
 // addWork charges the estimated effort of a window against the phase work
 // budget and reports whether the phase may still submit it.
 func (e *engine) addWork(work int64) bool {
-	if e.cfg.PhaseWorkBudget <= 0 {
+	if e.cfg.phaseWorkBudget <= 0 {
 		return true
 	}
 	e.wdWork += work
-	if e.wdWork <= e.cfg.PhaseWorkBudget {
+	if e.wdWork <= e.cfg.phaseWorkBudget {
 		return true
 	}
-	e.abortPhase("core.watchdog: phase %s exceeded work budget %d node·words", e.curPhase, e.cfg.PhaseWorkBudget)
+	e.abortPhase("core.watchdog: phase %s exceeded work budget %d node·words", e.curPhase, e.cfg.phaseWorkBudget)
 	return false
 }
 

@@ -44,7 +44,7 @@ func checkTraceMatchesPhaseStats(t *testing.T, m *aig.AIG, want miter.Outcome) {
 	// Generous watchdog budgets: arming the watchdog machinery must not
 	// perturb the phase accounting the trace is reconciled against.
 	cfg.PhaseBudget = time.Minute
-	cfg.PhaseWorkBudget = 1 << 40
+	cfg.phaseWorkBudget = 1 << 40
 	res := CheckMiter(m, cfg)
 	tr.Disable()
 	if res.Degraded {

@@ -75,7 +75,7 @@ func TestWorkBudgetDegradesNeverWrong(t *testing.T) {
 	}
 	m := mustMiter(t, g, opt.Resyn2(g, nil))
 	cfg := smallConfig()
-	cfg.PhaseWorkBudget = 1
+	cfg.phaseWorkBudget = 1
 	res := CheckMiter(m, cfg)
 	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("work-starved run reported NOT equivalent on an equivalent miter")
@@ -98,7 +98,7 @@ func TestGenerousBudgetsLeaveRunHealthy(t *testing.T) {
 	m := mustMiter(t, g, opt.Resyn2(g, nil))
 	cfg := smallConfig()
 	cfg.PhaseBudget = time.Minute
-	cfg.PhaseWorkBudget = 1 << 40
+	cfg.phaseWorkBudget = 1 << 40
 	res := CheckMiter(m, cfg)
 	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v, want equivalent", res.Outcome)

@@ -52,10 +52,6 @@ const (
 	// by panicking before a pair's SAT call; satsweep recovers it into an
 	// Undecided result with the fault recorded.
 	HookSATOOM = "satsweep.pair.oom"
-	// HookCubePanic panics inside one cube's solve of the cube-and-conquer
-	// backend; the cube runner recovers it into an unknown cube, so a
-	// faulted run degrades to Undecided instead of claiming equivalence.
-	HookCubePanic = "cube.solve.panic"
 	// HookRunnerCrash crashes a service runner between jobs; the runner
 	// recovers, re-queues the job once with backoff, then fails it.
 	HookRunnerCrash = "service.runner.crash"
@@ -68,7 +64,7 @@ const (
 
 // Hooks returns the catalogue of known hook names, sorted.
 func Hooks() []string {
-	return []string{HookClusterKill, HookCubePanic, HookRunnerCrash, HookSATOOM, HookSimStall, HookWorkerPanic}
+	return []string{HookClusterKill, HookWorkerPanic, HookSATOOM, HookRunnerCrash, HookSimStall}
 }
 
 // defaultStall is the delay applied by stall-style hooks when the spec does

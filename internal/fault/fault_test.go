@@ -19,6 +19,7 @@ func TestParseErrors(t *testing.T) {
 		"sim.round.stall:delay=-5ms",
 		"sim.round.stall:delay=xyz",
 		"par.worker.panic;par.worker.panic",
+		"cube.solve.panic",
 	}
 	for _, spec := range cases {
 		if _, err := Parse(spec, 1); err == nil {

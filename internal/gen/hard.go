@@ -20,9 +20,7 @@ import (
 // deterministically by bit-parallel simulation over every candidate: among
 // the flips with a confirmed differing input pattern, the one observable
 // on the fewest sampled patterns wins. The result is a guaranteed-NEQ
-// miter whose counter-examples are rare — a needle that random simulation
-// under a tight budget is unlikely to hit, while a decision procedure
-// (decomposed SAT in particular) finds it reliably.
+// miter whose counter-examples are as rare as one gate flip allows.
 func BoothArrayMiter(width int, flip bool) (*aig.AIG, error) {
 	array, err := Multiplier(width)
 	if err != nil {

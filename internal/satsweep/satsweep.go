@@ -28,13 +28,13 @@ type Options struct {
 	Dev *par.Device
 	// ConflictLimit bounds each SAT call (ABC's -C); 0 means unlimited.
 	ConflictLimit int64
-	// SimWords is the number of 64-pattern words of initial random
-	// stimulus (default 8).
-	SimWords int
+	// simWords is the number of 64-pattern words of initial random
+	// stimulus (default 8). Only tests set it, as they do maxRounds.
+	simWords int
 	// Seed seeds the random patterns.
 	Seed int64
-	// MaxRounds bounds the sweep-reduce iterations (default 64).
-	MaxRounds int
+	// maxRounds bounds the sweep-reduce iterations (default 64).
+	maxRounds int
 	// Stop, when non-nil, cancels the sweep cooperatively (checked
 	// between SAT calls); a cancelled run returns Undecided.
 	Stop <-chan struct{}
@@ -59,11 +59,11 @@ func (o *Options) fill() {
 	if o.Dev == nil {
 		o.Dev = par.NewDevice(0)
 	}
-	if o.SimWords <= 0 {
-		o.SimWords = 8
+	if o.simWords <= 0 {
+		o.simWords = 8
 	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 64
+	if o.maxRounds <= 0 {
+		o.maxRounds = 64
 	}
 }
 
@@ -123,13 +123,13 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	opt.fill()
 	res := Result{Reduced: m}
 
-	partial := sim.NewPartial(opt.Dev, m.NumPIs(), opt.SimWords, opt.Seed)
+	partial := sim.NewPartial(opt.Dev, m.NumPIs(), opt.simWords, opt.Seed)
 	if opt.SeedBank != nil {
 		partial.ImportBank(opt.SeedBank)
 	}
 
 	cur := m
-	for round := 0; round < opt.MaxRounds; round++ {
+	for round := 0; round < opt.maxRounds; round++ {
 		if opt.stopped() {
 			res.Stopped = true
 			res.Reduced = cur

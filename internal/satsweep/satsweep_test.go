@@ -102,7 +102,7 @@ func TestSweepSubtleBugNeedsSAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := CheckMiter(m, Options{Seed: 3, SimWords: 1})
+	res := CheckMiter(m, Options{Seed: 3, simWords: 1})
 	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -144,7 +144,7 @@ func TestSweepConflictBudgetUndecided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := CheckMiter(m, Options{Seed: 5, ConflictLimit: 1, MaxRounds: 2})
+	res := CheckMiter(m, Options{Seed: 5, ConflictLimit: 1, maxRounds: 2})
 	// With a tiny budget the verdict may be Undecided; it must never be
 	// NotEquivalent (the circuits are equivalent by construction).
 	if res.Outcome == miter.NotEquivalent {
@@ -192,7 +192,7 @@ func TestSweepFallsThroughToPOProof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := CheckMiter(m, Options{Seed: 12, SimWords: 4})
+	res := CheckMiter(m, Options{Seed: 12, simWords: 4})
 	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v (stats %+v)", res.Outcome, res.Stats)
 	}
@@ -213,7 +213,7 @@ func TestSweepPOProofDisproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := CheckMiter(m, Options{Seed: 13, SimWords: 1})
+	res := CheckMiter(m, Options{Seed: 13, simWords: 1})
 	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -239,7 +239,7 @@ func TestSweepBudgetExhaustionReachesPOStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := CheckMiter(m, Options{Seed: 14, ConflictLimit: 1, MaxRounds: 3})
+	res := CheckMiter(m, Options{Seed: 14, ConflictLimit: 1, maxRounds: 3})
 	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("budgeted sweep disproved an equivalent miter")
 	}
@@ -315,7 +315,7 @@ func TestQuickSweepAgreesWithEnumeration(t *testing.T) {
 				break
 			}
 		}
-		res := CheckMiter(m, Options{Seed: rng.Int63(), SimWords: 1})
+		res := CheckMiter(m, Options{Seed: rng.Int63(), simWords: 1})
 		if same {
 			return res.Outcome == miter.Equivalent
 		}

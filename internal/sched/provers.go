@@ -196,7 +196,7 @@ func (sc *sweeper) runSimGroup(cur *aig.AIG, g []*classUnit) []*attempt {
 func (sc *sweeper) runSATGroup(cur *aig.AIG, g []*classUnit) []*attempt {
 	atts := make([]*attempt, len(g))
 	solver := sat.New()
-	solver.SetConflictLimit(sc.opt.RouteConflictLimit)
+	solver.SetConflictLimit(sc.opt.routeConflictLimit)
 	solver.SetStop(sc.opt.stopped)
 	enc := cnf.NewEncoder(cur, solver)
 	var probeCalls int
@@ -265,7 +265,7 @@ func (sc *sweeper) satUnit(cur *aig.AIG, u *classUnit, solver *sat.Solver, enc *
 	// The class's round budget: 4x the per-call limit, spread over however
 	// many pairs fit. A class that eats the budget fails and escalates
 	// rather than serialising hundreds of per-pair solves.
-	budget := 4 * sc.opt.RouteConflictLimit
+	budget := 4 * sc.opt.routeConflictLimit
 	for i, p := range u.pairs {
 		if u.state[i] != pairPending {
 			continue

@@ -57,7 +57,7 @@ const backstopCostRatio = 4.0
 
 // bddSupportCap is how far united class supports are tracked exactly.
 // Exhaustive simulation pays 2^support patterns, so the sim prover's cap
-// (Options.SupportCap, default 14) is hard; BDD cost grows with variable
+// (Options.supportCap, default 14) is hard; BDD cost grows with variable
 // count far more slowly on structured functions, so supports are resolved
 // up to this wider cap purely to score the BDD rung honestly.
 const bddSupportCap = 24
@@ -85,18 +85,18 @@ type Options struct {
 	// ConflictLimit bounds the final PO-decision SAT calls; 0 means
 	// unlimited, which makes the sweep complete.
 	ConflictLimit int64
-	// RouteConflictLimit bounds each routed per-class SAT attempt; a class
+	// routeConflictLimit bounds each routed per-class SAT attempt; a class
 	// that exhausts it escalates instead of stalling the round (default
-	// 2000).
-	RouteConflictLimit int64
-	// SimWords is the number of 64-pattern words of initial random
+	// 2000). Only tests set it, as they do simWords and supportCap.
+	routeConflictLimit int64
+	// simWords is the number of 64-pattern words of initial random
 	// stimulus (default 8).
-	SimWords int
+	simWords int
 	// Seed seeds the random patterns.
 	Seed int64
-	// SupportCap is the widest class support the sim prover will
+	// supportCap is the widest class support the sim prover will
 	// exhaustively enumerate (default 14, i.e. 16384 patterns).
-	SupportCap int
+	supportCap int
 	// Force, when set to an engine name, collapses every class's ladder to
 	// that single rung — the single-engine comparison rows of benchtab
 	// -sched. Classes the engine cannot decide fall through to the final
@@ -125,14 +125,14 @@ func (o *Options) fill() {
 	if o.Dev == nil {
 		o.Dev = par.NewDevice(0)
 	}
-	if o.SimWords <= 0 {
-		o.SimWords = 8
+	if o.simWords <= 0 {
+		o.simWords = 8
 	}
-	if o.SupportCap <= 0 {
-		o.SupportCap = 14
+	if o.supportCap <= 0 {
+		o.supportCap = 14
 	}
-	if o.RouteConflictLimit <= 0 {
-		o.RouteConflictLimit = 2000
+	if o.routeConflictLimit <= 0 {
+		o.routeConflictLimit = 2000
 	}
 	switch o.Force {
 	case EngineSim, EngineSAT, EngineBDD:
@@ -260,7 +260,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 		defer func() { opt.Priors.Merge(family, sc.learned) }()
 	}
 	sc.prior = sc.prior0
-	sc.partial = sim.NewPartial(opt.Dev, m.NumPIs(), opt.SimWords, opt.Seed)
+	sc.partial = sim.NewPartial(opt.Dev, m.NumPIs(), opt.simWords, opt.Seed)
 	sc.ex = sim.NewExhaustive(opt.Dev, simBudgetWords)
 	sc.ex.Trace = opt.Trace
 	sc.ex.Faults = opt.Faults
@@ -514,7 +514,7 @@ func (sc *sweeper) replayShared(cur *aig.AIG, units []*classUnit, pattern []bool
 // with features and ladders.
 func (sc *sweeper) buildUnits(cur *aig.AIG, classes *ec.Manager, sims [][]uint64) []*classUnit {
 	levels := cur.Levels()
-	trackCap := sc.opt.SupportCap
+	trackCap := sc.opt.supportCap
 	if trackCap < bddSupportCap {
 		trackCap = bddSupportCap
 	}
@@ -564,9 +564,9 @@ func (sc *sweeper) buildUnits(cur *aig.AIG, classes *ec.Manager, sims [][]uint64
 		}
 		if wide {
 			u.feat.Support = -1
-		} else if len(support) <= sc.opt.SupportCap {
+		} else if len(support) <= sc.opt.supportCap {
 			// Only sim-enumerable supports keep the id slice; supports in
-			// (SupportCap, bddSupportCap] are tracked as a width for BDD
+			// (supportCap, bddSupportCap] are tracked as a width for BDD
 			// scoring but never get a simulation window.
 			u.support = support
 		}
@@ -599,7 +599,7 @@ func (sc *sweeper) rankEngines(f Features) []string {
 	}
 	var ranked []scored
 
-	if f.Support >= 0 && f.Support <= sc.opt.SupportCap {
+	if f.Support >= 0 && f.Support <= sc.opt.supportCap {
 		score := 2.5 - 0.08*float64(f.Support)
 		extra := f.Size - 1
 		if extra > 5 {
@@ -621,7 +621,7 @@ func (sc *sweeper) rankEngines(f Features) []string {
 	}
 	satScore -= 0.03 * float64(bulk)
 	satScore += satPrior.WinRate() - 0.5
-	if satPrior.AvgConflicts() >= float64(sc.opt.RouteConflictLimit) {
+	if satPrior.AvgConflicts() >= float64(sc.opt.routeConflictLimit) {
 		satScore -= 0.5 // the family historically blows the routed budget
 	}
 	// Deferral test: the family has SAT and backstop history, and the

@@ -133,7 +133,7 @@ func TestSchedSubtleBugExhaustiveSim(t *testing.T) {
 	g1.AddPO(g1.Xor(x1[0], x1[1]))
 	g2.AddPO(g2.Xor(g2.Xor(x2[0], x2[1]), andAll(g2, x2)))
 	m := mustMiter(t, g1, g2)
-	res := CheckMiter(m, Options{Seed: 3, SimWords: 1})
+	res := CheckMiter(m, Options{Seed: 3, simWords: 1})
 	if res.Outcome != miter.NotEquivalent {
 		t.Fatalf("outcome = %v", res.Outcome)
 	}
@@ -177,7 +177,7 @@ func TestSchedEscalationLadder(t *testing.T) {
 	// one-conflict budget: hard classes must escalate along their ladder
 	// and the verdict must still land via BDD or the final pass.
 	m := mustMiter(t, tangle(false), tangle(true))
-	res := CheckMiter(m, Options{Seed: 5, SupportCap: 1, RouteConflictLimit: 1})
+	res := CheckMiter(m, Options{Seed: 5, supportCap: 1, routeConflictLimit: 1})
 	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v, faults = %v", res.Outcome, res.Faults)
 	}

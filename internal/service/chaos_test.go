@@ -19,7 +19,7 @@ func TestRunnerCrashRequeuesOnce(t *testing.T) {
 	s := New(Config{
 		MaxConcurrent:    1,
 		Faults:           fault.MustParse("service.runner.crash:at=1", 1),
-		CrashBackoffBase: time.Millisecond,
+		crashBackoffBase: time.Millisecond,
 	})
 	defer s.Close()
 
@@ -68,7 +68,7 @@ func TestRunnerCrashTwiceFailsTyped(t *testing.T) {
 	s := New(Config{
 		MaxConcurrent:    1,
 		Faults:           fault.MustParse("service.runner.crash:every=1,limit=2", 1),
-		CrashBackoffBase: time.Millisecond,
+		crashBackoffBase: time.Millisecond,
 	})
 	defer s.Close()
 

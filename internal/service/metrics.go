@@ -151,12 +151,6 @@ func writeMetrics(w io.Writer, st Stats) {
 			fmt.Fprintf(w, "cecd_sched_classes_total{engine=%q} %d\n", e, st.SchedClasses[e])
 		}
 	}
-	fmt.Fprintf(w, "# HELP cecd_cube_cubes_total Cubes solved by the cube-and-conquer engine.\n")
-	fmt.Fprintf(w, "# TYPE cecd_cube_cubes_total counter\n")
-	fmt.Fprintf(w, "cecd_cube_cubes_total %d\n", st.CubeCubes)
-	fmt.Fprintf(w, "# HELP cecd_cube_splits_total Timed-out cubes the cube engine re-split.\n")
-	fmt.Fprintf(w, "# TYPE cecd_cube_splits_total counter\n")
-	fmt.Fprintf(w, "cecd_cube_splits_total %d\n", st.CubeSplits)
 	if st.FaultsByHook != nil {
 		fmt.Fprintf(w, "# HELP cecd_faults_total Fires of each armed fault-injection hook.\n")
 		fmt.Fprintf(w, "# TYPE cecd_faults_total counter\n")

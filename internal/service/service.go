@@ -97,10 +97,11 @@ type Config struct {
 	// PhaseBudget bounds each simulation-engine phase of every job by wall
 	// clock (see simsweep.Options.PhaseBudget). Zero disables the watchdog.
 	PhaseBudget time.Duration
-	// CrashBackoffBase is the first delay of a crashed runner's
+	// crashBackoffBase is the first delay of a crashed runner's
 	// exponential backoff (default 50ms), capped at crashBackoffMax. A
-	// runner that completes a job cleanly resets to base.
-	CrashBackoffBase time.Duration
+	// runner that completes a job cleanly resets to base. Only tests set
+	// it.
+	crashBackoffBase time.Duration
 	// Remote, when non-nil, federates the result cache across nodes: a
 	// submission that misses the local LRU consults it before running, and
 	// decided, non-degraded results are published back (asynchronously, so
@@ -126,8 +127,8 @@ func (c *Config) fill() {
 	if c.RingSize <= 0 {
 		c.RingSize = 256
 	}
-	if c.CrashBackoffBase <= 0 {
-		c.CrashBackoffBase = 50 * time.Millisecond
+	if c.crashBackoffBase <= 0 {
+		c.crashBackoffBase = 50 * time.Millisecond
 	}
 }
 
@@ -227,8 +228,6 @@ type Service struct {
 	requeues      uint64            // jobs re-queued after a runner crash
 	degraded      uint64            // jobs whose result reported Degraded
 	schedClasses  map[string]uint64 // sched-engine classes routed, by engine name
-	cubeCubes     uint64            // cubes solved by the cube engine, all jobs
-	cubeSplits    uint64            // timed-out cubes the cube engine re-split
 
 	// schedPriors is the sched engine's per-family routing history; it
 	// lives next to the result cache so repeated workloads converge on the
@@ -536,10 +535,10 @@ func (s *Service) Jobs() []Job {
 // crashing workload degrades the service's throughput, never its liveness.
 func (s *Service) runner(dev *par.Device) {
 	defer s.wg.Done()
-	backoff := s.cfg.CrashBackoffBase
+	backoff := s.cfg.crashBackoffBase
 	for j := range s.queue {
 		if s.runGuarded(j, dev) {
-			backoff = s.cfg.CrashBackoffBase // a clean job resets the ramp
+			backoff = s.cfg.crashBackoffBase // a clean job resets the ramp
 			continue
 		}
 		time.Sleep(backoff)
@@ -697,10 +696,6 @@ func (s *Service) runJob(j *job, dev *par.Device) {
 			s.schedClasses[e] += row.Routed
 		}
 	}
-	if res.Cube != nil {
-		s.cubeCubes += uint64(res.Cube.Cubes)
-		s.cubeSplits += uint64(res.Cube.Splits)
-	}
 	s.finishLocked(j)
 	s.mu.Unlock()
 	s.logf("job %s: %s", j.ID, j.State)
@@ -844,10 +839,6 @@ type Stats struct {
 	// SchedClasses counts the classes the sched engine routed, by engine
 	// name, across every job the service ran (nil until a sched job ran).
 	SchedClasses map[string]uint64
-	// CubeCubes counts the cubes the cube engine solved across every job;
-	// CubeSplits the timed-out cubes it re-split.
-	CubeCubes  uint64
-	CubeSplits uint64
 }
 
 // Stats returns the current counters.
@@ -885,8 +876,6 @@ func (s *Service) Stats() Stats {
 		Degraded:      s.degraded,
 		FaultsByHook:  s.cfg.Faults.Counts(),
 		SchedClasses:  sched,
-		CubeCubes:     s.cubeCubes,
-		CubeSplits:    s.cubeSplits,
 	}
 }
 

@@ -28,11 +28,6 @@ const (
 	// left for cut-enumeration stats, so the generator records its own
 	// control-track span per pass instead.
 	CatCuts = "cuts"
-	// CatCube is the category of the cube-and-conquer backend's spans: one
-	// cube.cutset span for the cutset selection (args: k, ranked) and one
-	// cube.round span per solving round (args: depth, cubes, budget,
-	// proved, timeouts).
-	CatCube = "cube"
 )
 
 // PhaseRow is one reconstructed row of the Figure 6 table.

@@ -36,7 +36,6 @@ import (
 	"simsweep/internal/aiger"
 	"simsweep/internal/bdd"
 	"simsweep/internal/core"
-	"simsweep/internal/cube"
 	"simsweep/internal/fault"
 	"simsweep/internal/gen"
 	"simsweep/internal/miter"
@@ -177,11 +176,7 @@ type Engine string
 // ladder with per-class routing: every candidate equivalence class is
 // scored against cheap features and per-family history, dispatched to the
 // prover that fits it (exhaustive sim, conflict-limited SAT, or BDD), and
-// escalated per class when misrouted (see internal/sched). EngineCube is
-// the cube-and-conquer decomposition prover for adversarial near-miss
-// miters: a simulation-scored cutset splits the SAT question into 2^k
-// cubes solved in parallel with per-cube conflict budgets and dynamic
-// re-splitting (see internal/cube).
+// escalated per class when misrouted (see internal/sched).
 const (
 	EngineHybrid    Engine = "hybrid"
 	EngineSim       Engine = "sim"
@@ -189,7 +184,6 @@ const (
 	EngineBDD       Engine = "bdd"
 	EnginePortfolio Engine = "portfolio"
 	EngineSched     Engine = "sched"
-	EngineCube      Engine = "cube"
 )
 
 // EngineInfo is one row of the engine table (Engines), the single list of
@@ -221,7 +215,6 @@ func init() {
 		{Name: EngineHybrid, Complete: true, run: runHybrid, races: true},
 		{Name: EngineSim, run: runSim},
 		{Name: EngineSAT, Complete: true, run: runSAT, races: true},
-		{Name: EngineCube, Complete: true, run: runCube, races: true},
 		{Name: EngineBDD, Complete: true, run: runBDD, races: true},
 		{Name: EngineSched, Complete: true, run: runSched},
 		{Name: EnginePortfolio, Complete: true, run: runPortfolio},
@@ -288,8 +281,8 @@ type Options struct {
 	// PhaseBudget bounds each simulation-engine phase by wall clock; a
 	// phase still running at the deadline is cancelled cooperatively and
 	// the check degrades (Result.Degraded) instead of hanging. Zero
-	// disables the watchdog. See core.Config.PhaseBudget; a work budget per
-	// phase is set through SimConfig.PhaseWorkBudget.
+	// disables the watchdog. See core.Config.PhaseBudget; the engine's
+	// per-phase work cap is internal and only its tests set it.
 	PhaseBudget time.Duration
 	// SchedPriors, when non-nil, supplies and accumulates the sched
 	// engine's per-family routing history across checks. The service layer
@@ -316,8 +309,8 @@ type FaultInjector = fault.Injector
 //	par.worker.panic      panic inside a parallel kernel chunk
 //	sim.round.stall       stall an exhaustive-simulation round
 //	satsweep.pair.oom     resource blow-up before a SAT pair query
-//	cube.solve.panic      blow-up inside one cube of the cube engine
 //	service.runner.crash  crash a service runner picking up a job
+//	cluster.worker.kill   kill a cluster worker node
 //
 // All randomness derives from seed, so a spec+seed pair provokes the same
 // faults on every run.
@@ -401,9 +394,6 @@ type Result struct {
 	// used: per-engine routing counts, escalations, shared
 	// counter-examples and example classes.
 	Sched *SchedStats
-	// Cube describes the cube-and-conquer run when the cube engine was
-	// used: cutset size, cubes solved, re-splits and conflicts.
-	Cube *CubeStats
 	// Reduced is the final miter (empty when proved).
 	Reduced *AIG
 }
@@ -543,53 +533,6 @@ func runSched(m *AIG, o Options, dev *par.Device) Result {
 	}
 }
 
-// CubeStats re-exports the cube-and-conquer backend's run statistics.
-type CubeStats = cube.Stats
-
-// runCube runs the cube-and-conquer decomposition prover. When a sched
-// prior store is supplied, the run's outcome is folded into the miter
-// family's history under the "cube" pseudo-engine — like the scheduler's
-// "backstop" pseudo-engine, it never sits on a class ladder, but it tells
-// future routing policy (and operators reading the store) when
-// decomposition wins on a family that stalls the other provers.
-func runCube(m *AIG, o Options, dev *par.Device) Result {
-	start := time.Now()
-	cr := cube.CheckMiter(m, cube.Options{
-		Dev:           dev,
-		Seed:          o.Seed,
-		ConflictLimit: o.ConflictLimit,
-		Stop:          o.Stop,
-		Trace:         o.Trace,
-		Faults:        o.Faults,
-	})
-	stats := cr.Stats
-	if o.SchedPriors != nil {
-		delta := sched.EnginePrior{
-			Attempts:  1,
-			Conflicts: uint64(stats.SATConflicts),
-			TimeNS:    uint64(time.Since(start)),
-		}
-		if cr.Outcome != Undecided {
-			delta.Wins = 1
-		} else {
-			delta.Escalations = 1
-		}
-		o.SchedPriors.Merge(m.Fingerprint(), sched.Priors{
-			ByEngine: map[string]sched.EnginePrior{"cube": delta},
-		})
-	}
-	return Result{
-		Outcome:    cr.Outcome,
-		Stopped:    cr.Stopped,
-		Degraded:   len(cr.Faults) > 0,
-		Faults:     cr.Faults,
-		CEX:        cr.CEX,
-		EngineUsed: "cube",
-		Cube:       &stats,
-		Reduced:    m,
-	}
-}
-
 func runBDD(m *AIG, o Options, _ *par.Device) Result {
 	equal, cex, err := bdd.CheckMiter(m, 0, o.Stop) // 0: the bdd default of 4M nodes
 	r := Result{EngineUsed: "bdd", Reduced: m, Stopped: errors.Is(err, bdd.ErrStopped)}
@@ -666,12 +609,12 @@ func runHybrid(m *AIG, o Options, dev *par.Device) Result {
 }
 
 // runPortfolio races the engine table's portfolio members — the hybrid
-// flow, standalone SAT sweeping, the cube-and-conquer decomposition prover
-// and the BDD engine — first definitive verdict wins: the execution model
-// the paper attributes to commercial multi-engine checkers. Each member
-// gets a fresh fault-armed device, an Options.Stop merged with the
-// portfolio's own loser-cancellation channel, and no tracer; a hybrid
-// member never falls back to a nested portfolio (noFallback).
+// flow, standalone SAT sweeping and the BDD engine — first definitive
+// verdict wins: the execution model the paper attributes to commercial
+// multi-engine checkers. Each member gets a fresh fault-armed device, an
+// Options.Stop merged with the portfolio's own loser-cancellation channel,
+// and no tracer; a hybrid member never falls back to a nested portfolio
+// (noFallback).
 //
 // Injected faults exercise the members independently; a member that
 // degrades to Undecided simply loses the race. The fault collector is
