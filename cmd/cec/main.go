@@ -45,7 +45,7 @@ func run() int {
 	seed := flag.Int64("seed", 1, "random simulation seed")
 	conflicts := flag.Int64("C", 0, "SAT conflict limit per call (0: unlimited)")
 	timeout := flag.Duration("timeout", 0, "bound the whole run; a timed-out check exits with status 2 (0: no limit)")
-	verbose := flag.Bool("v", false, "print per-phase statistics")
+	verbose := flag.Bool("v", false, "print per-phase statistics, and a progress line per engine phase and PO-level SAT attempt on stderr")
 	tracePath := flag.String("trace", "", "record an execution trace and write it as Chrome trace_event JSON to this file (load in Perfetto)")
 	phaseReport := flag.Bool("phase-report", false, "print the traced phase breakdown table (implies tracing)")
 	faults := flag.String("faults", "", "inject faults: 'hook:p=0.1,at=3,every=2,limit=1,delay=5ms;...' (hooks: "+strings.Join(fault.Hooks(), ", ")+")")
@@ -68,6 +68,9 @@ func run() int {
 		Seed:          *seed,
 		ConflictLimit: *conflicts,
 		PhaseBudget:   *phaseBudget,
+	}
+	if *verbose {
+		opts.Log = os.Stderr
 	}
 	if *cutK > 0 || *cutC > 0 || *cutBudget > 0 {
 		// The cut parameters live in the sim-engine config; start from the
@@ -161,7 +164,9 @@ func run() int {
 	if res.SimStats != nil {
 		fmt.Printf("sim engine: reduced %.1f%% of the miter", res.ReducedPercent)
 		if res.SATTime > 0 {
-			fmt.Printf("; SAT backend took %v", res.SATTime.Round(1e6))
+			// Hybrid's PO-level SAT attempts are part of the SAT time, and
+			// the POs they proved part of the reduction.
+			fmt.Printf(" (POs proved by PO-level SAT included); SAT backend took %v", res.SATTime.Round(1e6))
 		}
 		fmt.Println()
 	}

@@ -48,8 +48,8 @@ type Manager struct {
 	nodes   []node
 	unique  map[uint64]Ref
 	cache   map[[3]Ref]Ref
-	// stop, when non-nil, is polled once per 256 node allocations (as the
-	// SAT solver polls once per 256 conflicts); once it is closed the
+	// stop, when non-nil, is polled once per 256 node allocations (the
+	// SAT solver polls once per 32 conflicts); once it is closed the
 	// running operation aborts with ErrStopped.
 	stop <-chan struct{}
 }

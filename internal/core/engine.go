@@ -17,9 +17,25 @@ import (
 // CheckMiter runs the simulation-based CEC engine on a miter. It proves
 // the miter equivalent, disproves it with a counter-example, or returns
 // Undecided together with the reduced miter for a downstream checker.
-func CheckMiter(m *aig.AIG, cfg Config) Result {
+func CheckMiter(m *aig.AIG, cfg Config) Result { return CheckMiterStepped(m, cfg, nil) }
+
+// Step is the step hook of CheckMiterStepped. It is called with the label
+// of the step the engine just finished ("PG", then "L1", "L2", ...), the
+// current miter and the wall-clock time that step took. A non-nil cex (a
+// PI assignment firing a PO) disproves the miter. A non-nil next, which
+// must be cur with proved equivalences merged, becomes the miter the run
+// goes on with. Non-empty faults withdraw the call's result: they enter the
+// run's fault chain, and the hook is not called again.
+type Step func(after string, cur *aig.AIG, took time.Duration) (next *aig.AIG, cex []bool, faults []string)
+
+// CheckMiterStepped is CheckMiter with a step hook (nil: none), called at
+// every step boundary of an undecided run: after the P and G phases, and
+// after each L phase that merged something. The hook's time is not the engine's:
+// Stats.Runtime leaves it out, and the run's core.check span is split into
+// one span per stretch of engine work between hook calls.
+func CheckMiterStepped(m *aig.AIG, cfg Config, step Step) Result {
 	cfg.fill()
-	e := &engine{cfg: &cfg, cur: m}
+	e := &engine{cfg: &cfg, cur: m, step: step}
 	if cfg.Trace.Enabled() {
 		e.tb = cfg.Trace.Buf(trace.ControlTrack)
 	}
@@ -28,21 +44,42 @@ func CheckMiter(m *aig.AIG, cfg Config) Result {
 	if cfg.KeepSnapshots {
 		e.res.Snapshots = make(map[string]*aig.AIG)
 	}
-	esp := e.tb.Begin(trace.CatEngine, "core.check")
-	start := time.Now()
+	e.beginPart()
 	e.run()
-	e.res.Stats.Runtime = time.Since(start)
+	e.endPart()
 	e.res.Stats.FinalAnds = liveAnds(e.res.Reduced)
-	esp.Arg("initial_ands", int64(e.res.Stats.InitialAnds))
-	esp.Arg("final_ands", int64(e.res.Stats.FinalAnds))
-	esp.Arg("rounds", int64(e.res.Stats.Rounds))
-	esp.Arg("words_simulated", e.res.Stats.WordsSimulated)
-	esp.End()
 	if e.partial != nil {
 		e.res.PatternBank = e.partial.ExportBank()
 	}
 	e.res.KernelProfile = cfg.Dev.Profile()
 	return e.res
+}
+
+// beginPart opens the core.check span and the clock of the next stretch of
+// engine work: the whole run without a step hook, else the work up to the
+// next hook call.
+func (e *engine) beginPart() {
+	e.part = e.tb.Begin(trace.CatEngine, "core.check")
+	e.partStart = time.Now()
+	e.partRounds, e.partWords = e.res.Stats.Rounds, e.res.Stats.WordsSimulated
+	if e.tb != nil {
+		e.part.Arg("initial_ands", int64(liveAnds(e.cur)))
+	}
+}
+
+// endPart closes the current stretch, adds its time to Stats.Runtime and
+// returns it. Its span carries the AND count at its end and the rounds and
+// words it simulated, so the spans of a split run sum to the Stats totals.
+func (e *engine) endPart() time.Duration {
+	took := time.Since(e.partStart)
+	e.res.Stats.Runtime += took
+	if e.tb != nil {
+		e.part.Arg("final_ands", int64(liveAnds(e.cur)))
+		e.part.Arg("rounds", int64(e.res.Stats.Rounds-e.partRounds))
+		e.part.Arg("words_simulated", e.res.Stats.WordsSimulated-e.partWords)
+	}
+	e.part.End()
+	return took
 }
 
 // liveAnds counts the AND nodes in the PO cones — the miter size that the
@@ -76,6 +113,15 @@ type engine struct {
 	res     Result
 	decided bool
 	tb      *trace.Buf // control-track trace buffer (nil: tracing off)
+
+	// step is the step hook (nil: none). part is the core.check span of the
+	// current stretch of engine work, which started at partStart with the
+	// Stats counters at partRounds and partWords.
+	step       Step
+	part       trace.Span
+	partStart  time.Time
+	partRounds int
+	partWords  int64
 
 	// lastPassProved drives Config.AdaptivePasses: per-pass proof counts
 	// of the previous L phase (nil before the first phase).
@@ -185,38 +231,52 @@ func (e *engine) run() {
 
 	// An aborted phase (watchdog trip or survivable fault) skips the
 	// remaining phases: proved merges so far stay applied, the run settles
-	// Undecided+Degraded and the downstream backend takes over.
-	if !e.runPhase(PhaseP, e.phaseP) {
-		e.finish()
-		return
-	}
+	// Undecided+Degraded and the downstream backend takes over. A settled
+	// run skips them too. The snapshots of skipped phases repeat the last
+	// one, so a miter that P proves reads as proved after PG and PGL.
+	more := e.runPhase(PhaseP, e.phaseP) && !e.settled()
 	e.snapshot("P")
-	if e.decided || e.cfg.stopped() {
-		e.finish()
-		return
-	}
-
-	if !e.runPhase(PhaseG, e.phaseG) {
-		e.finish()
-		return
-	}
+	more = more && e.runPhase(PhaseG, e.phaseG) && !e.settled()
 	e.snapshot("PG")
-	if e.decided || e.cfg.stopped() {
-		e.finish()
-		return
-	}
-
-	for phase := 0; phase < e.cfg.MaxLocalPhases; phase++ {
+	more = more && e.ask("PG")
+	for phase := 1; more && phase <= e.cfg.MaxLocalPhases; phase++ {
 		merged := 0
-		ok := e.runPhase(PhaseL, func() { merged = e.phaseL() })
 		// merged == 0 is the fixpoint: the structure, and with it the
 		// cuts, did not change.
-		if !ok || e.decided || e.cfg.stopped() || merged == 0 {
-			break
-		}
+		more = e.runPhase(PhaseL, func() { merged = e.phaseL() }) && !e.settled() &&
+			merged > 0 && e.ask(fmt.Sprintf("L%d", phase))
 	}
 	e.snapshot("PGL")
 	e.finish()
+}
+
+// settled reports that the run needs no further phase: a PO fired, every
+// PO is proved, or the caller stopped the run.
+func (e *engine) settled() bool {
+	return e.decided || miter.IsProved(e.cur) || e.cfg.stopped()
+}
+
+// ask calls the step hook at a step boundary, outside the engine's clock
+// and spans, and reports whether the run goes on.
+func (e *engine) ask(after string) bool {
+	if e.step == nil {
+		return true
+	}
+	took := e.endPart()
+	next, cex, faults := e.step(after, e.cur, took)
+	e.beginPart()
+	switch {
+	case len(faults) > 0:
+		for _, f := range faults {
+			e.faultf("%s", f)
+		}
+		e.step = nil
+	case cex != nil:
+		e.disprove(cex)
+	case next != nil:
+		e.cur = next
+	}
+	return !e.settled()
 }
 
 // finish settles the final outcome when no disproof was found.

@@ -15,8 +15,9 @@ import (
 // TestTraceMatchesPhaseStats runs traced checks and verifies that the
 // reconstructed phase report is exactly the engine's own Result.Phases —
 // the invariant that makes the trace a trustworthy Figure 6 source — on an
-// equivalent miter that runs every phase and on a non-equivalent one that
-// the random sweep opening the P phase disproves.
+// equivalent miter that runs every phase (P and G starved, so that they
+// leave work for L) and on a non-equivalent one that the random sweep
+// opening the P phase disproves.
 func TestTraceMatchesPhaseStats(t *testing.T) {
 	g, err := gen.Multiplier(6)
 	if err != nil {
@@ -24,22 +25,24 @@ func TestTraceMatchesPhaseStats(t *testing.T) {
 	}
 	bad := g.Copy()
 	bad.SetPO(5, bad.PO(5).Not())
+	starved := smallConfig()
+	starved.KP, starved.Kp, starved.Kg = 4, 4, 4
 	for _, tc := range []struct {
 		name string
 		m    *aig.AIG
+		cfg  Config
 		want miter.Outcome
 	}{
-		{"eq", mustMiter(t, g, opt.Resyn2(g, nil)), miter.Equivalent},
-		{"neq", mustMiter(t, g, bad), miter.NotEquivalent},
+		{"eq", mustMiter(t, g, opt.Resyn2(g, nil)), starved, miter.Equivalent},
+		{"neq", mustMiter(t, g, bad), smallConfig(), miter.NotEquivalent},
 	} {
-		t.Run(tc.name, func(t *testing.T) { checkTraceMatchesPhaseStats(t, tc.m, tc.want) })
+		t.Run(tc.name, func(t *testing.T) { checkTraceMatchesPhaseStats(t, tc.m, tc.cfg, tc.want) })
 	}
 }
 
-func checkTraceMatchesPhaseStats(t *testing.T, m *aig.AIG, want miter.Outcome) {
+func checkTraceMatchesPhaseStats(t *testing.T, m *aig.AIG, cfg Config, want miter.Outcome) {
 	tr := trace.New(0)
 	tr.Enable()
-	cfg := smallConfig()
 	cfg.Trace = tr
 	// Generous watchdog budgets: arming the watchdog machinery must not
 	// perturb the phase accounting the trace is reconciled against.

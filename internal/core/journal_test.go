@@ -68,6 +68,9 @@ func TestKernelProfileAndLog(t *testing.T) {
 	o := opt.Resyn2(g, nil)
 	var logBuf bytes.Buffer
 	cfg := smallConfig()
+	// Starve P and G so that every phase kind runs and logs: a miter that
+	// P proves ends after P.
+	cfg.KP, cfg.Kp, cfg.Kg = 4, 4, 4
 	cfg.Log = &logBuf
 	res := CheckMiter(mustMiter(t, g, o), cfg)
 	if res.Outcome != miter.Equivalent {

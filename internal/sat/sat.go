@@ -98,7 +98,7 @@ type Solver struct {
 	maxLrnts int
 
 	conflictLimit int64       // per Solve call; 0 means unlimited
-	stop          func() bool // cancellation probe, polled every 256 conflicts
+	stop          func() bool // cancellation probe, polled every 32 conflicts
 	stats         Stats
 }
 
@@ -113,11 +113,12 @@ func New() *Solver {
 // n <= 0 removes the bound. When the bound is hit Solve returns Unknown.
 func (s *Solver) SetConflictLimit(n int64) { s.conflictLimit = n }
 
-// SetStop installs a cancellation probe polled once per 256 conflicts;
+// SetStop installs a cancellation probe polled once per 32 conflicts;
 // when it reports true, Solve abandons the call and returns Unknown, so
 // an unbounded solve stays cooperatively cancellable between conflicts
 // (a conflict-free solve terminates on its own: every decision assigns a
-// variable). nil removes the probe.
+// variable). A probe that reads the clock can thus bound a call by wall
+// time to within a few dozen conflicts. nil removes the probe.
 func (s *Solver) SetStop(f func() bool) { s.stop = f }
 
 // Stats returns the accumulated counters.
@@ -511,7 +512,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				s.backtrackTo(0)
 				return Unknown
 			}
-			if s.stop != nil && (s.stats.Conflicts-startConfl)&0xFF == 0 && s.stop() {
+			if s.stop != nil && (s.stats.Conflicts-startConfl)&0x1F == 0 && s.stop() {
 				s.backtrackTo(0)
 				return Unknown
 			}

@@ -191,7 +191,7 @@ func TestConflictLimit(t *testing.T) {
 
 func TestSetStopCancelsUnboundedSolve(t *testing.T) {
 	// The stop probe cancels an unbounded solve on a fresh instance: it
-	// fires every 256 conflicts, so the cancelled call consumes barely
+	// fires every 32 conflicts, so the cancelled call consumes barely
 	// more than that, and clearing the probe restores completeness.
 	s := addPigeonhole(8)
 	probed := 0
@@ -202,8 +202,8 @@ func TestSetStopCancelsUnboundedSolve(t *testing.T) {
 	if probed == 0 {
 		t.Fatal("stop probe never polled")
 	}
-	if got := s.Stats().Conflicts; got > 512 {
-		t.Fatalf("cancelled solve burned %d conflicts, want <=512", got)
+	if got := s.Stats().Conflicts; got > 64 {
+		t.Fatalf("cancelled solve burned %d conflicts, want <=64", got)
 	}
 	s.SetStop(nil)
 	if st := s.Solve(); st != Unsat {

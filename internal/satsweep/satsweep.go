@@ -104,19 +104,36 @@ type Result struct {
 // into an Undecided result carrying the original miter and the fault chain,
 // so a crashing backend costs a verdict, not the process.
 func CheckMiter(m *aig.AIG, opt Options) (res Result) {
+	defer recovered(m, time.Now(), &res)
+	return checkMiter(m, opt)
+}
+
+// CheckPOs is the sweep's final PO pass on its own, under a wall-clock
+// budget: every non-constant PO of m is asked on one incremental solver,
+// with no class sweeping first. A model is a counter-example; all POs
+// proved is Equivalent. When the budget runs out first, the result is
+// Undecided and Reduced is m with the POs proved so far merged to constant
+// zero. Panics are recovered as in CheckMiter.
+func CheckPOs(m *aig.AIG, opt Options, budget time.Duration) (res Result) {
 	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{
-				Outcome: miter.Undecided,
-				Reduced: m,
-				Faults:  []string{fmt.Sprintf("satsweep.recovered: %v", r)},
-			}
+	defer recovered(m, start, &res)
+	deadline := start.Add(budget)
+	return finishPOs(m, opt, Result{Reduced: m}, func() bool {
+		return opt.stopped() || time.Now().After(deadline)
+	})
+}
+
+// recovered turns a panic of a sweep over m into an Undecided result that
+// carries m and the fault, and stamps the sweep's runtime. Defer it.
+func recovered(m *aig.AIG, start time.Time, res *Result) {
+	if r := recover(); r != nil {
+		*res = Result{
+			Outcome: miter.Undecided,
+			Reduced: m,
+			Faults:  []string{fmt.Sprintf("satsweep.recovered: %v", r)},
 		}
-		res.Stats.Runtime = time.Since(start)
-	}()
-	res = checkMiter(m, opt)
-	return res
+	}
+	res.Stats.Runtime = time.Since(start)
 }
 
 func checkMiter(m *aig.AIG, opt Options) Result {
@@ -177,7 +194,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	}
 
 	// Final PO decision on whatever remains, with the same budget.
-	return finishPOs(cur, opt, res)
+	return finishPOs(cur, opt, res, opt.stopped)
 }
 
 // sweepRound SAT-checks every candidate pair once. It returns the proved
@@ -232,11 +249,13 @@ func sweepRound(cur *aig.AIG, classes *ec.Manager, partial *sim.Partial, opt Opt
 	return merges, progressed
 }
 
-// finishPOs proves or refutes each remaining non-constant PO by SAT.
-func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
+// finishPOs proves or refutes each remaining non-constant PO by SAT on one
+// incremental solver. stop ends the pass, between and inside the calls;
+// the POs proved before it are still merged into res.Reduced.
+func finishPOs(cur *aig.AIG, opt Options, res Result, stop func() bool) Result {
 	solver := sat.New()
 	solver.SetConflictLimit(opt.ConflictLimit)
-	solver.SetStop(opt.stopped)
+	solver.SetStop(stop)
 	enc := cnf.NewEncoder(cur, solver)
 	tb := opt.traceBuf()
 
@@ -244,17 +263,18 @@ func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
 	merged := make(map[aig.Lit]bool)
 	undecided := false
 	for i := 0; i < cur.NumPOs(); i++ {
-		if opt.stopped() {
-			res.Stopped = true
-			res.Reduced = cur
-			return res
+		if stop() {
+			undecided = true
+			break
 		}
 		po := cur.PO(i)
 		if po == aig.False {
 			continue
 		}
 		if po == aig.True {
+			// A constant-one PO fires under every input.
 			res.Outcome = miter.NotEquivalent
+			res.CEX = make([]bool, cur.NumPIs())
 			res.Reduced = cur
 			return res
 		}
@@ -307,7 +327,7 @@ func finishPOs(cur *aig.AIG, opt Options, res Result) Result {
 	}
 	// An Unknown may be a cancelled solve rather than a budget miss: a
 	// stop can land inside the final PO's solve, after the last loop-top
-	// check.
+	// check. A missed time budget is not a stop.
 	if undecided && opt.stopped() {
 		res.Stopped = true
 	}

@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"simsweep/internal/aig"
+	"simsweep/internal/fault"
 	"simsweep/internal/gen"
 	"simsweep/internal/miter"
 )
@@ -336,4 +338,72 @@ func fires(m *aig.AIG, cex []bool) bool {
 		}
 	}
 	return false
+}
+
+// constantOneMiter returns an EQ adder miter with one more PO, the
+// complement of a non-constant PO n, together with what a budgeted PO pass
+// that proved n and then ran out of time before ¬n hands on: the miter with
+// n merged to constant zero, where ¬n is the literal aig.True.
+func constantOneMiter(t *testing.T) (m, reduced *aig.AIG) {
+	t.Helper()
+	m, err := miter.Build(adder(4, false), adder(4, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < m.NumPOs(); i++ {
+		if n := m.PO(i); n.ID() != 0 {
+			m.AddPO(n.Not())
+			reduced, _, err = miter.Reduce(m, []miter.Merge{{Member: int32(n.ID()), Target: aig.False.NotIf(n.IsCompl())}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reduced.PO(m.NumPOs()-1) != aig.True {
+				t.Fatalf("merged miter's last PO = %v, want constant one", reduced.PO(m.NumPOs()-1))
+			}
+			return m, reduced
+		}
+	}
+	t.Fatal("adder miter has no non-constant PO")
+	return nil, nil
+}
+
+// TestPOPassConstantOneHasCEX checks that the PO pass disproves a miter with
+// a constant-one PO by a counter-example (any input fires it) that replays
+// on both the merged and the original miter.
+func TestPOPassConstantOneHasCEX(t *testing.T) {
+	m, reduced := constantOneMiter(t)
+	res := CheckPOs(reduced, Options{}, time.Minute)
+	if res.Outcome != miter.NotEquivalent {
+		t.Fatalf("outcome = %v, want not equivalent", res.Outcome)
+	}
+	if len(res.CEX) != m.NumPIs() || !fires(reduced, res.CEX) || !fires(m, res.CEX) {
+		t.Fatalf("counter-example %v does not replay", res.CEX)
+	}
+}
+
+// TestCheckPOsBudget pins the budgeted PO pass: a spent budget asks nothing
+// and hands the miter back undecided, not stopped; an ample one proves every
+// PO; a faulted query is recovered into an Undecided result that carries the
+// input miter and the fault.
+func TestCheckPOsBudget(t *testing.T) {
+	m, err := miter.Build(adder(6, false), adder(6, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := CheckPOs(m, Options{}, 0)
+	if res.Outcome != miter.Undecided || res.Stopped || res.Reduced != m || res.Stats.SATCalls != 0 {
+		t.Fatalf("zero budget: outcome %v, stopped %v, %d calls", res.Outcome, res.Stopped, res.Stats.SATCalls)
+	}
+	res = CheckPOs(m, Options{}, time.Minute)
+	if res.Outcome != miter.Equivalent || !miter.IsProved(res.Reduced) || res.Stats.SATCalls == 0 || res.Stats.Runtime <= 0 {
+		t.Fatalf("ample budget: outcome %v, %d calls, runtime %v", res.Outcome, res.Stats.SATCalls, res.Stats.Runtime)
+	}
+	in, err := fault.Parse("satsweep.pair.oom:every=1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res = CheckPOs(m, Options{Faults: in}, time.Minute)
+	if res.Outcome != miter.Undecided || res.Reduced != m || len(res.Faults) != 1 {
+		t.Fatalf("faulted: outcome %v, faults %v", res.Outcome, res.Faults)
+	}
 }

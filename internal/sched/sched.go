@@ -692,7 +692,9 @@ func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
 			continue
 		}
 		if po == aig.True {
+			// A constant-one PO fires under every input.
 			res.Outcome = miter.NotEquivalent
+			res.CEX = make([]bool, cur.NumPIs())
 			res.Reduced = cur
 			return res
 		}

@@ -287,3 +287,36 @@ func TestStoreEvictsAtCap(t *testing.T) {
 		t.Fatalf("store holds %d families, want cap 2", s.Len())
 	}
 }
+
+// TestFinishPOsConstantOneHasCEX checks that the final PO pass disproves a
+// miter with a constant-one PO (the complement of a PO proved and merged to
+// constant zero) by a counter-example that replays on the original miter.
+func TestFinishPOsConstantOneHasCEX(t *testing.T) {
+	m := mustMiter(t, adder(4, false), adder(4, true))
+	var reduced *aig.AIG
+	for i := 0; i < m.NumPOs() && reduced == nil; i++ {
+		if n := m.PO(i); n.ID() != 0 {
+			m.AddPO(n.Not())
+			var err error
+			reduced, _, err = miter.Reduce(m, []miter.Merge{{Member: int32(n.ID()), Target: aig.False.NotIf(n.IsCompl())}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if reduced == nil || reduced.PO(m.NumPOs()-1) != aig.True {
+		t.Fatal("no constant-one PO to check")
+	}
+	sc := &sweeper{res: &Result{}}
+	res := sc.finishPOs(reduced)
+	if res.Outcome != miter.NotEquivalent {
+		t.Fatalf("outcome = %v, want not equivalent", res.Outcome)
+	}
+	fired := false
+	for _, v := range m.Eval(res.CEX) {
+		fired = fired || v
+	}
+	if len(res.CEX) != m.NumPIs() || !fired {
+		t.Fatalf("counter-example %v does not replay", res.CEX)
+	}
+}

@@ -9,13 +9,15 @@ import (
 
 // Emission conventions shared between the engines and the exporters: the
 // core engine records one CatPhase span per executed P/G/L phase (args:
-// checked, proved, disproved, ands) and one CatEngine span for the whole
-// run (args: initial_ands, final_ands), which is what WritePhaseReport
+// checked, proved, disproved, ands) and one CatEngine span "core.check" per
+// stretch of engine work, the whole run unless a step hook split it (args:
+// initial_ands, final_ands), which is what WritePhaseReport
 // reconstructs the Figure 6 table from.
 const (
 	// CatPhase is the category of the per-phase spans of the core engine.
 	CatPhase = "phase"
-	// CatEngine is the category of the whole-run span of the core engine.
+	// CatEngine is the category of the engines' run spans: core.check
+	// and sched.round.
 	CatEngine = "engine"
 	// CatSim is the category of the exhaustive/partial simulator spans.
 	CatSim = "sim"
@@ -113,14 +115,26 @@ func WritePhaseReport(w io.Writer, t *Tracer) {
 		total.Kind, total.Duration.Round(time.Microsecond), pct(total.Duration),
 		total.Checked, total.Proved, total.Disproved, total.Ands)
 
-	// The whole-run engine span, when present, anchors the table to the
-	// core.Stats totals (initial/final AND counts of the cleaned miter).
+	// The engine's core.check spans, when present, anchor the table to the
+	// core.Stats totals: the engine's time and the AND counts of the miter
+	// it started and ended with. A run that paused for step hooks (hybrid's
+	// PO-level SAT attempts) has one span per stretch of engine work.
+	var parts []Event
 	for _, e := range t.Events() {
-		if e.Kind == KindSpan && e.Cat == CatEngine {
-			fmt.Fprintf(w, "engine %12s         initial ands %d, final ands %d\n",
-				time.Duration(e.Dur).Round(time.Microsecond),
-				argOf(e, "initial_ands", -1), argOf(e, "final_ands", -1))
-			break
+		if e.Kind == KindSpan && e.Cat == CatEngine && e.Name == "core.check" {
+			parts = append(parts, e)
 		}
 	}
+	if len(parts) == 0 {
+		return
+	}
+	// One engine run records its stretches through one control-track
+	// buffer, so they arrive in order.
+	var engine time.Duration
+	for _, e := range parts {
+		engine += time.Duration(e.Dur)
+	}
+	fmt.Fprintf(w, "engine %12s         initial ands %d, final ands %d\n",
+		engine.Round(time.Microsecond),
+		argOf(parts[0], "initial_ands", -1), argOf(parts[len(parts)-1], "final_ands", -1))
 }

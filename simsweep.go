@@ -384,11 +384,14 @@ type Result struct {
 	// Journal lists every equivalence the simulation engine proved, in
 	// merge order — an audit trail of the sweep.
 	Journal []ProvedPair
-	// ReducedPercent is the miter reduction achieved by the simulation
-	// engine before any SAT backend ran (Table II's "Reduced (%)").
+	// ReducedPercent is the miter reduction achieved before the final SAT
+	// sweep (Table II's "Reduced (%)" for the sim engine). In the hybrid
+	// flow it counts the POs that the PO-level SAT attempts between sweep
+	// phases proved: their cones drop out of the miter, so a miter that an
+	// attempt decides reads 100%.
 	ReducedPercent float64
-	// SATTime is the time spent in the SAT sweeping backend of the
-	// hybrid flow.
+	// SATTime is the time spent in the hybrid flow's SAT backend: the
+	// PO-level SAT attempts between sweep phases plus the final SAT sweep.
 	SATTime time.Duration
 	// Sched describes the class scheduler's run when the sched engine was
 	// used: per-engine routing counts, escalations, shared
@@ -552,13 +555,43 @@ func runBDD(m *AIG, o Options, _ *par.Device) Result {
 // engine's pattern bank (carrying every counter-example it found) seeds
 // the SAT sweep, so disproved pairs are never re-proved (§V EC transfer).
 //
+// Between the engine's steps — after P+G, and after each L phase that
+// merged something — hybrid asks the open POs directly on one incremental
+// solver (satsweep.CheckPOs), for at most as long as the step it follows
+// took. A model disproves the miter and all POs proved decide it; on a
+// missed budget the POs proved so far are merged to constant zero and the
+// next L phase sweeps only the cones of the others. So a miter that PO-level
+// SAT cannot decide costs at most about twice the simulation stage before
+// the final SAT sweep, which stays complete at ConflictLimit 0. The
+// attempts are SAT time (Result.SATTime), not engine time.
+//
 // Under fault injection the flow is also the first two rungs of the
 // degradation ladder: a degraded simulation phase falls through to SAT
 // sweeping on whatever reduction survived, and a SAT sweep that itself
 // degrades to Undecided falls back to a fresh portfolio race (unless this
-// hybrid run is already a portfolio member).
+// hybrid run is already a portfolio member). A faulted attempt is withdrawn
+// and ends the attempts of the run.
 func runHybrid(m *AIG, o Options, dev *par.Device) Result {
-	cr := core.CheckMiter(m, o.simConfig(dev))
+	satOpt := satsweep.Options{
+		Dev:           dev,
+		ConflictLimit: o.ConflictLimit,
+		Seed:          o.Seed,
+		Stop:          o.Stop,
+		Trace:         o.Trace,
+		Faults:        o.Faults,
+	}
+	var satTime time.Duration
+	askPOs := func(after string, cur *AIG, took time.Duration) (*AIG, []bool, []string) {
+		pr := satsweep.CheckPOs(cur, satOpt, took)
+		satTime += pr.Stats.Runtime
+		if o.Log != nil {
+			fmt.Fprintf(o.Log, "po-sat after %s: budget %v, %d POs asked, %d proved: %s (%v)\n",
+				after, took.Round(time.Microsecond), pr.Stats.SATCalls, pr.Stats.Proved,
+				pr.Outcome, pr.Stats.Runtime.Round(time.Microsecond))
+		}
+		return pr.Reduced, pr.CEX, pr.Faults
+	}
+	cr := core.CheckMiterStepped(m, o.simConfig(dev), askPOs)
 	stats := cr.Stats
 	r := Result{
 		Outcome:        cr.Outcome,
@@ -571,22 +604,16 @@ func runHybrid(m *AIG, o Options, dev *par.Device) Result {
 		SimStats:       &stats,
 		Journal:        cr.Journal,
 		ReducedPercent: stats.ReductionPercent(),
+		SATTime:        satTime,
 		Reduced:        cr.Reduced,
 	}
 	if r.Outcome != Undecided || r.Stopped {
 		return r
 	}
 	satStart := time.Now()
-	sr := satsweep.CheckMiter(r.Reduced, satsweep.Options{
-		Dev:           dev,
-		ConflictLimit: o.ConflictLimit,
-		Seed:          o.Seed,
-		Stop:          o.Stop,
-		SeedBank:      cr.PatternBank,
-		Trace:         o.Trace,
-		Faults:        o.Faults,
-	})
-	r.SATTime = time.Since(satStart)
+	satOpt.SeedBank = cr.PatternBank
+	sr := satsweep.CheckMiter(r.Reduced, satOpt)
+	r.SATTime += time.Since(satStart)
 	r.Outcome = sr.Outcome
 	r.Stopped = sr.Stopped
 	r.CEX = sr.CEX
