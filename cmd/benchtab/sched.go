@@ -43,8 +43,7 @@ type schedRun struct {
 type schedFamilyRow struct {
 	Family        string     `json:"family"`
 	Nodes         int        `json:"miter_ands"`
-	Adaptive      schedRun   `json:"adaptive"`      // cold: first run of the family, empty priors
-	AdaptiveWarm  schedRun   `json:"adaptive_warm"` // warm: rerun with the priors the cold run learned
+	Adaptive      schedRun   `json:"adaptive"`
 	Forced        []schedRun `json:"forced"`
 	HybridVerdict string     `json:"hybrid_verdict"`
 	HybridTimeNS  int64      `json:"hybrid_time_ns"`
@@ -61,31 +60,26 @@ type schedReport struct {
 	Size      int              `json:"size"`
 	Families  []schedFamilyRow `json:"families"`
 	Totals    struct {
-		AdaptiveColdTimeNS int64             `json:"adaptive_cold_time_ns"`
-		AdaptiveTimeNS     int64             `json:"adaptive_time_ns"`
-		AdaptiveTime       string            `json:"adaptive_time"`
-		BestForcedTimeNS   int64             `json:"best_forced_time_ns"`
-		BestForcedTime     string            `json:"best_forced_time"`
-		VsBest             float64           `json:"adaptive_over_best"`
-		MaxSpeedupWorst    float64           `json:"max_speedup_vs_worst"`
-		Routed             map[string]uint64 `json:"routed"`
+		AdaptiveTimeNS   int64             `json:"adaptive_time_ns"`
+		AdaptiveTime     string            `json:"adaptive_time"`
+		BestForcedTimeNS int64             `json:"best_forced_time_ns"`
+		BestForcedTime   string            `json:"best_forced_time"`
+		VsBest           float64           `json:"adaptive_over_best"`
+		MaxSpeedupWorst  float64           `json:"max_speedup_vs_worst"`
+		Routed           map[string]uint64 `json:"routed"`
 	} `json:"totals"`
 }
 
 // runSchedBench runs every benchmark family through the class scheduler
-// five times — adaptive routing cold (empty priors) and warm (rerun with
-// the priors the cold run just learned), plus each prover forced — and
-// through the hybrid facade flow as the agreement reference, then writes
-// the comparison to path. Priors accumulate across families exactly as a
-// long-lived daemon would accumulate them, and the headline ratios use
-// the warm run: that is the daemon's steady state, where routing history
-// has converged. Forced single-prover baselines
-// get a per-run wall-clock budget: a mono-engine run that blows it is
-// recorded as exceeding the budget (its elapsed time is a lower bound on
-// the true cost) and is excluded from the agreement check. Any verdict
-// disagreement among the finished runs is an error (reported after the
-// JSON is written): routing must never change the answer, only the time
-// to reach it.
+// four times — adaptive routing, plus each prover forced — and through
+// the hybrid facade flow as the agreement reference, then writes the
+// comparison to path. Every run starts cold: routing learns only within
+// the run. Forced single-prover baselines get a per-run wall-clock
+// budget: a mono-engine run that blows it is recorded as exceeding the
+// budget (its elapsed time is a lower bound on the true cost) and is
+// excluded from the agreement check. Any verdict disagreement among the
+// finished runs is an error (reported after the JSON is written): routing
+// must never change the answer, only the time to reach it.
 func runSchedBench(path string, size int, only string, workers int, seed int64, budget time.Duration) error {
 	cases := suite(size, only)
 
@@ -98,7 +92,6 @@ func runSchedBench(path string, size int, only string, workers int, seed int64, 
 		Size:      size,
 	}
 	report.Totals.Routed = make(map[string]uint64)
-	priors := sched.NewStore(0)
 
 	var disagreed []string
 	fmt.Println("class-scheduler benchmark (adaptive routing vs forced single provers):")
@@ -110,16 +103,12 @@ func runSchedBench(path string, size int, only string, workers int, seed int64, 
 		row := schedFamilyRow{
 			Family:   c.String(),
 			Nodes:    inst.Miter.NumAnds(),
-			Adaptive: measureSchedRun(inst, workers, seed, "", priors, 0),
+			Adaptive: measureSchedRun(inst, workers, seed, "", 0),
 			Agree:    true,
-		}
-		row.AdaptiveWarm = measureSchedRun(inst, workers, seed, "", priors, 0)
-		if row.AdaptiveWarm.Verdict != row.Adaptive.Verdict {
-			row.Agree = false
 		}
 		var bestNS, worstNS int64
 		for _, e := range schedEngines {
-			fr := measureSchedRun(inst, workers, seed, e, nil, budget)
+			fr := measureSchedRun(inst, workers, seed, e, budget)
 			row.Forced = append(row.Forced, fr)
 			if !fr.Budgeted && (row.BestForced == "" || fr.TimeNS < bestNS) {
 				row.BestForced, bestNS = e, fr.TimeNS
@@ -141,25 +130,24 @@ func runSchedBench(path string, size int, only string, workers int, seed int64, 
 		if row.HybridVerdict != row.Adaptive.Verdict {
 			row.Agree = false
 		}
-		row.VsBest = nsRatio(row.AdaptiveWarm.TimeNS, bestNS)
-		row.SpeedupWorst = nsRatio(worstNS, row.AdaptiveWarm.TimeNS)
+		row.VsBest = nsRatio(row.Adaptive.TimeNS, bestNS)
+		row.SpeedupWorst = nsRatio(worstNS, row.Adaptive.TimeNS)
 		if !row.Agree {
-			disagreed = append(disagreed, fmt.Sprintf("%s (adaptive %s, warm %s, hybrid %s)",
-				row.Family, row.Adaptive.Verdict, row.AdaptiveWarm.Verdict, row.HybridVerdict))
+			disagreed = append(disagreed, fmt.Sprintf("%s (adaptive %s, hybrid %s)",
+				row.Family, row.Adaptive.Verdict, row.HybridVerdict))
 		}
 		report.Families = append(report.Families, row)
-		report.Totals.AdaptiveColdTimeNS += row.Adaptive.TimeNS
-		report.Totals.AdaptiveTimeNS += row.AdaptiveWarm.TimeNS
+		report.Totals.AdaptiveTimeNS += row.Adaptive.TimeNS
 		report.Totals.BestForcedTimeNS += bestNS
 		if row.SpeedupWorst > report.Totals.MaxSpeedupWorst {
 			report.Totals.MaxSpeedupWorst = row.SpeedupWorst
 		}
-		for e, n := range row.AdaptiveWarm.Routed {
+		for e, n := range row.Adaptive.Routed {
 			report.Totals.Routed[e] += n
 		}
-		fmt.Printf("  %-18s cold %10s  warm %10s   hybrid %10s (%5.2fx)   best %-3s %10s   worst %-3s %10s   %4.1fx vs worst  %s\n",
-			row.Family, row.Adaptive.Time, row.AdaptiveWarm.Time,
-			time.Duration(row.HybridTimeNS).String(), nsRatio(row.HybridTimeNS, row.AdaptiveWarm.TimeNS),
+		fmt.Printf("  %-18s adaptive %10s   hybrid %10s (%5.2fx)   best %-3s %10s   worst %-3s %10s   %4.1fx vs worst  %s\n",
+			row.Family, row.Adaptive.Time,
+			time.Duration(row.HybridTimeNS).String(), nsRatio(row.HybridTimeNS, row.Adaptive.TimeNS),
 			row.BestForced, time.Duration(bestNS).String(),
 			row.WorstForced, time.Duration(worstNS).String(),
 			row.SpeedupWorst, row.Adaptive.Verdict)
@@ -167,10 +155,8 @@ func runSchedBench(path string, size int, only string, workers int, seed int64, 
 	report.Totals.AdaptiveTime = time.Duration(report.Totals.AdaptiveTimeNS).String()
 	report.Totals.BestForcedTime = time.Duration(report.Totals.BestForcedTimeNS).String()
 	report.Totals.VsBest = nsRatio(report.Totals.AdaptiveTimeNS, report.Totals.BestForcedTimeNS)
-	fmt.Printf("  %-18s warm %10s  (cold %s)   sum-of-best %10s   (%.2fx of best, max %.1fx over worst)\n",
-		"TOTAL", report.Totals.AdaptiveTime,
-		time.Duration(report.Totals.AdaptiveColdTimeNS).String(),
-		report.Totals.BestForcedTime,
+	fmt.Printf("  %-18s adaptive %10s   sum-of-best %10s   (%.2fx of best, max %.1fx over worst)\n",
+		"TOTAL", report.Totals.AdaptiveTime, report.Totals.BestForcedTime,
 		report.Totals.VsBest, report.Totals.MaxSpeedupWorst)
 	fmt.Printf("  routed: %v\n", report.Totals.Routed)
 
@@ -185,18 +171,16 @@ func runSchedBench(path string, size int, only string, workers int, seed int64, 
 }
 
 // measureSchedRun checks the family's miter with the class scheduler on a
-// fresh device, optionally forcing one prover for every class. priors, if
-// non-nil, feeds (and learns) per-family routing history across calls. A
-// non-zero budget installs a wall-clock stop; a run cut off by it reports
-// Budgeted with its elapsed time as a lower bound.
-func measureSchedRun(inst *bench.Instance, workers int, seed int64, force string, priors *sched.Store, budget time.Duration) schedRun {
+// fresh device, optionally forcing one prover for every class. A non-zero
+// budget installs a wall-clock stop; a run cut off by it reports Budgeted
+// with its elapsed time as a lower bound.
+func measureSchedRun(inst *bench.Instance, workers int, seed int64, force string, budget time.Duration) schedRun {
 	dev := par.NewDevice(workers)
 	defer dev.Close()
 	opt := sched.Options{
-		Dev:    dev,
-		Seed:   seed,
-		Force:  force,
-		Priors: priors,
+		Dev:   dev,
+		Seed:  seed,
+		Force: force,
 	}
 	if budget > 0 {
 		stop := make(chan struct{})

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	cec [-engine name] a.aig b.aig
-//	cec -sched -sched-stats a.aig b.aig
+//	cec -engine sched -sched-stats a.aig b.aig
 //	cec -miter m.aig
 //	cec -trace out.json -phase-report a.aig b.aig
 //
@@ -36,8 +36,7 @@ func run() int {
 		names = append(names, string(e.Name))
 	}
 	engine := flag.String("engine", names[0], "checking engine: "+strings.Join(names, ", "))
-	schedFlag := flag.Bool("sched", false, "route each candidate class to the best-fitting prover (shorthand for -engine sched)")
-	schedStats := flag.Bool("sched-stats", false, "print the scheduler's per-engine routing table (implies -sched)")
+	schedStats := flag.Bool("sched-stats", false, "print the scheduler's per-engine routing table when the sched engine ran")
 	miterPath := flag.String("miter", "", "check a prebuilt miter instead of two circuits")
 	seq := flag.Bool("seq", false, "treat AIGER inputs as sequential: cut at the latch boundary")
 	dump := flag.String("dump", "", "write the final (reduced) miter to this AIGER file")
@@ -56,12 +55,6 @@ func run() int {
 	cutBudget := flag.Int("cut-budget", 0, "candidate cuts enumerated per node before selection (0: 4×cut-c)")
 	flag.Parse()
 
-	if *schedStats {
-		*schedFlag = true
-	}
-	if *schedFlag {
-		*engine = string(simsweep.EngineSched)
-	}
 	opts := simsweep.Options{
 		Engine:        simsweep.Engine(*engine),
 		Workers:       *workers,
@@ -172,8 +165,8 @@ func run() int {
 	}
 	if res.Sched != nil {
 		st := res.Sched
-		fmt.Printf("sched: %d classes (%d pairs) over %d rounds; %d escalations (%.1f%%), %d cex shared\n",
-			st.Classes, st.Pairs, st.Rounds, st.Escalations, st.EscalationPercent(), st.SharedCEX)
+		fmt.Printf("sched: %d classes (%d pairs) over %d rounds; %d escalations (%.1f%%), %d deferred, %d parked, %d cex shared\n",
+			st.Classes, st.Pairs, st.Rounds, st.Escalations, st.EscalationPercent(), st.Deferred, st.Parked, st.SharedCEX)
 		if *schedStats {
 			fmt.Println("  engine  routed  escal.  failed  proved  disproved      time")
 			for _, e := range []string{"sim", "sat", "bdd"} {

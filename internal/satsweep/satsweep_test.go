@@ -367,17 +367,19 @@ func constantOneMiter(t *testing.T) (m, reduced *aig.AIG) {
 	return nil, nil
 }
 
-// TestPOPassConstantOneHasCEX checks that the PO pass disproves a miter with
-// a constant-one PO by a counter-example (any input fires it) that replays
-// on both the merged and the original miter.
+// TestPOPassConstantOneHasCEX checks that the PO pass, budgeted (CheckPOs)
+// or not (FinishPOs, the class scheduler's final pass), disproves a miter
+// with a constant-one PO by a counter-example (any input fires it) that
+// replays on both the merged and the original miter.
 func TestPOPassConstantOneHasCEX(t *testing.T) {
 	m, reduced := constantOneMiter(t)
-	res := CheckPOs(reduced, Options{}, time.Minute)
-	if res.Outcome != miter.NotEquivalent {
-		t.Fatalf("outcome = %v, want not equivalent", res.Outcome)
-	}
-	if len(res.CEX) != m.NumPIs() || !fires(reduced, res.CEX) || !fires(m, res.CEX) {
-		t.Fatalf("counter-example %v does not replay", res.CEX)
+	for _, res := range []Result{CheckPOs(reduced, Options{}, time.Minute), FinishPOs(reduced, Options{})} {
+		if res.Outcome != miter.NotEquivalent {
+			t.Fatalf("outcome = %v, want not equivalent", res.Outcome)
+		}
+		if len(res.CEX) != m.NumPIs() || !fires(reduced, res.CEX) || !fires(m, res.CEX) {
+			t.Fatalf("counter-example %v does not replay", res.CEX)
+		}
 	}
 }
 

@@ -1,27 +1,15 @@
 package sched
 
-import "sync"
-
-// EnginePrior accumulates one engine's track record on one miter family:
-// how often it was tried, how often it fully resolved the class it was
-// given, how often it had to hand the class to the next rung, and the SAT
-// conflicts it consumed doing so. Counters only ever grow, so merging two
-// priors is a plain sum.
+// EnginePrior accumulates one engine's track record in the rounds of one
+// run so far: how often it was tried, how often it fully resolved the class
+// it was given, and the SAT conflicts it consumed doing so.
 type EnginePrior struct {
 	// Attempts counts classes dispatched to the engine.
 	Attempts uint64
 	// Wins counts attempts that decided every pending pair of the class.
 	Wins uint64
-	// Escalations counts attempts that left pairs undecided and pushed the
-	// class to the next ladder rung.
-	Escalations uint64
 	// Conflicts is the total SAT conflicts consumed (zero for sim and BDD).
 	Conflicts uint64
-	// TimeNS is the total wall time the attempts consumed, in nanoseconds.
-	// Per-attempt cost is the routing signal conflicts cannot provide: a
-	// family whose class queries are conflict-free can still be expensive
-	// when every solver call propagates over a large shared clause database.
-	TimeNS uint64
 }
 
 // WinRate returns the Laplace-smoothed win rate (Wins+1)/(Attempts+2), so
@@ -38,119 +26,4 @@ func (p EnginePrior) AvgConflicts() float64 {
 		return 0
 	}
 	return float64(p.Conflicts) / float64(p.Attempts)
-}
-
-// AvgTimeNS returns the mean wall time per attempt in nanoseconds (0
-// without history).
-func (p EnginePrior) AvgTimeNS() float64 {
-	if p.Attempts == 0 {
-		return 0
-	}
-	return float64(p.TimeNS) / float64(p.Attempts)
-}
-
-// Priors is the per-family routing history: one EnginePrior per engine
-// name. The zero value (nil map) reads as an empty history.
-type Priors struct {
-	ByEngine map[string]EnginePrior
-}
-
-// Get returns the prior for engine (the zero prior when absent).
-func (p Priors) Get(engine string) EnginePrior {
-	return p.ByEngine[engine]
-}
-
-// add sums delta into the engine's counters, allocating the map on first
-// use.
-func (p *Priors) add(engine string, delta EnginePrior) {
-	if p.ByEngine == nil {
-		p.ByEngine = make(map[string]EnginePrior)
-	}
-	cur := p.ByEngine[engine]
-	cur.Attempts += delta.Attempts
-	cur.Wins += delta.Wins
-	cur.Escalations += delta.Escalations
-	cur.Conflicts += delta.Conflicts
-	cur.TimeNS += delta.TimeNS
-	p.ByEngine[engine] = cur
-}
-
-// merge sums every engine of other into p.
-func (p *Priors) merge(other Priors) {
-	for e, d := range other.ByEngine {
-		p.add(e, d)
-	}
-}
-
-// clone returns a deep copy safe to hand across a lock boundary.
-func (p Priors) clone() Priors {
-	if p.ByEngine == nil {
-		return Priors{}
-	}
-	out := Priors{ByEngine: make(map[string]EnginePrior, len(p.ByEngine))}
-	for e, d := range p.ByEngine {
-		out.ByEngine[e] = d
-	}
-	return out
-}
-
-// Store is a bounded, concurrency-safe prior store keyed by miter family
-// fingerprint (aig.Fingerprint). The service layer keeps one Store next to
-// its result cache so repeated workloads converge; a nil *Store is a valid
-// no-op store, so callers never need to guard.
-type Store struct {
-	mu  sync.Mutex
-	cap int
-	m   map[uint64]Priors
-}
-
-// NewStore returns a store bounded to cap families (cap<=0 selects 1024).
-// When full, admitting a new family evicts an arbitrary resident one:
-// priors are a performance hint, so losing one costs a warm-up, not a
-// verdict.
-func NewStore(cap int) *Store {
-	if cap <= 0 {
-		cap = 1024
-	}
-	return &Store{cap: cap, m: make(map[uint64]Priors)}
-}
-
-// Get returns a copy of the family's priors (empty when unknown or when s
-// is nil).
-func (s *Store) Get(family uint64) Priors {
-	if s == nil {
-		return Priors{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[family].clone()
-}
-
-// Merge folds the counters learned by one run into the family's priors.
-// A nil store ignores the call.
-func (s *Store) Merge(family uint64, delta Priors) {
-	if s == nil || len(delta.ByEngine) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := s.m[family]
-	if !ok && len(s.m) >= s.cap {
-		for k := range s.m {
-			delete(s.m, k)
-			break
-		}
-	}
-	cur.merge(delta)
-	s.m[family] = cur
-}
-
-// Len reports the resident family count (0 for a nil store).
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
 }

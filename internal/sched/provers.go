@@ -22,44 +22,38 @@ type attempt struct {
 	cexs      [][]bool // full-PI counter-example patterns
 	satCalls  int
 	conflicts int64
-	failed    bool          // at least one pending pair left undecided
-	parked    bool          // skipped by the SAT probe; the run-level backstop owns it
-	fault     string        // recovered per-class fault, "" when clean
-	stopped   bool          // Options.Stop observed mid-attempt
-	elapsed   time.Duration // wall time of the attempt (SAT and BDD units)
+	failed    bool   // at least one pending pair left undecided
+	parked    bool   // skipped by a parking trigger; the final PO pass owns it
+	fault     string // recovered per-class fault, "" when clean
+	stopped   bool   // Options.Stop observed mid-attempt
 }
 
 // satProbeWindow is how many solver calls the SAT wave samples before
 // judging the family trivial: once the window is full and the calls
 // averaged under one conflict each, the remaining classes of the wave are
-// parked for the run-level backstop, which proves pure-propagation POs at
-// the same cost without the per-pair dispatch. Documented in DESIGN.md
+// parked for the final PO pass, which proves pure-propagation POs at the
+// same cost without the per-pair dispatch. Documented in DESIGN.md
 // ("Class scheduling").
 const satProbeWindow = 32
 
 // satWaveBudget is the wall-clock each SAT wave may spend before parking
 // its remaining classes. Per-class queries on a large miter can be cheap
 // in conflicts yet expensive in wall time — every solver call propagates
-// over the whole shared clause database — and a first contact with such a
-// family has no prior to warn it. The budget makes the cold run anytime:
-// the wave proves what fits and parks the tail.
+// over the whole shared clause database — and the run's priors do not
+// track wall time. The budget makes the run anytime: the wave proves what
+// fits and parks the tail.
 const satWaveBudget = 500 * time.Millisecond
 
 // satRunBudget is the cumulative wall-clock a whole run may spend in
 // per-class SAT dispatch before the fuse blows and every later SAT wave
 // parks outright. Without the fuse a family whose classes keep
 // re-forming round after round respreads the same per-class cost across
-// rounds forever; with it the run stalls, falls to the final PO pass, and
-// — crucially — records that pass's true cost under the backstop
-// pseudo-engine, which is the evidence the deferral rule needs to route
-// the family straight to the backstop next time. When that evidence says
-// PO queries are dear (satFuse), the fuse is raised 16x so families that
-// genuinely need per-class merging are not strangled every run.
+// rounds forever; with it the run stalls and falls to the final PO pass.
 const satRunBudget = 500 * time.Millisecond
 
 // bddRunBudget is the cumulative wall-clock a whole run may spend in
-// per-class BDD attempts before later BDD units park for the backstop —
-// the BDD counterpart of satRunBudget. One blown-up family (deep
+// per-class BDD attempts before later BDD units park for the final PO
+// pass — the BDD counterpart of satRunBudget. One blown-up family (deep
 // arithmetic, where per-class managers hit the node limit 40ms at a time
 // across hundreds of classes) must not serialise seconds of doomed BDD
 // builds; the budget caps the damage at one fuse per run while leaving
@@ -207,14 +201,15 @@ func (sc *sweeper) runSATGroup(cur *aig.AIG, g []*classUnit) []*attempt {
 		// baselines measure their true cost. The probe: once enough calls
 		// are in and they averaged under one conflict each, the family's
 		// proofs are pure propagation — park the rest of the wave for the
-		// backstop instead of serialising thousands of no-op dispatches.
+		// final PO pass instead of serialising thousands of no-op
+		// dispatches.
 		// The wave budget bounds one wave's wall clock; the run fuse
 		// bounds the whole run's SAT spend and pushes chronically
 		// re-forming classes to the final PO pass.
 		if sc.opt.Force == "" &&
 			((probeCalls >= satProbeWindow && probeConflicts < int64(probeCalls)) ||
 				(i > 0 && time.Since(waveStart) > satWaveBudget) ||
-				sc.satSpent > sc.satFuse()) {
+				sc.satSpent > satRunBudget) {
 			for j := i; j < len(g); j++ {
 				atts[j] = &attempt{parked: true}
 			}
@@ -222,8 +217,7 @@ func (sc *sweeper) runSATGroup(cur *aig.AIG, g []*classUnit) []*attempt {
 		}
 		unitStart := time.Now()
 		atts[i] = sc.satUnit(cur, u, solver, enc)
-		atts[i].elapsed = time.Since(unitStart)
-		sc.satSpent += atts[i].elapsed
+		sc.satSpent += time.Since(unitStart)
 		probeCalls += atts[i].satCalls
 		probeConflicts += atts[i].conflicts
 		if atts[i].fault != "" {
@@ -234,22 +228,6 @@ func (sc *sweeper) runSATGroup(cur *aig.AIG, g []*classUnit) []*attempt {
 		}
 	}
 	return atts
-}
-
-// satFuse returns the run's cumulative SAT budget: satRunBudget by
-// default, raised 16x when the family's history proves per-class merging
-// matters — a backstop PO query has cost more than backstopCostRatio
-// class queries, so stalling per-class SAT would hand the final pass a
-// miter it cannot afford. The same ratio in the opposite direction is the
-// deferral test (rankEngines); the two read one signal from both ends.
-func (sc *sweeper) satFuse() time.Duration {
-	satP := sc.prior.Get(EngineSAT)
-	back := sc.prior.Get(engineBackstop)
-	if satP.Attempts >= 4 && back.Attempts >= 4 &&
-		back.AvgTimeNS() > backstopCostRatio*satP.AvgTimeNS() {
-		return 16 * satRunBudget
-	}
-	return satRunBudget
 }
 
 // satUnit runs the conflict-limited SAT attempt for one class on the
@@ -329,8 +307,7 @@ func (sc *sweeper) bddUnit(cur *aig.AIG, u *classUnit) (a *attempt) {
 			a.failed = true
 			a.fault = fmt.Sprintf("sched.bdd.recovered: %v", r)
 		}
-		a.elapsed = time.Since(unitStart)
-		sc.bddSpent.Add(int64(a.elapsed))
+		sc.bddSpent.Add(int64(time.Since(unitStart)))
 	}()
 	if sc.opt.stopped() {
 		a.stopped = true

@@ -4,9 +4,8 @@
 // supports, conflict-limited SAT for wide or irregular classes, BDDs for
 // deep structured ones — and misrouted classes escalate along a per-class
 // ladder. Counter-examples found by any prover refine every pending class
-// in the same round, and per-family routing history (priors) persists in
-// the service result cache so repeated workloads converge on the right
-// engine immediately.
+// in the same round, and the provers' track record in one round (priors)
+// steers the routing of the next.
 package sched
 
 import (
@@ -16,12 +15,11 @@ import (
 	"time"
 
 	"simsweep/internal/aig"
-	"simsweep/internal/cnf"
 	"simsweep/internal/ec"
 	"simsweep/internal/fault"
 	"simsweep/internal/miter"
 	"simsweep/internal/par"
-	"simsweep/internal/sat"
+	"simsweep/internal/satsweep"
 	"simsweep/internal/sim"
 	"simsweep/internal/trace"
 )
@@ -35,25 +33,10 @@ const (
 
 // scoreFloor is the minimum routing score a prover must reach to earn a
 // rung on a class's ladder. A class no prover scores above the floor is
-// deferred: left unmerged for the run-level SAT backstop, which decides
-// the outputs without paying per-pair proofs the model predicts to be
+// deferred: left unmerged for the final PO pass, which decides the
+// outputs without paying per-pair proofs the model predicts to be
 // unprofitable. Documented in DESIGN.md ("Class scheduling").
 const scoreFloor = 0.25
-
-// engineBackstop is the pseudo-engine name under which the family prior
-// records the final PO pass's per-output SAT cost. It never appears on a
-// ladder; the router compares its per-query cost against per-class SAT's
-// to decide whether the family's classes should defer to the backstop
-// (PO queries no dearer than class queries: merging buys nothing) or
-// whether per-class sweeping must continue (PO queries an order of
-// magnitude dearer: the backstop is only cheap when it rides on merges).
-const engineBackstop = "backstop"
-
-// backstopCostRatio is the deferral threshold: classes defer to the
-// backstop when a historical PO query costs at most this many class
-// queries, and the SAT run fuse is raised (merges demonstrably matter)
-// when a PO query costs more than this many class queries.
-const backstopCostRatio = 4.0
 
 // bddSupportCap is how far united class supports are tracked exactly.
 // Exhaustive simulation pays 2^support patterns, so the sim prover's cap
@@ -102,9 +85,6 @@ type Options struct {
 	// -sched. Classes the engine cannot decide fall through to the final
 	// PO pass. Unknown names leave routing adaptive.
 	Force string
-	// Priors, when non-nil, supplies and accumulates per-family routing
-	// history. Nil disables persistence (neutral priors every run).
-	Priors *Store
 	// Stop, when non-nil, cancels the sweep cooperatively; a cancelled run
 	// returns Undecided.
 	Stop <-chan struct{}
@@ -204,9 +184,10 @@ type sweeper struct {
 	res     *Result
 	partial *sim.Partial
 	ex      *sim.Exhaustive
-	prior0  Priors // family history as loaded from the store
-	prior   Priors // scoring view: prior0 plus everything learned this run
-	learned Priors
+	// prior is each engine's track record in the rounds so far, so round
+	// N+1 scores the provers on what round N observed. An engine it does
+	// not list reads as the zero prior.
+	prior map[string]EnginePrior
 	// satSpent is the run's cumulative wall clock inside per-class SAT
 	// units, checked against satRunBudget by the wave fuse.
 	satSpent time.Duration
@@ -214,15 +195,6 @@ type sweeper struct {
 	// concurrently on the worker pool.
 	bddSpent atomic.Int64
 	stop     bool // a prover observed Options.Stop mid-dispatch
-}
-
-// refreshPriorView rebuilds the scoring view from the stored family
-// history plus this run's own evidence, so round N+1 routes on what round
-// N observed — the intra-run half of prior learning.
-func (sc *sweeper) refreshPriorView() {
-	view := sc.prior0.clone()
-	view.merge(sc.learned)
-	sc.prior = view
 }
 
 // CheckMiter decides whether the miter m is constant zero, routing each
@@ -253,13 +225,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	opt.fill()
 	res := Result{Reduced: m}
 
-	sc := &sweeper{opt: opt, res: &res}
-	if opt.Priors != nil {
-		family := m.Fingerprint()
-		sc.prior0 = opt.Priors.Get(family)
-		defer func() { opt.Priors.Merge(family, sc.learned) }()
-	}
-	sc.prior = sc.prior0
+	sc := &sweeper{opt: opt, res: &res, prior: make(map[string]EnginePrior)}
 	sc.partial = sim.NewPartial(opt.Dev, m.NumPIs(), opt.simWords, opt.Seed)
 	sc.ex = sim.NewExhaustive(opt.Dev, simBudgetWords)
 	sc.ex.Trace = opt.Trace
@@ -299,7 +265,6 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 		})
 
 		merges, progressed, done := sc.scheduleRound(cur, classes, sims, round)
-		sc.refreshPriorView()
 		if done {
 			res.Reduced = cur
 			return res
@@ -320,6 +285,25 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	}
 
 	return sc.finishPOs(cur)
+}
+
+// finishPOs runs satsweep's final PO pass on what the rounds left, under
+// the final (by default unlimited) conflict budget: the completeness
+// backstop for classes no rung could decide. A stop or a missed budget
+// still merges the POs proved before it.
+func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
+	opt := sc.opt
+	res := *sc.res
+	pr := satsweep.FinishPOs(cur, satsweep.Options{
+		ConflictLimit: opt.ConflictLimit,
+		Stop:          opt.Stop,
+		Trace:         opt.Trace,
+		Faults:        opt.Faults,
+	})
+	res.Outcome, res.Stopped, res.CEX, res.Reduced = pr.Outcome, pr.Stopped, pr.CEX, pr.Reduced
+	res.Stats.SATCalls += pr.Stats.SATCalls
+	res.Faults = append(res.Faults, pr.Faults...)
+	return res
 }
 
 // scheduleRound builds the round's class units, dispatches them in waves
@@ -411,9 +395,9 @@ func (sc *sweeper) scheduleRound(cur *aig.AIG, classes *ec.Manager, sims [][]uin
 func (sc *sweeper) apply(cur *aig.AIG, units []*classUnit, u *classUnit, engine string, a *attempt, round int) (progressed, escalated, done bool) {
 	st := &sc.res.Stats
 	if a.parked {
-		// The SAT probe judged the rest of the wave trivial. Retire the
-		// class's ladder so later waves skip it; the run-level backstop
-		// decides its pairs. No prior delta — the engine never ran.
+		// A parking trigger retired the class's ladder so later waves skip
+		// it; the final PO pass decides what its pairs would have merged.
+		// No prior delta — the engine never ran.
 		st.Parked++
 		u.cursor = len(u.ladder)
 		return false, false, false
@@ -440,9 +424,11 @@ func (sc *sweeper) apply(cur *aig.AIG, units []*classUnit, u *classUnit, engine 
 			progressed = true
 		}
 	}
-	delta := EnginePrior{Attempts: 1, Conflicts: uint64(a.conflicts), TimeNS: uint64(a.elapsed)}
+	prior := sc.prior[engine]
+	prior.Attempts++
+	prior.Conflicts += uint64(a.conflicts)
 	if !a.failed && len(a.proved) > 0 && u.pendingCount() == 0 {
-		delta.Wins = 1
+		prior.Wins++
 		if st.Examples == nil {
 			st.Examples = make(map[string]ClassExample)
 		}
@@ -460,7 +446,6 @@ func (sc *sweeper) apply(cur *aig.AIG, units []*classUnit, u *classUnit, engine 
 	if a.failed {
 		row.Failed++
 		if u.cursor+1 < len(u.ladder) {
-			delta.Escalations = 1
 			u.cursor++
 			st.Escalations++
 			next := st.engine(u.ladder[u.cursor])
@@ -470,7 +455,7 @@ func (sc *sweeper) apply(cur *aig.AIG, units []*classUnit, u *classUnit, engine 
 		}
 	}
 	st.setEngine(engine, row)
-	sc.learned.add(engine, delta)
+	sc.prior[engine] = prior
 
 	// Cross-engine sharing: every counter-example refines the next round's
 	// signatures and is replayed against every still-pending pair right
@@ -586,7 +571,7 @@ func (sc *sweeper) buildUnits(cur *aig.AIG, classes *ec.Manager, sims [][]uint64
 }
 
 // rankEngines scores the provers against the class features and the
-// family priors and returns the eligible engines, best first — the unit's
+// run's priors and returns the eligible engines, best first — the unit's
 // private escalation ladder. The scoring rule is documented in DESIGN.md
 // ("Class scheduling"); constants there and here must agree.
 func (sc *sweeper) rankEngines(f Features) []string {
@@ -606,15 +591,15 @@ func (sc *sweeper) rankEngines(f Features) []string {
 			extra = 5
 		}
 		score += 0.1 * float64(extra)
-		score += sc.prior.Get(EngineSim).WinRate() - 0.5
+		score += sc.prior[EngineSim].WinRate() - 0.5
 		ranked = append(ranked, scored{EngineSim, score})
 	}
 
-	satPrior := sc.prior.Get(EngineSAT)
+	satPrior := sc.prior[EngineSAT]
 	satScore := 1.2 - 0.004*float64(f.Depth) + 0.2*f.Entropy
 	// Per-pair SAT cost scales with the class size (each member is its own
 	// cone encoding + solve); penalise bulk so huge classes — typically the
-	// constant class — defer to the run-level backstop instead.
+	// constant class — defer to the final PO pass instead.
 	bulk := f.Size - 1
 	if bulk > 50 {
 		bulk = 50
@@ -622,21 +607,7 @@ func (sc *sweeper) rankEngines(f Features) []string {
 	satScore -= 0.03 * float64(bulk)
 	satScore += satPrior.WinRate() - 0.5
 	if satPrior.AvgConflicts() >= float64(sc.opt.routeConflictLimit) {
-		satScore -= 0.5 // the family historically blows the routed budget
-	}
-	// Deferral test: the family has SAT and backstop history, and the
-	// history says a backstop PO query costs no more than a few class
-	// queries. Then per-class proving by a decision procedure buys nothing
-	// the final pass would not get at the same unit price without the
-	// dispatch overhead — sink the SAT and BDD scores below any reachable
-	// floor so every such class defers. Families whose PO queries are an
-	// order of magnitude dearer than class queries (the backstop rides on
-	// merges) fail the test and keep sweeping.
-	back := sc.prior.Get(engineBackstop)
-	deferClasses := satPrior.Attempts >= 4 && back.Attempts >= 4 &&
-		back.AvgTimeNS() <= backstopCostRatio*satPrior.AvgTimeNS()
-	if deferClasses {
-		satScore -= 2.0
+		satScore -= 0.5 // SAT has been blowing the routed budget this run
 	}
 	ranked = append(ranked, scored{EngineSAT, satScore})
 
@@ -649,117 +620,18 @@ func (sc *sweeper) rankEngines(f Features) []string {
 		effSupport = float64(f.Support)
 	}
 	bddScore := 1.1 - 0.02*effSupport - 0.004*float64(f.Depth)
-	bddScore += sc.prior.Get(EngineBDD).WinRate() - 0.5
-	if deferClasses {
-		bddScore -= 2.0
-	}
+	bddScore += sc.prior[EngineBDD].WinRate() - 0.5
 	ranked = append(ranked, scored{EngineBDD, bddScore})
 
 	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].score > ranked[j].score })
 	out := make([]string, 0, len(ranked))
 	for _, r := range ranked {
 		if r.score < scoreFloor {
-			continue // predicted unprofitable; the run-level backstop is cheaper
+			continue // predicted unprofitable; the final PO pass is cheaper
 		}
 		out = append(out, r.name)
 	}
 	return out
-}
-
-// finishPOs proves or refutes each remaining non-constant PO by SAT with
-// the final (by default unlimited) conflict budget, exactly as the
-// satsweep baseline does — the completeness backstop for classes no rung
-// could decide.
-func (sc *sweeper) finishPOs(cur *aig.AIG) Result {
-	opt := sc.opt
-	res := *sc.res
-	solver := sat.New()
-	solver.SetConflictLimit(opt.ConflictLimit)
-	solver.SetStop(opt.stopped)
-	enc := cnf.NewEncoder(cur, solver)
-
-	var merges []miter.Merge
-	merged := make(map[aig.Lit]bool)
-	undecided := false
-	for i := 0; i < cur.NumPOs(); i++ {
-		if opt.stopped() {
-			res.Stopped = true
-			res.Reduced = cur
-			return res
-		}
-		po := cur.PO(i)
-		if po == aig.False {
-			continue
-		}
-		if po == aig.True {
-			// A constant-one PO fires under every input.
-			res.Outcome = miter.NotEquivalent
-			res.CEX = make([]bool, cur.NumPIs())
-			res.Reduced = cur
-			return res
-		}
-		if merged[po] {
-			// An earlier PO with this exact literal already proved it
-			// constant zero; a duplicate merge entry for the node would be
-			// rejected wholesale. (The opposite literal still gets its
-			// solve: it would be constant one, a disproof.)
-			continue
-		}
-		// PO-constancy queries are pair checks against constant zero, so
-		// they share the pair hook; this also guarantees the hook has a
-		// firing opportunity on miters whose classes yield no pairs.
-		opt.Faults.Panic(fault.HookSATOOM)
-		res.Stats.SATCalls++
-		before := solver.Stats().Conflicts
-		solveStart := time.Now()
-		status := solver.Solve(enc.LitOf(po))
-		// The pass's per-PO cost feeds the family prior under the backstop
-		// pseudo-engine: the router needs to know whether deferring classes
-		// here is cheap before it may do so.
-		delta := EnginePrior{
-			Attempts:  1,
-			Conflicts: uint64(solver.Stats().Conflicts - before),
-			TimeNS:    uint64(time.Since(solveStart)),
-		}
-		if status == sat.Unsat {
-			delta.Wins = 1
-		}
-		sc.learned.add(engineBackstop, delta)
-		switch status {
-		case sat.Unsat:
-			merges = append(merges, miter.Merge{
-				Member: int32(po.ID()),
-				Target: aig.False.NotIf(po.IsCompl()),
-			})
-			merged[po] = true
-		case sat.Sat:
-			res.Outcome = miter.NotEquivalent
-			res.CEX = enc.ModelInputs()
-			res.Reduced = cur
-			return res
-		default:
-			undecided = true
-		}
-	}
-	if len(merges) > 0 {
-		reduced, _, err := miter.Reduce(cur, merges)
-		if err != nil {
-			// A merge-bookkeeping bug; degrade loudly instead of silently
-			// reporting undecided.
-			res.Faults = append(res.Faults, fmt.Sprintf("sched.finish.reduce: %v", err))
-			res.Reduced = cur
-			return res
-		}
-		cur = reduced
-	}
-	res.Reduced = cur
-	if !undecided && miter.IsProved(cur) {
-		res.Outcome = miter.Equivalent
-	}
-	if undecided && opt.stopped() {
-		res.Stopped = true
-	}
-	return res
 }
 
 // evalNodes evaluates every node of g under a full PI assignment and

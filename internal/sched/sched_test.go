@@ -225,38 +225,6 @@ func TestSchedFaultDegradesNeverFlips(t *testing.T) {
 	}
 }
 
-func TestSchedPriorsPersist(t *testing.T) {
-	store := NewStore(0)
-	m := mustMiter(t, adder(6, false), adder(6, true))
-	family := m.Fingerprint()
-	res := CheckMiter(m, Options{Seed: 8, Priors: store})
-	if res.Outcome != miter.Equivalent {
-		t.Fatalf("outcome = %v", res.Outcome)
-	}
-	if store.Len() != 1 {
-		t.Fatalf("store holds %d families, want 1", store.Len())
-	}
-	prior := store.Get(family)
-	attempts := uint64(0)
-	for _, p := range prior.ByEngine {
-		attempts += p.Attempts
-	}
-	if attempts == 0 {
-		t.Fatal("no attempts recorded in the family prior")
-	}
-	// A second run over the same family accumulates rather than replaces.
-	m2 := mustMiter(t, adder(6, false), adder(6, true))
-	CheckMiter(m2, Options{Seed: 9, Priors: store})
-	again := store.Get(family)
-	sum := uint64(0)
-	for _, p := range again.ByEngine {
-		sum += p.Attempts
-	}
-	if sum <= attempts {
-		t.Fatalf("second run did not accumulate: %d -> %d", attempts, sum)
-	}
-}
-
 func TestSchedStopCancels(t *testing.T) {
 	m := mustMiter(t, adder(8, false), adder(8, true))
 	stop := make(chan struct{})
@@ -264,27 +232,6 @@ func TestSchedStopCancels(t *testing.T) {
 	res := CheckMiter(m, Options{Seed: 10, Stop: stop})
 	if res.Outcome != miter.Undecided || !res.Stopped {
 		t.Fatalf("cancelled run: outcome = %v, stopped = %v", res.Outcome, res.Stopped)
-	}
-}
-
-func TestStoreNilSafe(t *testing.T) {
-	var s *Store
-	if got := s.Get(1); len(got.ByEngine) != 0 {
-		t.Fatalf("nil store Get = %+v", got)
-	}
-	s.Merge(1, Priors{ByEngine: map[string]EnginePrior{EngineSim: {Attempts: 1}}})
-	if s.Len() != 0 {
-		t.Fatal("nil store Len != 0")
-	}
-}
-
-func TestStoreEvictsAtCap(t *testing.T) {
-	s := NewStore(2)
-	for f := uint64(1); f <= 3; f++ {
-		s.Merge(f, Priors{ByEngine: map[string]EnginePrior{EngineSAT: {Attempts: 1}}})
-	}
-	if s.Len() != 2 {
-		t.Fatalf("store holds %d families, want cap 2", s.Len())
 	}
 }
 

@@ -229,11 +229,6 @@ type Service struct {
 	degraded      uint64            // jobs whose result reported Degraded
 	schedClasses  map[string]uint64 // sched-engine classes routed, by engine name
 
-	// schedPriors is the sched engine's per-family routing history; it
-	// lives next to the result cache so repeated workloads converge on the
-	// right engines immediately. The store synchronises itself.
-	schedPriors *simsweep.SchedPriorStore
-
 	// histograms for /metrics; each synchronises itself (the kernel
 	// launch observer fires concurrently from every runner).
 	phaseHists map[string]*histogram // phase duration by kind (P/G/L)
@@ -265,7 +260,6 @@ func New(cfg Config) *Service {
 		queueHist:    newHistogram(queueBuckets...),
 		queue:        make(chan *job, cfg.QueueCap),
 		schedClasses: make(map[string]uint64),
-		schedPriors:  simsweep.NewSchedPriorStore(0),
 	}
 	perDev := cfg.TotalWorkers / cfg.MaxConcurrent
 	if perDev < 1 {
@@ -725,7 +719,6 @@ func (s *Service) check(req Request, dev *par.Device, stop <-chan struct{}, trac
 		Trace:         tracer,
 		Faults:        s.cfg.Faults,
 		PhaseBudget:   s.cfg.PhaseBudget,
-		SchedPriors:   s.schedPriors,
 	}
 	if req.Miter != nil {
 		return simsweep.CheckMiter(req.Miter, opts)

@@ -174,9 +174,9 @@ type Engine string
 // simulation engine reduces (and often fully proves) the miter, and SAT
 // sweeping finishes whatever remains. EngineSched replaces that run-level
 // ladder with per-class routing: every candidate equivalence class is
-// scored against cheap features and per-family history, dispatched to the
-// prover that fits it (exhaustive sim, conflict-limited SAT, or BDD), and
-// escalated per class when misrouted (see internal/sched).
+// scored against cheap features and the run's routing history, dispatched
+// to the prover that fits it (exhaustive sim, conflict-limited SAT, or
+// BDD), and escalated per class when misrouted (see internal/sched).
 const (
 	EngineHybrid    Engine = "hybrid"
 	EngineSim       Engine = "sim"
@@ -284,12 +284,6 @@ type Options struct {
 	// disables the watchdog. See core.Config.PhaseBudget; the engine's
 	// per-phase work cap is internal and only its tests set it.
 	PhaseBudget time.Duration
-	// SchedPriors, when non-nil, supplies and accumulates the sched
-	// engine's per-family routing history across checks. The service layer
-	// keeps one store next to its result cache so repeated workloads
-	// converge on the right engines immediately. Other engines ignore it.
-	SchedPriors *SchedPriorStore
-
 	// noFallback disables the hybrid flow's portfolio fallback step. It is
 	// set internally for portfolio members so that a degraded member never
 	// recursively launches another portfolio.
@@ -504,22 +498,12 @@ func runSAT(m *AIG, o Options, dev *par.Device) Result {
 // SchedStats re-exports the class scheduler's run statistics.
 type SchedStats = sched.Stats
 
-// SchedPriorStore re-exports the scheduler's per-family prior store (see
-// internal/sched.Store): bounded, concurrency-safe, keyed by miter family
-// fingerprint. A nil store is a valid no-op.
-type SchedPriorStore = sched.Store
-
-// NewSchedPriorStore returns a prior store bounded to cap families
-// (cap<=0 selects a default of 1024).
-func NewSchedPriorStore(cap int) *SchedPriorStore { return sched.NewStore(cap) }
-
 func runSched(m *AIG, o Options, dev *par.Device) Result {
 	sr := sched.CheckMiter(m, sched.Options{
 		Dev:           dev,
 		ConflictLimit: o.ConflictLimit,
 		Seed:          o.Seed,
 		Stop:          o.Stop,
-		Priors:        o.SchedPriors,
 		Trace:         o.Trace,
 		Faults:        o.Faults,
 	})
