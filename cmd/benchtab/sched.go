@@ -47,11 +47,41 @@ type schedFamilyRow struct {
 	Forced        []schedRun `json:"forced"`
 	HybridVerdict string     `json:"hybrid_verdict"`
 	HybridTimeNS  int64      `json:"hybrid_time_ns"`
-	BestForced    string     `json:"best_forced"`
+	BestForced    *string    `json:"best_forced"` // null: every forced run exceeded the budget
 	WorstForced   string     `json:"worst_forced"`
-	VsBest        float64    `json:"adaptive_over_best"` // adaptive time / best forced time (<=1: adaptive wins)
-	SpeedupWorst  float64    `json:"speedup_vs_worst"`   // worst forced time / adaptive time
+	VsBest        *float64   `json:"adaptive_over_best"` // adaptive time / best forced time (<=1: adaptive wins); null without a best
+	SpeedupWorst  float64    `json:"speedup_vs_worst"`   // worst forced time / adaptive time; a lower bound when the worst run exceeded the budget
 	Agree         bool       `json:"all_verdicts_agree"`
+}
+
+// forcedSummary is the arithmetic of one family row over its forced runs.
+type forcedSummary struct {
+	bestNS, worstNS int64
+	hasBest         bool // some forced run finished within the budget
+	worstCut        bool // the worst run exceeded the budget: worstNS is a lower bound
+}
+
+// summariseForced sets the row's best and worst forced provers and its two
+// ratios from its forced runs. A run cut off by the budget is never the
+// best; when every run was, the row has no best, and best_forced and
+// adaptive_over_best stay null rather than reading 0.
+func summariseForced(row *schedFamilyRow) forcedSummary {
+	var s forcedSummary
+	for _, fr := range row.Forced {
+		if !fr.Budgeted && (!s.hasBest || fr.TimeNS < s.bestNS) {
+			name := fr.Engine
+			row.BestForced, s.bestNS, s.hasBest = &name, fr.TimeNS, true
+		}
+		if row.WorstForced == "" || fr.TimeNS > s.worstNS {
+			row.WorstForced, s.worstNS, s.worstCut = fr.Engine, fr.TimeNS, fr.Budgeted
+		}
+	}
+	if s.hasBest {
+		v := nsRatio(row.Adaptive.TimeNS, s.bestNS)
+		row.VsBest = &v
+	}
+	row.SpeedupWorst = nsRatio(s.worstNS, row.Adaptive.TimeNS)
+	return s
 }
 
 type schedReport struct {
@@ -62,9 +92,9 @@ type schedReport struct {
 	Totals    struct {
 		AdaptiveTimeNS   int64             `json:"adaptive_time_ns"`
 		AdaptiveTime     string            `json:"adaptive_time"`
-		BestForcedTimeNS int64             `json:"best_forced_time_ns"`
+		BestForcedTimeNS int64             `json:"best_forced_time_ns"` // families with a best only
 		BestForcedTime   string            `json:"best_forced_time"`
-		VsBest           float64           `json:"adaptive_over_best"`
+		VsBest           *float64          `json:"adaptive_over_best"` // over the families with a best; null if none
 		MaxSpeedupWorst  float64           `json:"max_speedup_vs_worst"`
 		Routed           map[string]uint64 `json:"routed"`
 	} `json:"totals"`
@@ -76,10 +106,13 @@ type schedReport struct {
 // comparison to path. Every run starts cold: routing learns only within
 // the run. Forced single-prover baselines get a per-run wall-clock
 // budget: a mono-engine run that blows it is recorded as exceeding the
-// budget (its elapsed time is a lower bound on the true cost) and is
-// excluded from the agreement check. Any verdict disagreement among the
-// finished runs is an error (reported after the JSON is written): routing
-// must never change the answer, only the time to reach it.
+// budget (its elapsed time is a lower bound on the true cost, printed
+// with ">=") and is excluded from the agreement check and from the best
+// column. A family whose every forced run blew the budget has no best and
+// is left out of the sum-of-best and the TOTAL ratio. Any verdict
+// disagreement among the finished runs is an error (reported after the
+// JSON is written): routing must never change the answer, only the time
+// to reach it.
 func runSchedBench(path string, size int, only string, workers int, seed int64, budget time.Duration) error {
 	cases := suite(size, only)
 
@@ -94,6 +127,8 @@ func runSchedBench(path string, size int, only string, workers int, seed int64, 
 	report.Totals.Routed = make(map[string]uint64)
 
 	var disagreed []string
+	var adaptiveWithBestNS int64 // adaptive time over the families with a best
+	noBest := 0
 	fmt.Println("class-scheduler benchmark (adaptive routing vs forced single provers):")
 	for _, c := range cases {
 		inst, err := bench.Build(c, buildDev)
@@ -106,16 +141,9 @@ func runSchedBench(path string, size int, only string, workers int, seed int64, 
 			Adaptive: measureSchedRun(inst, workers, seed, "", 0),
 			Agree:    true,
 		}
-		var bestNS, worstNS int64
 		for _, e := range schedEngines {
 			fr := measureSchedRun(inst, workers, seed, e, budget)
 			row.Forced = append(row.Forced, fr)
-			if !fr.Budgeted && (row.BestForced == "" || fr.TimeNS < bestNS) {
-				row.BestForced, bestNS = e, fr.TimeNS
-			}
-			if row.WorstForced == "" || fr.TimeNS > worstNS {
-				row.WorstForced, worstNS = e, fr.TimeNS
-			}
 			if !fr.Budgeted && fr.Verdict != row.Adaptive.Verdict {
 				row.Agree = false
 			}
@@ -130,34 +158,50 @@ func runSchedBench(path string, size int, only string, workers int, seed int64, 
 		if row.HybridVerdict != row.Adaptive.Verdict {
 			row.Agree = false
 		}
-		row.VsBest = nsRatio(row.Adaptive.TimeNS, bestNS)
-		row.SpeedupWorst = nsRatio(worstNS, row.Adaptive.TimeNS)
+		sum := summariseForced(&row)
 		if !row.Agree {
 			disagreed = append(disagreed, fmt.Sprintf("%s (adaptive %s, hybrid %s)",
 				row.Family, row.Adaptive.Verdict, row.HybridVerdict))
 		}
 		report.Families = append(report.Families, row)
 		report.Totals.AdaptiveTimeNS += row.Adaptive.TimeNS
-		report.Totals.BestForcedTimeNS += bestNS
+		if sum.hasBest {
+			adaptiveWithBestNS += row.Adaptive.TimeNS
+			report.Totals.BestForcedTimeNS += sum.bestNS
+		} else {
+			noBest++
+		}
 		if row.SpeedupWorst > report.Totals.MaxSpeedupWorst {
 			report.Totals.MaxSpeedupWorst = row.SpeedupWorst
 		}
 		for e, n := range row.Adaptive.Routed {
 			report.Totals.Routed[e] += n
 		}
-		fmt.Printf("  %-18s adaptive %10s   hybrid %10s (%5.2fx)   best %-3s %10s   worst %-3s %10s   %4.1fx vs worst  %s\n",
+		best := "none"
+		if sum.hasBest {
+			best = fmt.Sprintf("%-3s %10s", *row.BestForced, time.Duration(sum.bestNS))
+		}
+		lowerBound := "  "
+		if sum.worstCut {
+			lowerBound = ">="
+		}
+		fmt.Printf("  %-18s adaptive %10s   hybrid %10s (%5.2fx)   best %-14s   worst %-3s %s%10s  %s%4.1fx vs worst  %s\n",
 			row.Family, row.Adaptive.Time,
 			time.Duration(row.HybridTimeNS).String(), nsRatio(row.HybridTimeNS, row.Adaptive.TimeNS),
-			row.BestForced, time.Duration(bestNS).String(),
-			row.WorstForced, time.Duration(worstNS).String(),
-			row.SpeedupWorst, row.Adaptive.Verdict)
+			best, row.WorstForced, lowerBound, time.Duration(sum.worstNS).String(),
+			lowerBound, row.SpeedupWorst, row.Adaptive.Verdict)
 	}
 	report.Totals.AdaptiveTime = time.Duration(report.Totals.AdaptiveTimeNS).String()
 	report.Totals.BestForcedTime = time.Duration(report.Totals.BestForcedTimeNS).String()
-	report.Totals.VsBest = nsRatio(report.Totals.AdaptiveTimeNS, report.Totals.BestForcedTimeNS)
-	fmt.Printf("  %-18s adaptive %10s   sum-of-best %10s   (%.2fx of best, max %.1fx over worst)\n",
+	ratio := "no family had a best"
+	if report.Totals.BestForcedTimeNS > 0 {
+		v := nsRatio(adaptiveWithBestNS, report.Totals.BestForcedTimeNS)
+		report.Totals.VsBest = &v
+		ratio = fmt.Sprintf("%.2fx of best", v)
+	}
+	fmt.Printf("  %-18s adaptive %10s   sum-of-best %10s   (%s, max %.1fx over worst; %d without a best left out)\n",
 		"TOTAL", report.Totals.AdaptiveTime, report.Totals.BestForcedTime,
-		report.Totals.VsBest, report.Totals.MaxSpeedupWorst)
+		ratio, report.Totals.MaxSpeedupWorst, noBest)
 	fmt.Printf("  routed: %v\n", report.Totals.Routed)
 
 	if err := writeReport(path, "scheduler benchmark", report); err != nil {

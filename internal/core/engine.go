@@ -325,6 +325,24 @@ func windowWork(w *sim.Window) int64 {
 	return int64(w.TTWords()) * int64(w.NumSlots())
 }
 
+// buildWithin materialises spec's window if its work stays within
+// maxWindowWork. A spec whose table alone, TTWords × (inputs+1), is over
+// the cap is refused before its cone is built. It returns nil when the
+// window is over the cap (over true) or its inputs do not cut its roots.
+func (e *engine) buildWithin(spec sim.Spec) (w *sim.Window, over bool) {
+	if int64(sim.TTWords(len(spec.Inputs)))*int64(len(spec.Inputs)+1) > maxWindowWork {
+		return nil, true
+	}
+	w, err := sim.BuildWindow(e.cur, spec)
+	if err != nil {
+		return nil, false
+	}
+	if windowWork(w) > maxWindowWork {
+		return nil, true
+	}
+	return w, false
+}
+
 // checkChunked merges the specs (when ks > 0), materialises their windows
 // and exhaustively checks them in chunks bounded by the memory budget,
 // returning combined per-pair verdicts (indexed like pairs). A merged
@@ -336,16 +354,17 @@ func (e *engine) checkChunked(pairs []sim.Pair, specs []sim.Spec, ks int) sim.Re
 		Equal: make([]bool, len(pairs)),
 		CEXs:  make([]*sim.CEX, len(pairs)),
 	}
-	// Original (unmerged) spec of each pair, for the over-budget retry.
-	origByPair := make(map[int32]sim.Spec, len(specs))
-	for _, s := range specs {
-		for _, pi := range s.PairIdx {
-			origByPair[pi] = s
-		}
-	}
 	merged := specs
+	// Original (unmerged) spec of each pair, for the over-budget retry.
+	var origByPair map[int32]sim.Spec
 	if ks > 0 {
 		merged = sim.MergeSpecs(specs, ks)
+		origByPair = make(map[int32]sim.Spec, len(specs))
+		for _, s := range specs {
+			for _, pi := range s.PairIdx {
+				origByPair[pi] = s
+			}
+		}
 	}
 
 	slotCap := e.cfg.MemBudgetWords / 2
@@ -393,25 +412,19 @@ func (e *engine) checkChunked(pairs []sim.Pair, specs []sim.Spec, ks int) sim.Re
 		if e.stopped() || e.phaseAborted {
 			break
 		}
-		w, err := sim.BuildWindow(e.cur, spec)
-		if err != nil {
-			continue // inputs were not a cut; skip the job
-		}
-		if windowWork(w) <= maxWindowWork {
+		w, over := e.buildWithin(spec)
+		switch {
+		case w != nil:
 			enqueue(w)
-			continue
-		}
-		if len(spec.PairIdx) == 1 {
-			continue // single over-budget job: unsimulatable on CPU
-		}
-		// Merging pushed the window over budget: fall back to the
-		// pairs' individual windows.
-		for _, pi := range spec.PairIdx {
-			ow, err := sim.BuildWindow(e.cur, origByPair[pi])
-			if err != nil || windowWork(ow) > maxWindowWork {
-				continue
+		case over && origByPair != nil && len(spec.PairIdx) > 1:
+			// Merging pushed the window over budget: fall back to the
+			// pairs' individual windows. A single over-budget job is
+			// unsimulatable on a CPU and stays unresolved.
+			for _, pi := range spec.PairIdx {
+				if ow, _ := e.buildWithin(origByPair[pi]); ow != nil {
+					enqueue(ow)
+				}
 			}
-			enqueue(ow)
 		}
 	}
 	flush()

@@ -347,3 +347,37 @@ func TestQuickEngineAgreesWithEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDoubledMiterSimulatesEachCopyOnce pins the work of window merging on
+// an ABC-style doubled circuit, whose two copies have disjoint supports:
+// the doubled miter must simulate about twice the words of one copy's
+// miter, not one window over both copies' inputs (a table 2^k times
+// longer for k inputs per copy).
+func TestDoubledMiterSimulatesEachCopyOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	words := func(t *testing.T, g *aig.AIG) int64 {
+		t.Helper()
+		res := CheckMiter(mustMiter(t, g, opt.Resyn2(g, nil)), cfg)
+		if res.Outcome != miter.Equivalent {
+			t.Fatalf("outcome = %v", res.Outcome)
+		}
+		return res.Stats.WordsSimulated
+	}
+	for _, c := range []struct {
+		name  string
+		scale int
+	}{{"log2", 8}, {"sqrt", 10}} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := gen.Benchmark(c.name, c.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, two := words(t, g), words(t, aig.Double(g))
+			t.Logf("%s-%d: one copy %d words, doubled %d", c.name, c.scale, one, two)
+			if one == 0 || two > 5*one/2 {
+				t.Fatalf("doubled miter simulated %d words, one copy %d: want at most about twice", two, one)
+			}
+		})
+	}
+}

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"simsweep/internal/aig"
+	"simsweep/internal/gen"
 	"simsweep/internal/par"
 )
 
@@ -314,6 +318,46 @@ func TestBuildWindowRejectsLeakyInputs(t *testing.T) {
 	}
 }
 
+// TestBuildWindowConcurrent builds the windows of one AIG from several
+// goroutines at once: the pooled stamp arrays must not leak between calls,
+// so every result equals the node's cone as aig.ConeNodes computes it.
+// Under -race it also checks that the pool hands each call its own scratch.
+func TestBuildWindowConcurrent(t *testing.T) {
+	g, err := gen.Multiplier(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []Spec
+	var want [][]int32
+	for id := 1; id < g.NumNodes(); id++ {
+		if g.IsAnd(id) {
+			specs = append(specs, Spec{Roots: []int32{int32(id)}, Inputs: g.SupportOf(id)})
+			want = append(want, g.ConeNodes([]int{id}, nil))
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for k := 0; k < 4; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for n := range specs {
+				i := (n*(k+1) + k) % len(specs) // each goroutine its own order
+				w, err := BuildWindow(g, specs[i])
+				if err != nil || !slices.Equal(w.Nodes, want[i]) {
+					errs <- fmt.Errorf("goroutine %d, root %v: got %v (%v), want %v", k, specs[i].Roots, w, err, want[i])
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func TestLocalFunctionCheckOverCut(t *testing.T) {
 	// Paper Figure 2 scenario: two nodes equivalent in terms of a cut
 	// {f,g,h} even though their global structures differ.
@@ -340,29 +384,100 @@ func TestLocalFunctionCheckOverCut(t *testing.T) {
 	}
 }
 
+// seq returns the ids lo, lo+step, … below hi.
+func seq(lo, hi, step int32) []int32 {
+	var out []int32
+	for id := lo; id < hi; id += step {
+		out = append(out, id)
+	}
+	return out
+}
+
 func TestMergeSpecs(t *testing.T) {
-	// The paper's example: inputs {a,b}, {a,b,c}, {a,c}... adapted:
-	// five windows with inputs {1,2}, {1,2,3}, {1,5}, {1,6} and ks=3:
-	// the first two merge; {1,5} and {1,6} merge ({1,5,6} has size 3).
-	specs := []Spec{
-		{Roots: []int32{10}, Inputs: []int32{1, 2}, PairIdx: []int32{0}},
-		{Roots: []int32{11}, Inputs: []int32{1, 2, 3}, PairIdx: []int32{1}},
-		{Roots: []int32{12}, Inputs: []int32{1, 5}, PairIdx: []int32{2}},
-		{Roots: []int32{13}, Inputs: []int32{1, 6}, PairIdx: []int32{3}},
+	spec := func(idx int32, inputs []int32) Spec {
+		return Spec{Roots: []int32{100 + idx}, Inputs: inputs, PairIdx: []int32{idx}}
 	}
-	merged := MergeSpecs(specs, 3)
-	if len(merged) != 2 {
-		t.Fatalf("merged into %d windows, want 2", len(merged))
-	}
-	total := 0
-	for _, s := range merged {
-		if len(s.Inputs) > 3 {
-			t.Fatalf("merged inputs %v exceed ks", s.Inputs)
+	rng := rand.New(rand.NewSource(1))
+	var random []Spec
+	for i := int32(0); i < 200; i++ {
+		in := map[int32]bool{}
+		for k := rng.Intn(12) + 1; len(in) < k; {
+			in[int32(rng.Intn(40))] = true
 		}
-		total += len(s.PairIdx)
+		inputs := make([]int32, 0, len(in))
+		for id := range in {
+			inputs = append(inputs, id)
+		}
+		slices.Sort(inputs)
+		random = append(random, spec(i, inputs))
 	}
-	if total != 4 {
-		t.Fatalf("pair indices lost: %d", total)
+	for _, tc := range []struct {
+		name  string
+		specs []Spec
+		ks    int
+		want  [][]int32 // pair indices per merged spec, in output order; nil: invariants only
+	}{
+		{
+			// The paper's example, adapted: {1,2} and {1,2,3} merge, and
+			// so do {1,5} and {1,6} ({1,5,6} has size 3).
+			name: "paper",
+			specs: []Spec{
+				spec(0, []int32{1, 2}), spec(1, []int32{1, 2, 3}),
+				spec(2, []int32{1, 5}), spec(3, []int32{1, 6}),
+			},
+			ks:   3,
+			want: [][]int32{{0, 1}, {2, 3}},
+		},
+		{
+			// Two 16-word tables stay apart: their union's table would
+			// be 16,384 words.
+			name:  "disjoint supports stay apart",
+			specs: []Spec{spec(0, seq(0, 10, 1)), spec(1, seq(10, 20, 1))},
+			ks:    32,
+			want:  [][]int32{{0}, {1}},
+		},
+		{
+			// Two components on interleaved ids, as after a PI
+			// permutation: lexicographic order puts the even component
+			// between the odd one and its nested subset.
+			name: "nested supports merge across an interleaved component",
+			specs: []Spec{
+				spec(0, seq(1, 21, 2)), spec(1, seq(3, 21, 2)),
+				spec(2, seq(2, 22, 2)), spec(3, seq(4, 22, 2)),
+			},
+			ks:   32,
+			want: [][]int32{{0, 1}, {2, 3}},
+		},
+		{name: "random supports", specs: random, ks: 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			merged := MergeSpecs(tc.specs, tc.ks)
+			var got [][]int32
+			seen := make(map[int32]int)
+			for _, m := range merged {
+				if len(m.Inputs) > tc.ks {
+					t.Fatalf("merged inputs %v exceed ks %d", m.Inputs, tc.ks)
+				}
+				if !slices.IsSorted(m.Inputs) {
+					t.Fatalf("merged inputs %v not sorted", m.Inputs)
+				}
+				for _, pi := range m.PairIdx {
+					seen[pi]++
+				}
+				got = append(got, m.PairIdx)
+			}
+			for _, s := range tc.specs {
+				if n := seen[s.PairIdx[0]]; n != 1 {
+					t.Fatalf("pair %d appears %d times in the merged specs", s.PairIdx[0], n)
+				}
+			}
+			if len(seen) != len(tc.specs) {
+				t.Fatalf("merged specs hold %d pair indices, want %d", len(seen), len(tc.specs))
+			}
+			if tc.want != nil && !slices.EqualFunc(got, tc.want, slices.Equal[[]int32]) {
+				t.Fatalf("merged pair groups = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"simsweep/internal/aig"
 )
@@ -31,100 +33,165 @@ func (w *Window) NumSlots() int { return len(w.Inputs) + len(w.Nodes) }
 
 // TTWords returns the full truth-table length of the window in 64-bit
 // words: max(1, 2^(k−6)) for k inputs.
-func (w *Window) TTWords() int {
-	k := len(w.Inputs)
+func (w *Window) TTWords() int { return TTWords(len(w.Inputs)) }
+
+// TTWords returns the truth-table length in 64-bit words of a function of
+// k inputs: max(1, 2^(k−6)).
+func TTWords(k int) int {
 	if k <= 6 {
 		return 1
 	}
 	return 1 << uint(k-6)
 }
 
+// buildScratch is the reusable state of one BuildWindow call: a dense
+// per-node stamp (mark[id] == epoch: the node is an input or already
+// visited in this call) and the depth-first stack. Bumping the epoch
+// clears every stamp at once, so a call touches only the nodes of its cone.
+type buildScratch struct {
+	mark  []uint32
+	epoch uint32
+	stack []int32
+}
+
+var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
+// begin opens a fresh epoch over n node ids.
+func (sc *buildScratch) begin(n int) {
+	if len(sc.mark) < n {
+		sc.mark = make([]uint32, n)
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+}
+
 // BuildWindow materialises the cone of spec's roots stopped at its inputs.
 // It fails if the cone escapes the inputs (some path from a root reaches a
 // PI or the constant that is not an input), which means the inputs were not
-// a cut of the roots.
+// a cut of the roots. Its scratch comes from a pool, so concurrent calls
+// are safe and a call allocates only the window it returns.
 func BuildWindow(g *aig.AIG, spec Spec) (*Window, error) {
-	stop := make(map[int]bool, len(spec.Inputs))
-	for _, id := range spec.Inputs {
-		stop[int(id)] = true
+	sc := buildPool.Get().(*buildScratch)
+	defer buildPool.Put(sc)
+	nodes, err := sc.cone(g, spec)
+	if err != nil {
+		return nil, err
 	}
-	seen := make(map[int]bool)
-	var nodes []int32
-	var stack []int
+	slices.Sort(nodes)
+	return &Window{Spec: spec, Nodes: nodes}, nil
+}
+
+// cone collects the AND nodes of spec's window in depth-first order.
+func (sc *buildScratch) cone(g *aig.AIG, spec Spec) ([]int32, error) {
+	sc.begin(g.NumNodes())
+	mark, ep := sc.mark, sc.epoch
+	for _, id := range spec.Inputs {
+		mark[id] = ep
+	}
+	stack := sc.stack[:0]
+	defer func() { sc.stack = stack[:0] }()
 	for _, r := range spec.Roots {
-		id := int(r)
-		if !seen[id] && !stop[id] {
-			seen[id] = true
-			stack = append(stack, id)
+		if mark[r] != ep {
+			mark[r] = ep
+			stack = append(stack, r)
 		}
 	}
+	var nodes []int32
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if id == 0 {
 			continue // constant root, handled specially by the checker
 		}
-		if g.IsPI(id) {
+		if g.IsPI(int(id)) {
 			return nil, fmt.Errorf("sim: window inputs do not cut PI %d from the roots", id)
 		}
-		nodes = append(nodes, int32(id))
-		f0, f1 := g.Fanins(id)
+		nodes = append(nodes, id)
+		f0, f1 := g.Fanins(int(id))
 		for _, f := range [2]aig.Lit{f0, f1} {
-			fid := f.ID()
-			if !seen[fid] && !stop[fid] {
-				seen[fid] = true
+			fid := int32(f.ID())
+			if mark[fid] != ep {
+				mark[fid] = ep
 				stack = append(stack, fid)
 			}
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return &Window{Spec: spec, Nodes: nodes}, nil
+	return nodes, nil
 }
 
-// MergeSpecs performs window merging (paper §III-B3): the specs are sorted
-// in lexicographic order of their input vectors, then consecutive specs are
-// merged greedily while the merged input set stays within ks inputs. The
-// returned specs carry the unions of roots and pair indices.
+// MergeSpecs performs window merging (paper §III-B3), restricted to merges
+// that save simulation work. The specs are sorted in lexicographic order of
+// their input vectors; each then joins the first group whose merged input
+// set stays within ks inputs and whose merged truth table is no longer than
+// the group's and the spec's tables together, TTWords(union) ≤
+// TTWords(group) + TTWords(spec). Otherwise it opens a new group. So
+// windows over disjoint supports merge only while the union has at most 7
+// inputs — beyond that its table is the product of theirs, not the sum —
+// while nested supports merge however the order interleaves them with
+// other components. The paper merges neighbours while the union fits
+// within ks, which fuses the two copies of a doubled circuit into one
+// window over both copies' inputs. The returned specs carry the unions of
+// roots and pair indices.
 func MergeSpecs(specs []Spec, ks int) []Spec {
 	if len(specs) <= 1 {
 		return specs
 	}
-	sorted := make([]Spec, len(specs))
-	copy(sorted, specs)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return lexLess(sorted[i].Inputs, sorted[j].Inputs)
-	})
-	var out []Spec
-	cur := cloneSpec(sorted[0])
-	for _, s := range sorted[1:] {
-		u := unionSorted(cur.Inputs, s.Inputs)
-		if len(u) <= ks {
-			cur.Inputs = u
-			cur.Roots = unionSorted(cur.Roots, s.Roots)
-			cur.PairIdx = append(cur.PairIdx, s.PairIdx...)
-			continue
+	sorted := slices.Clone(specs)
+	slices.SortStableFunc(sorted, func(a, b Spec) int { return slices.Compare(a.Inputs, b.Inputs) })
+	var groups []Spec
+next:
+	for _, s := range sorted {
+		for gi := range groups {
+			grp := &groups[gi]
+			// The union adds the spec's inputs missing from the group;
+			// slack is how many it may add.
+			slack := min(ks, mergeLimit(len(grp.Inputs), len(s.Inputs))) - len(grp.Inputs)
+			if slack < 0 || missingExceeds(grp.Inputs, s.Inputs, slack) {
+				continue
+			}
+			grp.Inputs = unionSorted(grp.Inputs, s.Inputs)
+			grp.Roots = unionSorted(grp.Roots, s.Roots)
+			grp.PairIdx = append(grp.PairIdx, s.PairIdx...)
+			continue next
 		}
-		out = append(out, cur)
-		cur = cloneSpec(s)
+		groups = append(groups, cloneSpec(s))
 	}
-	return append(out, cur)
+	return groups
+}
+
+// mergeLimit is the largest input count whose truth table is no longer
+// than those of a kg-input and a ks-input window together.
+func mergeLimit(kg, ks int) int {
+	return 5 + bits.Len(uint(TTWords(kg)+TTWords(ks)))
+}
+
+// missingExceeds reports whether more than slack elements of the sorted set
+// b are absent from the sorted set a.
+func missingExceeds(a, b []int32, slack int) bool {
+	i := 0
+	for _, x := range b {
+		for i < len(a) && a[i] < x {
+			i++
+		}
+		if i == len(a) || a[i] != x {
+			if slack--; slack < 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func cloneSpec(s Spec) Spec {
 	return Spec{
-		Roots:   append([]int32(nil), s.Roots...),
-		Inputs:  append([]int32(nil), s.Inputs...),
-		PairIdx: append([]int32(nil), s.PairIdx...),
+		Roots:   slices.Clone(s.Roots),
+		Inputs:  slices.Clone(s.Inputs),
+		PairIdx: slices.Clone(s.PairIdx),
 	}
-}
-
-func lexLess(a, b []int32) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 func unionSorted(a, b []int32) []int32 {
