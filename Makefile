@@ -99,13 +99,15 @@ SOAK_FAULTS ?= par.worker.panic:p=0.3;sim.round.stall:p=0.05,delay=2ms;satsweep.
 soak-faults:
 	$(GO) run ./cmd/cecfuzz -seed 1 -n $(SOAK_N) -no-metamorphic -faults "$(SOAK_FAULTS)"
 
-# Microbenchmarks: the worker pool and exhaustive simulator, and the cut
+# Microbenchmarks: the worker pool and exhaustive simulator, the cut
 # kernels — BenchmarkCutsPass (strata kernel) against
 # BenchmarkCutsPassReference (the retained per-level reference) is the
-# before/after measurement of the cut enumeration.
+# before/after measurement of the cut enumeration — and the SAT kernel:
+# BenchmarkPOPass, the PO pass on an unreduced control-fabric miter.
 bench:
 	$(GO) test -bench 'BenchmarkExhaustiveCheckBatch|BenchmarkDeviceLaunch' -benchmem ./internal/par/ ./internal/sim/
 	$(GO) test -bench 'BenchmarkCutsPass|BenchmarkEnumerateNode' -benchmem ./internal/cuts/
+	$(GO) test -bench 'BenchmarkPOPass' -benchmem ./internal/satsweep/
 
 # Adaptive class scheduler vs each forced single prover on every benchmark
 # family, with the hybrid flow as the verdict reference, written to

@@ -1,11 +1,15 @@
 // Package sat implements a CDCL Boolean satisfiability solver: two-watched
-// literal propagation, first-UIP conflict analysis with clause learning,
+// literal propagation with blocker literals over a pointer-free clause
+// arena, first-UIP conflict analysis with clause learning,
 // VSIDS branching with phase saving, Luby restarts, learnt-clause database
 // reduction, incremental solving under assumptions, and conflict budgets
 // (the -C knob of ABC's &cec that the sweeping baseline relies on).
 package sat
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Lit is a literal: variable index shifted left once, with the low bit set
 // for negation. Variables are numbered from 0.
@@ -57,10 +61,31 @@ const (
 	lTrue  int8 = 1
 )
 
-type clause struct {
-	lits     []Lit
-	activity float64
-	learnt   bool
+// cref names a clause: the index of its header in the solver's clause
+// arena. Every clause lives in that one []Lit as a header word (its size,
+// shifted left by crefShift, over the learnt flag), then its literals,
+// then, for a learnt clause, its activity as two words of float64 bits. Watch lists and reasons hold crefs, not pointers, so propagation
+// writes no pointer and the garbage collector scans none of the clauses.
+type cref int32
+
+// noClause is the reason of a decision, an assumption or a unit.
+const noClause cref = -1
+
+// The header word of an arena clause: its size above the learnt flag.
+const (
+	crefLearnt = 1
+	crefShift  = 1
+)
+
+// watcher is one entry of a watch list. The list of literal p holds the
+// clauses that watch ¬p, each with a blocker: a literal of the clause whose
+// truth satisfies it, so propagation skips the clause without reading it.
+// A binary clause is stored as ^c (negative): its blocker is its other
+// literal, so the watcher is the whole clause and propagation never reads
+// the arena for it.
+type watcher struct {
+	c       cref
+	blocker Lit
 }
 
 // Stats accumulates solver counters across Solve calls.
@@ -75,13 +100,15 @@ type Stats struct {
 // Solver is a CDCL solver. The zero value is not usable; construct with
 // New. A Solver is not safe for concurrent use.
 type Solver struct {
-	clauses []*clause
-	learnts []*clause
-	watches [][]*clause // per literal
+	arena   []Lit // every clause; see cref
+	wasted  int   // arena words of deleted clauses
+	clauses []cref
+	learnts []cref
+	watches [][]watcher // per literal
 
-	assigns  []int8
+	vals     []int8 // per literal: lTrue, lFalse or lUndef
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	polarity []bool // saved phases
 	activity []float64
 	varInc   float64
@@ -93,7 +120,10 @@ type Solver struct {
 	qhead    int
 
 	seen     []bool
-	ok       bool // false once a top-level conflict is derived
+	learnt   []Lit // analyze's output buffer, reused across conflicts
+	toClear  []Lit // analyze's seen flags to reset, reused likewise
+	addBuf   []Lit // AddClause's sorting buffer
+	ok       bool  // false once a top-level conflict is derived
 	claInc   float64
 	maxLrnts int
 
@@ -125,14 +155,14 @@ func (s *Solver) SetStop(f func() bool) { s.stop = f }
 func (s *Solver) Stats() Stats { return s.stats }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NewVar creates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := len(s.level)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noClause)
 	s.polarity = append(s.polarity, true) // default to negative phase
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
@@ -141,16 +171,7 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-func (s *Solver) litValue(l Lit) int8 {
-	a := s.assigns[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	if l.Sign() {
-		return 1 - a
-	}
-	return a
-}
+func (s *Solver) litValue(l Lit) int8 { return s.vals[l] }
 
 // AddClause adds a clause over existing variables. It returns false when
 // the clause makes the formula trivially unsatisfiable at the top level.
@@ -161,9 +182,15 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return false
 	}
 	s.backtrackTo(0)
-	// Sort, dedupe, drop false literals, detect tautologies.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// Sort (insertion sort: clauses from the Tseitin encoder have two or
+	// three literals), dedupe, drop false literals, detect tautologies.
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j] < ls[j-1]; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -173,7 +200,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		if prev >= 0 && l == prev.Neg() {
 			return true // tautology
 		}
-		switch s.litValue(l) {
+		switch s.vals[l] {
 		case lTrue:
 			return true // already satisfied
 		case lFalse:
@@ -187,65 +214,134 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		s.ok = s.propagate() == nil
+		s.uncheckedEnqueue(out[0], noClause)
+		s.ok = s.propagate() == noClause
 		return s.ok
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.newClause(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], c)
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], c)
+// newClause appends a clause over lits to the arena.
+func (s *Solver) newClause(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	h := Lit(len(lits)) << crefShift
+	if learnt {
+		h |= crefLearnt
+	}
+	s.arena = append(s.arena, h)
+	s.arena = append(s.arena, lits...)
+	if learnt {
+		s.arena = append(s.arena, 0, 0) // activity 0
+	}
+	return c
+}
+
+// lits returns the literals of clause c, in place in the arena.
+func (s *Solver) lits(c cref) []Lit {
+	i := int(c) + 1
+	return s.arena[i : i+int(s.arena[c]>>crefShift)]
+}
+
+// words returns the words clause c takes in arena.
+func words(arena []Lit, c cref) int {
+	n := 1 + int(arena[c]>>crefShift)
+	if arena[c]&crefLearnt != 0 {
+		n += 2
+	}
+	return n
+}
+
+// clauseAct returns the activity of learnt clause c.
+func (s *Solver) clauseAct(c cref) float64 {
+	i := int(c) + 1 + int(s.arena[c]>>crefShift)
+	return math.Float64frombits(uint64(uint32(s.arena[i])) | uint64(uint32(s.arena[i+1]))<<32)
+}
+
+// setClauseAct sets the activity of learnt clause c.
+func (s *Solver) setClauseAct(c cref, a float64) {
+	i := int(c) + 1 + int(s.arena[c]>>crefShift)
+	b := math.Float64bits(a)
+	s.arena[i], s.arena[i+1] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
+
+func (s *Solver) attach(c cref) {
+	ls := s.lits(c)
+	l0, l1 := ls[0], ls[1]
+	w := c
+	if len(ls) == 2 {
+		w = ^c
+	}
+	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{w, l1})
+	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{w, l0})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
-	if l.Sign() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
 // propagate performs unit propagation and returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// noClause. It keeps the invariant that a clause of three or more literals
+// watches lits[0] and lits[1] and implies only lits[0]; a binary clause
+// implies either literal, in place.
+func (s *Solver) propagate() cref {
+	vals, arena := s.vals, s.arena
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
+		falseLit := p.Neg()
 		ws := s.watches[p]
-		kept := ws[:0]
-		var confl *clause
-		for wi := 0; wi < len(ws); wi++ {
-			c := ws[wi]
-			if confl != nil {
-				kept = append(kept, c)
+		i, j := 0, 0
+		confl := noClause
+		for i < len(ws) {
+			w := ws[i]
+			i++
+			bv := vals[w.blocker]
+			if bv == lTrue {
+				ws[j] = w
+				j++
 				continue
 			}
-			// Normalise so the false literal is lits[1].
-			if c.lits[0] == p.Neg() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if w.c < 0 {
+				ws[j] = w
+				j++
+				if bv == lFalse {
+					confl = ^w.c
+					break
+				}
+				s.uncheckedEnqueue(w.blocker, ^w.c)
+				continue
 			}
-			if s.litValue(c.lits[0]) == lTrue {
-				kept = append(kept, c)
+			c := w.c
+			ci := int(c) + 1
+			lits := arena[ci : ci+int(arena[c]>>crefShift)]
+			// Normalise so the false literal is lits[1].
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], falseLit
+			}
+			first := lits[0]
+			w.blocker = first
+			if vals[first] == lTrue {
+				ws[j] = w
+				j++
 				continue
 			}
 			// Look for a new watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], c)
+			for k := 2; k < len(lits); k++ {
+				if l := lits[k]; vals[l] != lFalse {
+					lits[1], lits[k] = l, falseLit
+					s.watches[l.Neg()] = append(s.watches[l.Neg()], w)
 					found = true
 					break
 				}
@@ -253,33 +349,39 @@ func (s *Solver) propagate() *clause {
 			if found {
 				continue
 			}
-			kept = append(kept, c)
-			if s.litValue(c.lits[0]) == lFalse {
+			ws[j] = w
+			j++
+			if vals[first] == lFalse {
 				confl = c
-				continue
+				break
 			}
-			s.uncheckedEnqueue(c.lits[0], c)
+			s.uncheckedEnqueue(first, c)
 		}
-		s.watches[p] = kept
-		if confl != nil {
+		if confl != noClause {
+			j += copy(ws[j:], ws[i:])
+			s.watches[p] = ws[:j]
 			s.qhead = len(s.trail)
 			return confl
 		}
+		if j < len(ws) {
+			s.watches[p] = ws[:j]
+		}
 	}
-	return nil
+	return noClause
 }
 
 // analyze performs first-UIP conflict analysis and returns the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 for the asserting literal
+// clause (asserting literal first) and the backtrack level. The clause
+// lives in a buffer that the next call reuses.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learnt[:0], 0) // slot 0 for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
 		s.bumpClause(confl)
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p >= 0 && q == p {
 				continue
 			}
@@ -314,7 +416,8 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	// Cheap minimisation: drop literals implied by their own reason
 	// clause within the learnt clause. Keep the pre-minimisation list so
 	// every seen flag is cleared afterwards.
-	full := append([]Lit(nil), learnt...)
+	full := append(s.toClear[:0], learnt...)
+	s.learnt, s.toClear = learnt, full
 	out := learnt[:1]
 	for _, l := range learnt[1:] {
 		if !s.redundant(l) {
@@ -344,10 +447,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // remaining literals via its reason clause (one-step self-subsumption).
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.Var()]
-	if r == nil {
+	if r == noClause {
 		return false
 	}
-	for _, q := range r.lits {
+	for _, q := range s.lits(r) {
 		if q == l.Neg() || s.level[q.Var()] == 0 {
 			continue
 		}
@@ -369,14 +472,15 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	if !c.learnt {
+func (s *Solver) bumpClause(c cref) {
+	if s.arena[c]&crefLearnt == 0 {
 		return
 	}
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+	a := s.clauseAct(c) + s.claInc
+	s.setClauseAct(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+			s.setClauseAct(lc, s.clauseAct(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -390,9 +494,10 @@ func (s *Solver) backtrackTo(level int) {
 	for i := len(s.trail) - 1; i >= lim; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		s.polarity[v] = s.assigns[v] == lFalse
-		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.polarity[v] = l.Sign()
+		s.vals[l] = lUndef
+		s.vals[l^1] = lUndef
+		s.reason[v] = noClause
 		s.order.pushIfAbsent(v)
 	}
 	s.trail = s.trail[:lim]
@@ -406,45 +511,80 @@ func (s *Solver) pickBranchVar() int {
 		if !ok {
 			return -1
 		}
-		if s.assigns[v] == lUndef {
+		if s.vals[2*v] == lUndef {
 			return v
 		}
 	}
 }
 
 // reduceDB halves the learnt-clause database, dropping low-activity
-// clauses that are not reasons of current assignments.
+// clauses that are not reasons of current assignments. Binary clauses are
+// always kept, and a longer clause can only be the reason of its first
+// literal (see propagate), so that literal's reason is the lock test.
 func (s *Solver) reduceDB() {
-	sort.Slice(s.learnts, func(i, j int) bool { return s.learnts[i].activity > s.learnts[j].activity })
+	sort.Slice(s.learnts, func(i, j int) bool { return s.clauseAct(s.learnts[i]) > s.clauseAct(s.learnts[j]) })
 	keep := s.learnts[:0]
-	locked := make(map[*clause]bool)
-	for _, r := range s.reason {
-		if r != nil {
-			locked[r] = true
-		}
-	}
 	limit := len(s.learnts) / 2
 	for i, c := range s.learnts {
-		if i < limit || locked[c] || len(c.lits) == 2 {
+		ls := s.lits(c)
+		if i < limit || len(ls) == 2 || s.reason[ls[0].Var()] == c {
 			keep = append(keep, c)
 		} else {
 			s.detach(c)
+			s.wasted += words(s.arena, c)
 		}
 	}
 	s.learnts = keep
+	if s.wasted > len(s.arena)/5 {
+		s.compact()
+	}
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, w := range [2]Lit{c.lits[0].Neg(), c.lits[1].Neg()} {
+func (s *Solver) detach(c cref) {
+	ls := s.lits(c)
+	for _, w := range [2]Lit{ls[0].Neg(), ls[1].Neg()} {
 		ws := s.watches[w]
-		for i, cc := range ws {
-			if cc == c {
+		for i := range ws {
+			if ws[i].c == c {
 				ws[i] = ws[len(ws)-1]
 				s.watches[w] = ws[:len(ws)-1]
 				break
 			}
 		}
 	}
+}
+
+// compact copies the live clauses into a fresh arena and renames them in
+// the clause lists, the watch lists and the reasons. Each moved clause
+// leaves its new cref in the old copy's first literal word.
+func (s *Solver) compact() {
+	old := s.arena
+	s.arena = make([]Lit, 0, len(old)-s.wasted)
+	move := func(cs []cref) {
+		for i, c := range cs {
+			n := cref(len(s.arena))
+			s.arena = append(s.arena, old[int(c):int(c)+words(old, c)]...)
+			old[c+1] = Lit(n)
+			cs[i] = n
+		}
+	}
+	move(s.clauses)
+	move(s.learnts)
+	for _, ws := range s.watches {
+		for i, w := range ws {
+			if w.c < 0 {
+				ws[i].c = ^cref(old[^w.c+1])
+			} else {
+				ws[i].c = cref(old[w.c+1])
+			}
+		}
+	}
+	for v, r := range s.reason {
+		if r != noClause {
+			s.reason[v] = cref(old[r+1])
+		}
+	}
+	s.wasted = 0
 }
 
 // luby computes the Luby restart sequence element i (1-based).
@@ -467,7 +607,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unsat
 	}
 	s.backtrackTo(0)
-	if c := s.propagate(); c != nil {
+	if c := s.propagate(); c != noClause {
 		s.ok = false
 		return Unsat
 	}
@@ -478,7 +618,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noClause {
 			s.stats.Conflicts++
 			if s.decisionLevel() == 0 {
 				s.ok = false
@@ -496,10 +636,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 					return Unsat
 				}
 				if s.litValue(learnt[0]) == lUndef {
-					s.uncheckedEnqueue(learnt[0], nil)
+					s.uncheckedEnqueue(learnt[0], noClause)
 				}
 			} else {
-				c := &clause{lits: append([]Lit(nil), learnt...), learnt: true}
+				c := s.newClause(learnt, true)
 				s.learnts = append(s.learnts, c)
 				s.stats.Learnt++
 				s.attach(c)
@@ -556,12 +696,12 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			next = MkLit(v, s.polarity[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, noClause)
 	}
 }
 
 // Value returns the model value of variable v after a Sat answer.
-func (s *Solver) Value(v int) bool { return s.assigns[v] == lTrue }
+func (s *Solver) Value(v int) bool { return s.vals[2*v] == lTrue }
 
 // NumClauses returns the number of problem (non-learnt) clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) }

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -289,14 +290,24 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestRandomWithAssumptionsAgainstBruteForce checks incremental calls
+// under assumptions against enumeration. The learnt-clause cap is lowered
+// so that reduceDB runs inside the calls, and it also runs between them
+// on a Sat answer, while the model's reasons are live: every reason must
+// survive as an attached clause (the lock test), and the arena must be
+// compacted in some trial.
 func TestRandomWithAssumptionsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 200; trial++ {
-		numVars := 4 + rng.Intn(4)
-		numClauses := 2 + rng.Intn(20)
+	reduced, compacted := 0, false
+	for trial := 0; trial < 300; trial++ {
+		numVars := 4 + rng.Intn(8)
+		numClauses := 2 + rng.Intn(5*numVars)
 		clauses := make([][]Lit, numClauses)
 		for i := range clauses {
 			k := 1 + rng.Intn(3)
+			if numVars > 7 {
+				k = 3
+			}
 			cl := make([]Lit, k)
 			for j := range cl {
 				cl[j] = MkLit(rng.Intn(numVars), rng.Intn(2) == 1)
@@ -304,6 +315,7 @@ func TestRandomWithAssumptionsAgainstBruteForce(t *testing.T) {
 			clauses[i] = cl
 		}
 		s := New()
+		s.maxLrnts = 2
 		for v := 0; v < numVars; v++ {
 			s.NewVar()
 		}
@@ -314,8 +326,8 @@ func TestRandomWithAssumptionsAgainstBruteForce(t *testing.T) {
 				break
 			}
 		}
-		// Two incremental calls with different assumptions.
-		for call := 0; call < 2; call++ {
+		// Four incremental calls with different assumptions.
+		for call := 0; call < 4; call++ {
 			na := 1 + rng.Intn(2)
 			seenVar := map[int]bool{}
 			var assumps []Lit
@@ -340,6 +352,46 @@ func TestRandomWithAssumptionsAgainstBruteForce(t *testing.T) {
 			}
 			if (got == Sat) != want {
 				t.Fatalf("trial %d call %d: solver=%v brute=%v", trial, call, got, want)
+			}
+			if got == Sat && len(s.learnts) > 0 {
+				before := len(s.arena)
+				s.reduceDB()
+				reduced++
+				compacted = compacted || len(s.arena) < before
+				checkReasonsAttached(t, s)
+			}
+		}
+	}
+	if reduced == 0 || !compacted {
+		t.Fatalf("reduceDB ran %d times between calls, compacted %v: the test no longer covers them", reduced, compacted)
+	}
+}
+
+// checkReasonsAttached fails unless every assigned variable's reason is a
+// live clause that implies it (its literal of the variable true, every
+// other literal false) and that its first two literals still watch.
+func checkReasonsAttached(t *testing.T, s *Solver) {
+	t.Helper()
+	for v, r := range s.reason {
+		if r == noClause || s.vals[2*v] == lUndef {
+			continue
+		}
+		if !slices.Contains(s.clauses, r) && !slices.Contains(s.learnts, r) {
+			t.Fatalf("reason of var %d was deleted", v)
+		}
+		ls := s.lits(r)
+		for _, l := range ls {
+			if want := l.Var() == v; (s.vals[l] == lTrue) != want {
+				t.Fatalf("reason %v of var %d does not imply it", ls, v)
+			}
+		}
+		for _, l := range ls[:2] {
+			found := false
+			for _, w := range s.watches[l.Neg()] {
+				found = found || w.c == r || w.c == ^r
+			}
+			if !found {
+				t.Fatalf("reason of var %d is not watched on %v", v, l)
 			}
 		}
 	}

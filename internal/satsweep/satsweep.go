@@ -108,19 +108,50 @@ func CheckMiter(m *aig.AIG, opt Options) (res Result) {
 	return checkMiter(m, opt)
 }
 
-// CheckPOs is the sweep's final PO pass on its own, under a wall-clock
-// budget: every non-constant PO of m is asked on one incremental solver,
-// with no class sweeping first. A model is a counter-example; all POs
-// proved is Equivalent. When the budget runs out first, the result is
-// Undecided and Reduced is m with the POs proved so far merged to constant
-// zero. Panics are recovered as in CheckMiter.
-func CheckPOs(m *aig.AIG, opt Options, budget time.Duration) (res Result) {
-	start := time.Now()
-	defer recovered(m, start, &res)
-	deadline := start.Add(budget)
-	return finishPOs(m, opt, Result{Reduced: m}, func() bool {
-		return opt.stopped() || time.Now().After(deadline)
-	})
+// CheckPOs is the sweep's final PO pass on its own, under a budget of
+// unanswered SAT time: every non-constant PO of m is asked on one
+// incremental solver, with no class sweeping first. A model is a
+// counter-example; all POs proved is Equivalent. Only a call that ends with
+// no answer is charged its wall time: a proved PO or a model costs nothing.
+// A call is cut once the time charged plus its own reaches budget (the
+// solver polls the clock every 32 conflicts), and the pass asks nothing
+// more once the charge reaches it, so budget <= 0 asks nothing at all. The
+// pass then ends Undecided, and Reduced is m with the POs proved so far
+// merged to constant zero. CheckPOs returns the unanswered time charged
+// beside the result. Panics are recovered as in CheckMiter.
+func CheckPOs(m *aig.AIG, opt Options, budget time.Duration) (res Result, unanswered time.Duration) {
+	defer recovered(m, time.Now(), &res)
+	meter := &charge{budget: budget}
+	res = finishPOs(m, opt, Result{Reduced: m}, meter)
+	return res, meter.spent
+}
+
+// charge meters a budgeted PO pass: the wall time of the calls that ended
+// with no answer, against the budget. A nil charge is no budget.
+type charge struct {
+	budget, spent time.Duration
+	call          time.Time // start of the running call
+}
+
+// spentUp reports, between calls, that the charge has reached the budget.
+func (c *charge) spentUp() bool { return c != nil && c.spent >= c.budget }
+
+// cut reports, inside a call, that the charge would reach the budget if the
+// running call ended now with no answer.
+func (c *charge) cut() bool { return c != nil && c.spent+time.Since(c.call) >= c.budget }
+
+// begin starts the clock of a call.
+func (c *charge) begin() {
+	if c != nil {
+		c.call = time.Now()
+	}
+}
+
+// end charges the call begun last when it ended with no answer.
+func (c *charge) end(st sat.Status) {
+	if c != nil && st == sat.Unknown {
+		c.spent += time.Since(c.call)
+	}
 }
 
 // FinishPOs is the sweep's final PO pass on its own, with no class
@@ -132,7 +163,7 @@ func CheckPOs(m *aig.AIG, opt Options, budget time.Duration) (res Result) {
 // a caller that sweeps first recovers a faulted pass as it recovers its
 // own rounds.
 func FinishPOs(m *aig.AIG, opt Options) Result {
-	return finishPOs(m, opt, Result{Reduced: m}, opt.stopped)
+	return finishPOs(m, opt, Result{Reduced: m}, nil)
 }
 
 // recovered turns a panic of a sweep over m into an Undecided result that
@@ -206,7 +237,7 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	}
 
 	// Final PO decision on whatever remains, with the same budget.
-	return finishPOs(cur, opt, res, opt.stopped)
+	return finishPOs(cur, opt, res, nil)
 }
 
 // sweepRound SAT-checks every candidate pair once. It returns the proved
@@ -262,12 +293,14 @@ func sweepRound(cur *aig.AIG, classes *ec.Manager, partial *sim.Partial, opt Opt
 }
 
 // finishPOs proves or refutes each remaining non-constant PO by SAT on one
-// incremental solver. stop ends the pass, between and inside the calls;
-// the POs proved before it are still merged into res.Reduced.
-func finishPOs(cur *aig.AIG, opt Options, res Result, stop func() bool) Result {
+// incremental solver. opt.Stop ends the pass, between and inside the
+// calls, and so does the budget of meter (nil: no budget); the POs proved
+// before either are still merged into res.Reduced.
+func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge) Result {
 	solver := sat.New()
 	solver.SetConflictLimit(opt.ConflictLimit)
-	solver.SetStop(stop)
+	solver.SetStop(func() bool { return opt.stopped() || meter.cut() })
+	stop := func() bool { return opt.stopped() || meter.spentUp() }
 	enc := cnf.NewEncoder(cur, solver)
 	tb := opt.traceBuf()
 
@@ -302,7 +335,11 @@ func finishPOs(cur *aig.AIG, opt Options, res Result, stop func() bool) Result {
 		// firing opportunity on miters whose classes yield no pairs.
 		opt.Faults.Panic(fault.HookSATOOM)
 		res.Stats.SATCalls++
-		switch tracedSolve(tb, "sat.po", solver, enc.LitOf(po)) {
+		q := enc.LitOf(po)
+		meter.begin()
+		st := tracedSolve(tb, "sat.po", solver, q)
+		meter.end(st)
+		switch st {
 		case sat.Unsat:
 			res.Stats.Proved++
 			// PO is constant zero: node(po) == compl flag.

@@ -373,7 +373,8 @@ func constantOneMiter(t *testing.T) (m, reduced *aig.AIG) {
 // replays on both the merged and the original miter.
 func TestPOPassConstantOneHasCEX(t *testing.T) {
 	m, reduced := constantOneMiter(t)
-	for _, res := range []Result{CheckPOs(reduced, Options{}, time.Minute), FinishPOs(reduced, Options{})} {
+	budgeted, _ := CheckPOs(reduced, Options{}, time.Minute)
+	for _, res := range []Result{budgeted, FinishPOs(reduced, Options{})} {
 		if res.Outcome != miter.NotEquivalent {
 			t.Fatalf("outcome = %v, want not equivalent", res.Outcome)
 		}
@@ -392,11 +393,11 @@ func TestCheckPOsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := CheckPOs(m, Options{}, 0)
+	res, _ := CheckPOs(m, Options{}, 0)
 	if res.Outcome != miter.Undecided || res.Stopped || res.Reduced != m || res.Stats.SATCalls != 0 {
 		t.Fatalf("zero budget: outcome %v, stopped %v, %d calls", res.Outcome, res.Stopped, res.Stats.SATCalls)
 	}
-	res = CheckPOs(m, Options{}, time.Minute)
+	res, _ = CheckPOs(m, Options{}, time.Minute)
 	if res.Outcome != miter.Equivalent || !miter.IsProved(res.Reduced) || res.Stats.SATCalls == 0 || res.Stats.Runtime <= 0 {
 		t.Fatalf("ample budget: outcome %v, %d calls, runtime %v", res.Outcome, res.Stats.SATCalls, res.Stats.Runtime)
 	}
@@ -404,8 +405,53 @@ func TestCheckPOsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = CheckPOs(m, Options{Faults: in}, time.Minute)
+	res, _ = CheckPOs(m, Options{Faults: in}, time.Minute)
 	if res.Outcome != miter.Undecided || res.Reduced != m || len(res.Faults) != 1 {
 		t.Fatalf("faulted: outcome %v, faults %v", res.Outcome, res.Faults)
 	}
+}
+
+// TestCheckPOsChargesOnlyUnanswered pins the charging rule of the budgeted
+// PO pass: a call that proves its PO or finds a model costs nothing, so a
+// budget far below the pass's answered time still lets every PO be asked.
+// Each PO of these adder miters needs fewer than 32 conflicts, the period
+// at which the solver polls its stop probe, so no call can be cut and the
+// verdicts do not depend on machine speed: a 1 ns budget decides the EQ
+// miter Equivalent and disproves the NEQ one, whose differing PO is last.
+func TestCheckPOsChargesOnlyUnanswered(t *testing.T) {
+	m, err := miter.Build(adder(6, false), adder(6, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, unanswered := CheckPOs(m, Options{}, time.Nanosecond)
+	if res.Outcome != miter.Equivalent || res.Stats.SATCalls != openPOs(m) || unanswered != 0 {
+		t.Fatalf("EQ: outcome %v, %d of %d POs asked, %v unanswered", res.Outcome, res.Stats.SATCalls, openPOs(m), unanswered)
+	}
+
+	bad := adder(6, true)
+	a0, b0 := bad.PI(0), bad.PI(6)
+	last := bad.NumPOs() - 1
+	bad.SetPO(last, bad.Or(bad.PO(last), bad.And(a0, b0)))
+	m, err = miter.Build(adder(6, false), bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, unanswered = CheckPOs(m, Options{}, time.Nanosecond)
+	if res.Outcome != miter.NotEquivalent || !fires(m, res.CEX) || unanswered != 0 {
+		t.Fatalf("NEQ: outcome %v, %d calls, %v unanswered, CEX %v", res.Outcome, res.Stats.SATCalls, unanswered, res.CEX)
+	}
+	if res.Stats.SATCalls != openPOs(m) {
+		t.Fatalf("NEQ: %d of %d POs asked, want the last PO to disprove", res.Stats.SATCalls, openPOs(m))
+	}
+}
+
+// openPOs counts the POs of m that are not constant: the ones a PO pass asks.
+func openPOs(m *aig.AIG) int {
+	n := 0
+	for i := 0; i < m.NumPOs(); i++ {
+		if m.PO(i).ID() != 0 {
+			n++
+		}
+	}
+	return n
 }

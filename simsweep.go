@@ -541,15 +541,17 @@ func runBDD(m *AIG, o Options, _ *par.Device) Result {
 //
 // Between the engine's steps — after P+G, and after each L phase that
 // merged something — hybrid asks the open POs directly on one incremental
-// solver (satsweep.CheckPOs), for at most twice as long as the step it
-// follows took. A model disproves the miter and all POs proved decide it;
-// on a missed budget the POs proved so far are merged to constant zero and
-// the next L phase sweeps only the cones of the others. So a miter that
-// PO-level SAT cannot decide costs at most about three times the
-// simulation stage before the final SAT sweep, which stays complete at
-// ConflictLimit 0. The budget is twice the step, not the step itself, so
-// that a fast P+G does not starve the first attempt. The attempts are SAT
-// time (Result.SATTime), not engine time.
+// solver (satsweep.CheckPOs). Each attempt's budget is twice the time of
+// the step it follows, charged only for the SAT calls that end with no
+// answer: a proved PO or a model is free, so an attempt that keeps
+// proving POs is not cut off. A model disproves the miter and all POs
+// proved decide it; on a missed budget the POs proved so far are merged to
+// constant zero and the next L phase sweeps only the cones of the others.
+// So a miter that PO-level SAT cannot decide costs at most about three
+// times the simulation stage in unanswered SAT time before the final SAT
+// sweep, which stays complete at ConflictLimit 0. The budget is twice the
+// step, not the step itself, so that a fast P+G does not starve the first
+// attempt. The attempts are SAT time (Result.SATTime), not engine time.
 //
 // Under fault injection the flow is also the first two rungs of the
 // degradation ladder: a degraded simulation phase falls through to SAT
@@ -569,12 +571,12 @@ func runHybrid(m *AIG, o Options, dev *par.Device) Result {
 	var satTime time.Duration
 	askPOs := func(after string, cur *AIG, took time.Duration) (*AIG, []bool, []string) {
 		budget := 2 * took
-		pr := satsweep.CheckPOs(cur, satOpt, budget)
+		pr, unanswered := satsweep.CheckPOs(cur, satOpt, budget)
 		satTime += pr.Stats.Runtime
 		if o.Log != nil {
-			fmt.Fprintf(o.Log, "po-sat after %s: budget %v, %d POs asked, %d proved: %s (%v)\n",
-				after, budget.Round(time.Microsecond), pr.Stats.SATCalls, pr.Stats.Proved,
-				pr.Outcome, pr.Stats.Runtime.Round(time.Microsecond))
+			fmt.Fprintf(o.Log, "po-sat after %s: budget %v, unanswered %v, %d POs asked, %d proved: %s (%v)\n",
+				after, budget.Round(time.Microsecond), unanswered.Round(time.Microsecond),
+				pr.Stats.SATCalls, pr.Stats.Proved, pr.Outcome, pr.Stats.Runtime.Round(time.Microsecond))
 		}
 		return pr.Reduced, pr.CEX, pr.Faults
 	}
