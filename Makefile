@@ -103,11 +103,13 @@ soak-faults:
 # kernels — BenchmarkCutsPass (strata kernel) against
 # BenchmarkCutsPassReference (the retained per-level reference) is the
 # before/after measurement of the cut enumeration — and the SAT kernel:
-# BenchmarkPOPass, the PO pass on an unreduced control-fabric miter.
+# BenchmarkPOPass, the PO pass on an unreduced control-fabric miter, and
+# BenchmarkEncodeMiter, the variables and clauses its CNF encoding takes.
 bench:
 	$(GO) test -bench 'BenchmarkExhaustiveCheckBatch|BenchmarkDeviceLaunch' -benchmem ./internal/par/ ./internal/sim/
 	$(GO) test -bench 'BenchmarkCutsPass|BenchmarkEnumerateNode' -benchmem ./internal/cuts/
 	$(GO) test -bench 'BenchmarkPOPass' -benchmem ./internal/satsweep/
+	$(GO) test -run '^$$' -bench 'BenchmarkEncodeMiter' -benchmem ./internal/cnf/
 
 # Adaptive class scheduler vs each forced single prover on every benchmark
 # family, with the hybrid flow as the verdict reference, written to

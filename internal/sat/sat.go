@@ -8,6 +8,7 @@ package sat
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -64,7 +65,9 @@ const (
 // cref names a clause: the index of its header in the solver's clause
 // arena. Every clause lives in that one []Lit as a header word (its size,
 // shifted left by crefShift, over the learnt flag), then its literals,
-// then, for a learnt clause, its activity as two words of float64 bits. Watch lists and reasons hold crefs, not pointers, so propagation
+// then, for a clause of more than longClause literals, its search position,
+// then, for a learnt clause, its activity as two words of float64 bits.
+// Watch lists and reasons hold crefs, not pointers, so propagation
 // writes no pointer and the garbage collector scans none of the clauses.
 type cref int32
 
@@ -76,6 +79,24 @@ const (
 	crefLearnt = 1
 	crefShift  = 1
 )
+
+// longClause is the size above which a clause keeps its search position:
+// the literal index where propagation last found it a new watch. The next
+// search resumes there and wraps around (Gent, "Optimal Implementation of
+// Watched Literals and More General Techniques", JAIR 2013), so a clause
+// that loses its watches one by one is scanned about once instead of once
+// per lost watch. A supergate's clause over 2^17 leaves would otherwise
+// take 2^33 reads when its leaves are assigned in order.
+const longClause = 16
+
+// tail returns the words that a clause of n literals takes after its
+// header, up to its activity.
+func tail(n int) int {
+	if n > longClause {
+		return n + 1
+	}
+	return n
+}
 
 // watcher is one entry of a watch list. The list of literal p holds the
 // clauses that watch ¬p, each with a blocker: a literal of the clause whose
@@ -182,15 +203,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return false
 	}
 	s.backtrackTo(0)
-	// Sort (insertion sort: clauses from the Tseitin encoder have two or
-	// three literals), dedupe, drop false literals, detect tautologies.
+	// Sort, dedupe, drop false literals, detect tautologies. A supergate's
+	// long clause can have thousands of literals, so the sort must not be
+	// quadratic.
 	ls := append(s.addBuf[:0], lits...)
 	s.addBuf = ls
-	for i := 1; i < len(ls); i++ {
-		for j := i; j > 0 && ls[j] < ls[j-1]; j-- {
-			ls[j], ls[j-1] = ls[j-1], ls[j]
-		}
-	}
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -233,6 +251,9 @@ func (s *Solver) newClause(lits []Lit, learnt bool) cref {
 	}
 	s.arena = append(s.arena, h)
 	s.arena = append(s.arena, lits...)
+	if len(lits) > longClause {
+		s.arena = append(s.arena, 2)
+	}
 	if learnt {
 		s.arena = append(s.arena, 0, 0) // activity 0
 	}
@@ -247,7 +268,7 @@ func (s *Solver) lits(c cref) []Lit {
 
 // words returns the words clause c takes in arena.
 func words(arena []Lit, c cref) int {
-	n := 1 + int(arena[c]>>crefShift)
+	n := 1 + tail(int(arena[c]>>crefShift))
 	if arena[c]&crefLearnt != 0 {
 		n += 2
 	}
@@ -256,13 +277,13 @@ func words(arena []Lit, c cref) int {
 
 // clauseAct returns the activity of learnt clause c.
 func (s *Solver) clauseAct(c cref) float64 {
-	i := int(c) + 1 + int(s.arena[c]>>crefShift)
+	i := int(c) + 1 + tail(int(s.arena[c]>>crefShift))
 	return math.Float64frombits(uint64(uint32(s.arena[i])) | uint64(uint32(s.arena[i+1]))<<32)
 }
 
 // setClauseAct sets the activity of learnt clause c.
 func (s *Solver) setClauseAct(c cref, a float64) {
-	i := int(c) + 1 + int(s.arena[c]>>crefShift)
+	i := int(c) + 1 + tail(int(s.arena[c]>>crefShift))
 	b := math.Float64bits(a)
 	s.arena[i], s.arena[i+1] = Lit(uint32(b)), Lit(uint32(b>>32))
 }
@@ -336,17 +357,30 @@ func (s *Solver) propagate() cref {
 				j++
 				continue
 			}
-			// Look for a new watch.
-			found := false
-			for k := 2; k < len(lits); k++ {
-				if l := lits[k]; vals[l] != lFalse {
-					lits[1], lits[k] = l, falseLit
-					s.watches[l.Neg()] = append(s.watches[l.Neg()], w)
-					found = true
-					break
+			// Look for a new watch, from the search position of a long
+			// clause.
+			n, start := len(lits), 2
+			if n > longClause {
+				start = int(arena[ci+n])
+			}
+			k := start
+			for k < n && vals[lits[k]] == lFalse {
+				k++
+			}
+			if k == n {
+				for k = 2; k < start && vals[lits[k]] == lFalse; k++ {
+				}
+				if k == start {
+					k = n
 				}
 			}
-			if found {
+			if k < n {
+				l := lits[k]
+				lits[1], lits[k] = l, falseLit
+				if n > longClause {
+					arena[ci+n] = Lit(k)
+				}
+				s.watches[l.Neg()] = append(s.watches[l.Neg()], w)
 				continue
 			}
 			ws[j] = w
