@@ -99,14 +99,17 @@ SOAK_FAULTS ?= par.worker.panic:p=0.3;sim.round.stall:p=0.05,delay=2ms;satsweep.
 soak-faults:
 	$(GO) run ./cmd/cecfuzz -seed 1 -n $(SOAK_N) -no-metamorphic -faults "$(SOAK_FAULTS)"
 
-# Microbenchmarks: the worker pool and exhaustive simulator, the cut
-# kernels — BenchmarkCutsPass (strata kernel) against
-# BenchmarkCutsPassReference (the retained per-level reference) is the
-# before/after measurement of the cut enumeration — and the SAT kernel:
-# BenchmarkPOPass, the PO pass on an unreduced control-fabric miter, and
-# BenchmarkEncodeMiter, the variables and clauses its CNF encoding takes.
+# Microbenchmarks: the worker pool and exhaustive simulator, the engine
+# as the facade runs it (BenchmarkCheckMiterDatapath: a fresh engine per
+# op, so what one check allocates shows), the cut kernels —
+# BenchmarkCutsPass (strata kernel) against BenchmarkCutsPassReference (the
+# retained per-level reference) is the before/after measurement of the cut
+# enumeration — and the SAT kernel: BenchmarkPOPass, the PO pass on an
+# unreduced control-fabric miter, and BenchmarkEncodeMiter, the variables
+# and clauses its CNF encoding takes.
 bench:
 	$(GO) test -bench 'BenchmarkExhaustiveCheckBatch|BenchmarkDeviceLaunch' -benchmem ./internal/par/ ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckMiterDatapath' -benchmem ./internal/core/
 	$(GO) test -bench 'BenchmarkCutsPass|BenchmarkEnumerateNode' -benchmem ./internal/cuts/
 	$(GO) test -bench 'BenchmarkPOPass' -benchmem ./internal/satsweep/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeMiter' -benchmem ./internal/cnf/

@@ -63,59 +63,76 @@ func (s *SupportSets) Union(a, b int) ([]int32, bool) {
 	if s.Big[a] || s.Big[b] {
 		return nil, false
 	}
-	u := mergeSorted(s.Sets[a], s.Sets[b])
-	if len(u) > s.Cap {
+	sa, sb := s.Sets[a], s.Sets[b]
+	u, ok := mergeCapped(make([]int32, 0, min(len(sa)+len(sb), s.Cap)), sa, sb, s.Cap)
+	if !ok {
 		return nil, false
 	}
 	return u, true
 }
 
+// supportBlock is the size in ids of one arena block of SupportsCapped.
+const supportBlock = 1 << 14
+
 // SupportsCapped computes the structural support of every node bottom-up,
-// abandoning (marking Big) any node whose support grows beyond cap. The
-// total work is O(nodes · cap).
-func (g *AIG) SupportsCapped(cap int) *SupportSets {
+// abandoning (marking Big) any node whose support grows beyond limit. The
+// total work is O(nodes · limit). The sets share arena blocks; each is
+// clipped to its own length (a[i:j:j]), so appending to one copies it
+// instead of writing into its neighbour.
+func (g *AIG) SupportsCapped(limit int) *SupportSets {
 	n := len(g.nodes)
-	s := &SupportSets{Cap: cap, Sets: make([][]int32, n), Big: make([]bool, n)}
+	s := &SupportSets{Cap: limit, Sets: make([][]int32, n), Big: make([]bool, n)}
+	var arena []int32
 	for id := 1; id < n; id++ {
 		nd := g.nodes[id]
+		var a, b []int32
+		if nd.f0 != litInvalid {
+			i0, i1 := nd.f0.ID(), nd.f1.ID()
+			if s.Big[i0] || s.Big[i1] {
+				s.Big[id] = true
+				continue
+			}
+			a, b = s.Sets[i0], s.Sets[i1]
+		}
+		if need := max(1, min(len(a)+len(b), limit)); cap(arena)-len(arena) < need {
+			arena = make([]int32, 0, max(supportBlock, need))
+		}
+		start := len(arena)
 		if nd.f0 == litInvalid {
-			s.Sets[id] = []int32{int32(id)}
-			continue
-		}
-		i0, i1 := nd.f0.ID(), nd.f1.ID()
-		if s.Big[i0] || s.Big[i1] {
+			arena = append(arena, int32(id)) // a PI's support, whatever the cap
+		} else if u, ok := mergeCapped(arena, a, b, limit); ok {
+			arena = u
+		} else {
 			s.Big[id] = true
 			continue
 		}
-		u := mergeSorted(s.Sets[i0], s.Sets[i1])
-		if len(u) > cap {
-			s.Big[id] = true
-			continue
-		}
-		s.Sets[id] = u
+		s.Sets[id] = arena[start:len(arena):len(arena)]
 	}
 	return s
 }
 
-// mergeSorted merges two sorted, duplicate-free id slices.
-func mergeSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
+// mergeCapped appends the merge of two sorted, duplicate-free id slices to
+// dst. It stops, returning false, as soon as the merge would hold more than
+// limit ids.
+func mergeCapped(dst, a, b []int32, limit int) ([]int32, bool) {
+	end := len(dst) + limit
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+	for i < len(a) || j < len(b) {
+		if len(dst) >= end {
+			return dst, false
+		}
 		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
+		case j == len(b) || i < len(a) && a[i] < b[j]:
+			dst = append(dst, a[i])
 			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
+		case i == len(a) || b[j] < a[i]:
+			dst = append(dst, b[j])
 			j++
 		default:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return dst, true
 }

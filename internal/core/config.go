@@ -36,8 +36,10 @@ type Config struct {
 	SimWords int
 	// Seed drives the random patterns.
 	Seed int64
-	// MemBudgetWords caps the exhaustive simulation table (Algorithm 1's
-	// M); the per-entry size E adapts to it.
+	// MemBudgetWords caps the words one round of exhaustive simulation
+	// simulates (Algorithm 1's M): the per-entry size E adapts to it. Each
+	// simulation task works in a table of its own, so M bounds work per
+	// round, not memory.
 	MemBudgetWords int
 	// SimSliceWork approximates the slot·word work of one parallel task
 	// inside the exhaustive simulator; windows above it are split along

@@ -344,11 +344,13 @@ func (e *engine) buildWithin(spec sim.Spec) (w *sim.Window, over bool) {
 }
 
 // checkChunked merges the specs (when ks > 0), materialises their windows
-// and exhaustively checks them in chunks bounded by the memory budget,
-// returning combined per-pair verdicts (indexed like pairs). A merged
-// window over the per-window work budget is retried unmerged; a single
-// window still over budget is dropped (its pairs stay unresolved), which
-// realises the engine's computational-budget control on a CPU.
+// and exhaustively checks them in batches of about MemBudgetWords/2 slots
+// (at least 1024), a cap on a batch's bookkeeping since each simulation
+// task has a table of its own, returning combined per-pair verdicts
+// (indexed like pairs). A merged window over the per-window work budget is
+// retried unmerged; a single window still over budget is dropped (its
+// pairs stay unresolved), which realises the engine's computational-budget
+// control on a CPU.
 func (e *engine) checkChunked(pairs []sim.Pair, specs []sim.Spec, ks int) sim.Result {
 	combined := sim.Result{
 		Equal: make([]bool, len(pairs)),

@@ -116,7 +116,7 @@ func facadeBackend(name string, e simsweep.EngineInfo, workers int, seed int64, 
 }
 
 // tightConfig is a deliberately starved engine configuration: tiny windows,
-// a small memory budget forcing multi-round exhaustive simulation, forced
+// a small round budget forcing multi-round exhaustive simulation, forced
 // work slicing and few local phases. It exercises the windowing/round logic
 // where simulation-vs-SAT disagreement bugs historically hide.
 func tightConfig() *core.Config {

@@ -4,10 +4,10 @@
 // the circuits are equivalent iff every miter output is constant zero.
 //
 // Reduction is performed FRAIG-style: given a set of proved node
-// equivalences, the miter is rebuilt through the structural hash table with
-// every proved member replaced by its representative literal, then cleaned
-// to the cones of its outputs. Node merging therefore never mutates a graph
-// in place.
+// equivalences, the cone the outputs still reach is rebuilt through the
+// structural hash table with every proved member replaced by its
+// representative literal, then cleaned. Node merging therefore never
+// mutates a graph in place.
 package miter
 
 import (
@@ -76,57 +76,81 @@ type Merge struct {
 }
 
 // Reduce rebuilds g with all merges applied, cleans dangling logic, and
-// returns the reduced AIG together with the old-node → new-literal mapping
-// (the mapping covers only nodes still reachable in the intermediate
-// rebuild; merged-away members map to their representative's image).
+// returns the reduced AIG together with the old-node → new-literal mapping.
+// Only the live cone is rebuilt: the nodes the POs still reach once every
+// merged member is replaced by its target. Nodes outside it map to a
+// constant; merged-away members map to their representative's image.
 func Reduce(g *aig.AIG, merges []Merge) (*aig.AIG, []aig.Lit, error) {
-	repl := make([]aig.Lit, g.NumNodes())
-	has := make([]bool, g.NumNodes())
+	n := g.NumNodes()
+	// lit[id] holds the merge target of member id plus one (0: not merged)
+	// until the rebuild below reaches id and stores its image.
+	lit := make([]aig.Lit, n)
 	for _, m := range merges {
-		if int(m.Member) >= g.NumNodes() {
+		if int(m.Member) >= n {
 			return nil, nil, fmt.Errorf("miter: merge member %d out of range", m.Member)
 		}
 		if m.Target.ID() >= int(m.Member) {
 			return nil, nil, fmt.Errorf("miter: merge target %v not older than member %d", m.Target, m.Member)
 		}
-		if has[m.Member] {
+		if lit[m.Member] != 0 {
 			return nil, nil, fmt.Errorf("miter: node %d merged twice", m.Member)
 		}
-		repl[m.Member] = m.Target
-		has[m.Member] = true
+		lit[m.Member] = m.Target + 1
 	}
 
-	out := aig.New()
+	// One descending-id pass marks the live cone: fanins and merge targets
+	// are older than the nodes that name them.
+	live := make([]bool, n)
+	for i := 0; i < g.NumPOs(); i++ {
+		live[g.PO(i).ID()] = true
+	}
+	ands := 0
+	for id := n - 1; id > 0; id-- {
+		switch {
+		case !live[id]:
+		case lit[id] != 0:
+			live[(lit[id] - 1).ID()] = true
+		case g.IsAnd(id):
+			ands++
+			f0, f1 := g.Fanins(id)
+			live[f0.ID()] = true
+			live[f1.ID()] = true
+		}
+	}
+
+	out := aig.NewSized(1 + g.NumPIs() + ands)
 	out.Name = g.Name
-	lit := make([]aig.Lit, g.NumNodes())
-	lit[0] = aig.False
-	for id := 1; id < g.NumNodes(); id++ {
-		if has[id] {
-			t := repl[id]
+	for id := 1; id < n; id++ {
+		switch {
+		case lit[id] != 0:
+			t := lit[id] - 1
 			lit[id] = lit[t.ID()].NotIf(t.IsCompl())
-			continue
-		}
-		if g.IsPI(id) {
+		case g.IsPI(id):
 			lit[id] = out.AddPI()
-			continue
+		case live[id]:
+			f0, f1 := g.Fanins(id)
+			lit[id] = out.And(
+				lit[f0.ID()].NotIf(f0.IsCompl()),
+				lit[f1.ID()].NotIf(f1.IsCompl()),
+			)
 		}
-		f0, f1 := g.Fanins(id)
-		lit[id] = out.And(
-			lit[f0.ID()].NotIf(f0.IsCompl()),
-			lit[f1.ID()].NotIf(f1.IsCompl()),
-		)
 	}
 	for i := 0; i < g.NumPOs(); i++ {
 		po := g.PO(i)
 		out.AddPO(lit[po.ID()].NotIf(po.IsCompl()))
 	}
-	clean, cleanMap := Clean(out)
-	final := make([]aig.Lit, g.NumNodes())
-	for id := range lit {
-		l := lit[id]
-		final[id] = cleanMap[l.ID()].NotIf(l.IsCompl())
+	// Strashing can still orphan live nodes (a fanin folded to a constant
+	// drops the other fanin's cone). Only then is there anything to clean:
+	// otherwise Clean would copy out node for node.
+	needed, kept := poCone(out)
+	if kept == out.NumAnds() {
+		return out, lit, nil
 	}
-	return clean, final, nil
+	clean, cleanMap := rebuild(out, needed, kept)
+	for id, l := range lit {
+		lit[id] = cleanMap[l.ID()].NotIf(l.IsCompl())
+	}
+	return clean, lit, nil
 }
 
 // Clean rebuilds g keeping only the logic reachable from its POs. All PIs
@@ -134,47 +158,46 @@ func Reduce(g *aig.AIG, merges []Merge) (*aig.AIG, []aig.Lit, error) {
 // by PI stay valid. The returned mapping sends old node ids to new
 // literals; unreachable AND nodes map to aig.False.
 func Clean(g *aig.AIG) (*aig.AIG, []aig.Lit) {
-	needed := make([]bool, g.NumNodes())
-	var stack []int
+	needed, ands := poCone(g)
+	return rebuild(g, needed, ands)
+}
+
+// poCone marks the nodes the POs of g reach, in one descending-id pass,
+// and counts the ANDs among them.
+func poCone(g *aig.AIG) (needed []bool, ands int) {
+	needed = make([]bool, g.NumNodes())
 	for i := 0; i < g.NumPOs(); i++ {
-		id := g.PO(i).ID()
-		if !needed[id] {
-			needed[id] = true
-			stack = append(stack, id)
-		}
+		needed[g.PO(i).ID()] = true
 	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !g.IsAnd(id) {
+	for id := g.NumNodes() - 1; id > 0; id-- {
+		if !needed[id] || !g.IsAnd(id) {
 			continue
 		}
+		ands++
 		f0, f1 := g.Fanins(id)
-		for _, f := range [2]aig.Lit{f0, f1} {
-			if fid := f.ID(); !needed[fid] {
-				needed[fid] = true
-				stack = append(stack, fid)
-			}
-		}
+		needed[f0.ID()] = true
+		needed[f1.ID()] = true
 	}
-	out := aig.New()
+	return needed, ands
+}
+
+// rebuild copies the PIs, the needed ANDs (ands of them) and the POs of g
+// into a fresh AIG, returning it and the old-node → new-literal mapping.
+func rebuild(g *aig.AIG, needed []bool, ands int) (*aig.AIG, []aig.Lit) {
+	out := aig.NewSized(1 + g.NumPIs() + ands)
 	out.Name = g.Name
 	lit := make([]aig.Lit, g.NumNodes())
-	lit[0] = aig.False
 	for id := 1; id < g.NumNodes(); id++ {
-		if g.IsPI(id) {
+		switch {
+		case g.IsPI(id):
 			lit[id] = out.AddPI()
-			continue
+		case needed[id]:
+			f0, f1 := g.Fanins(id)
+			lit[id] = out.And(
+				lit[f0.ID()].NotIf(f0.IsCompl()),
+				lit[f1.ID()].NotIf(f1.IsCompl()),
+			)
 		}
-		if !needed[id] {
-			lit[id] = aig.False
-			continue
-		}
-		f0, f1 := g.Fanins(id)
-		lit[id] = out.And(
-			lit[f0.ID()].NotIf(f0.IsCompl()),
-			lit[f1.ID()].NotIf(f1.IsCompl()),
-		)
 	}
 	for i := 0; i < g.NumPOs(); i++ {
 		po := g.PO(i)

@@ -8,6 +8,7 @@ package satsweep
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"simsweep/internal/aig"
@@ -117,13 +118,19 @@ func CheckMiter(m *aig.AIG, opt Options) (res Result) {
 // solver polls the clock every 32 conflicts), and the pass asks nothing
 // more once the charge reaches it, so budget <= 0 asks nothing at all. The
 // pass then ends Undecided, and Reduced is m with the POs proved so far
-// merged to constant zero. CheckPOs returns the unanswered time charged
-// beside the result. Panics are recovered as in CheckMiter.
-func CheckPOs(m *aig.AIG, opt Options, budget time.Duration) (res Result, unanswered time.Duration) {
+// merged to constant zero. Panics are recovered as in CheckMiter.
+//
+// The POs in stalled (sorted PO indices) are asked after every other open
+// PO, so a PO that an earlier pass could not answer does not eat the budget
+// of the POs behind it. CheckPOs returns the unanswered time charged and
+// stalled with the POs whose call ended with no answer added; PO positions
+// survive miter.Reduce, so the set carries over to the next pass on
+// Reduced.
+func CheckPOs(m *aig.AIG, opt Options, budget time.Duration, stalled []int) (res Result, unanswered time.Duration, stalledAfter []int) {
 	defer recovered(m, time.Now(), &res)
 	meter := &charge{budget: budget}
-	res = finishPOs(m, opt, Result{Reduced: m}, meter)
-	return res, meter.spent
+	res, stalledAfter = finishPOs(m, opt, Result{Reduced: m}, meter, stalled)
+	return res, meter.spent, stalledAfter
 }
 
 // charge meters a budgeted PO pass: the wall time of the calls that ended
@@ -163,7 +170,8 @@ func (c *charge) end(st sat.Status) {
 // a caller that sweeps first recovers a faulted pass as it recovers its
 // own rounds.
 func FinishPOs(m *aig.AIG, opt Options) Result {
-	return finishPOs(m, opt, Result{Reduced: m}, nil)
+	res, _ := finishPOs(m, opt, Result{Reduced: m}, nil, nil)
+	return res
 }
 
 // recovered turns a panic of a sweep over m into an Undecided result that
@@ -237,7 +245,8 @@ func checkMiter(m *aig.AIG, opt Options) Result {
 	}
 
 	// Final PO decision on whatever remains, with the same budget.
-	return finishPOs(cur, opt, res, nil)
+	res, _ = finishPOs(cur, opt, res, nil, nil)
+	return res
 }
 
 // sweepRound SAT-checks every candidate pair once. It returns the proved
@@ -293,10 +302,12 @@ func sweepRound(cur *aig.AIG, classes *ec.Manager, partial *sim.Partial, opt Opt
 }
 
 // finishPOs proves or refutes each remaining non-constant PO by SAT on one
-// incremental solver. opt.Stop ends the pass, between and inside the
-// calls, and so does the budget of meter (nil: no budget); the POs proved
-// before either are still merged into res.Reduced.
-func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge) Result {
+// incremental solver, in index order except that the POs in last (sorted
+// PO indices) come after all others. opt.Stop ends the pass, between and
+// inside the calls, and so does the budget of meter (nil: no budget); the
+// POs proved before either are still merged into res.Reduced. It also
+// returns last with the POs whose call ended with no answer added.
+func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge, last []int) (Result, []int) {
 	solver := sat.New()
 	solver.SetConflictLimit(opt.ConflictLimit)
 	solver.SetStop(func() bool { return opt.stopped() || meter.cut() })
@@ -304,10 +315,21 @@ func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge) Result {
 	enc := cnf.NewEncoder(cur, solver)
 	tb := opt.traceBuf()
 
+	order := make([]int, 0, cur.NumPOs())
+	for i, k := 0, 0; i < cur.NumPOs(); i++ {
+		if k < len(last) && last[k] == i {
+			k++
+			continue
+		}
+		order = append(order, i)
+	}
+	order = append(order, last...)
+	stalled := slices.Clone(last)
+
 	var merges []miter.Merge
 	merged := make(map[aig.Lit]bool)
 	undecided := false
-	for i := 0; i < cur.NumPOs(); i++ {
+	for _, i := range order {
 		if stop() {
 			undecided = true
 			break
@@ -321,7 +343,7 @@ func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge) Result {
 			res.Outcome = miter.NotEquivalent
 			res.CEX = make([]bool, cur.NumPIs())
 			res.Reduced = cur
-			return res
+			return res, stalled
 		}
 		if merged[po] {
 			// An earlier PO with this exact literal already proved it
@@ -353,10 +375,13 @@ func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge) Result {
 			res.Outcome = miter.NotEquivalent
 			res.CEX = enc.ModelInputs()
 			res.Reduced = cur
-			return res
+			return res, stalled
 		default:
 			res.Stats.Unknown++
 			undecided = true
+			if at, found := slices.BinarySearch(stalled, i); !found {
+				stalled = slices.Insert(stalled, at, i)
+			}
 		}
 	}
 	if len(merges) > 0 {
@@ -366,7 +391,7 @@ func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge) Result {
 			// reporting undecided.
 			res.Faults = append(res.Faults, fmt.Sprintf("satsweep.finish.reduce: %v", err))
 			res.Reduced = cur
-			return res
+			return res, stalled
 		}
 		cur = reduced
 	}
@@ -380,7 +405,7 @@ func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge) Result {
 	if undecided && opt.stopped() {
 		res.Stopped = true
 	}
-	return res
+	return res, stalled
 }
 
 // tracedSolve runs one SAT call, emitting a trace span (category "sat")

@@ -2,6 +2,7 @@ package satsweep
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -373,7 +374,7 @@ func constantOneMiter(t *testing.T) (m, reduced *aig.AIG) {
 // replays on both the merged and the original miter.
 func TestPOPassConstantOneHasCEX(t *testing.T) {
 	m, reduced := constantOneMiter(t)
-	budgeted, _ := CheckPOs(reduced, Options{}, time.Minute)
+	budgeted, _, _ := CheckPOs(reduced, Options{}, time.Minute, nil)
 	for _, res := range []Result{budgeted, FinishPOs(reduced, Options{})} {
 		if res.Outcome != miter.NotEquivalent {
 			t.Fatalf("outcome = %v, want not equivalent", res.Outcome)
@@ -393,11 +394,11 @@ func TestCheckPOsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := CheckPOs(m, Options{}, 0)
+	res, _, _ := CheckPOs(m, Options{}, 0, nil)
 	if res.Outcome != miter.Undecided || res.Stopped || res.Reduced != m || res.Stats.SATCalls != 0 {
 		t.Fatalf("zero budget: outcome %v, stopped %v, %d calls", res.Outcome, res.Stopped, res.Stats.SATCalls)
 	}
-	res, _ = CheckPOs(m, Options{}, time.Minute)
+	res, _, _ = CheckPOs(m, Options{}, time.Minute, nil)
 	if res.Outcome != miter.Equivalent || !miter.IsProved(res.Reduced) || res.Stats.SATCalls == 0 || res.Stats.Runtime <= 0 {
 		t.Fatalf("ample budget: outcome %v, %d calls, runtime %v", res.Outcome, res.Stats.SATCalls, res.Stats.Runtime)
 	}
@@ -405,7 +406,7 @@ func TestCheckPOsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ = CheckPOs(m, Options{Faults: in}, time.Minute)
+	res, _, _ = CheckPOs(m, Options{Faults: in}, time.Minute, nil)
 	if res.Outcome != miter.Undecided || res.Reduced != m || len(res.Faults) != 1 {
 		t.Fatalf("faulted: outcome %v, faults %v", res.Outcome, res.Faults)
 	}
@@ -423,7 +424,7 @@ func TestCheckPOsChargesOnlyUnanswered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, unanswered := CheckPOs(m, Options{}, time.Nanosecond)
+	res, unanswered, _ := CheckPOs(m, Options{}, time.Nanosecond, nil)
 	if res.Outcome != miter.Equivalent || res.Stats.SATCalls != openPOs(m) || unanswered != 0 {
 		t.Fatalf("EQ: outcome %v, %d of %d POs asked, %v unanswered", res.Outcome, res.Stats.SATCalls, openPOs(m), unanswered)
 	}
@@ -436,7 +437,7 @@ func TestCheckPOsChargesOnlyUnanswered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, unanswered = CheckPOs(m, Options{}, time.Nanosecond)
+	res, unanswered, _ = CheckPOs(m, Options{}, time.Nanosecond, nil)
 	if res.Outcome != miter.NotEquivalent || !fires(m, res.CEX) || unanswered != 0 {
 		t.Fatalf("NEQ: outcome %v, %d calls, %v unanswered, CEX %v", res.Outcome, res.Stats.SATCalls, unanswered, res.CEX)
 	}
@@ -454,4 +455,65 @@ func openPOs(m *aig.AIG) int {
 		}
 	}
 	return n
+}
+
+// TestCheckPOsAsksStalledPOsLast puts one PO that needs seconds of SAT (the
+// middle product bit of an 8-bit Booth-vs-array multiplier miter) ahead of
+// the easy POs of an adder miter, under a 20 ms budget. The first pass
+// stalls on the hard PO and asks nothing else. The second pass, told that
+// PO stalled, must ask it last and prove every easy PO first; in index
+// order it would spend its whole budget on the hard PO again.
+func TestCheckPOsAsksStalledPOsLast(t *testing.T) {
+	hard, err := gen.BoothArrayMiter(8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	easy, err := miter.Build(adder(6, false), adder(6, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := aig.New()
+	m.AddPO(embed(m, hard)[8])
+	for _, po := range embed(m, easy) {
+		m.AddPO(po)
+	}
+	const budget = 20 * time.Millisecond
+
+	first, _, stalled := CheckPOs(m, Options{}, budget, nil)
+	if first.Outcome != miter.Undecided || first.Stats.SATCalls != 1 || !slices.Equal(stalled, []int{0}) {
+		t.Fatalf("first pass: outcome %v, %d calls, stalled %v; want undecided after one call, stalled [0]",
+			first.Outcome, first.Stats.SATCalls, stalled)
+	}
+	second, _, stalled := CheckPOs(first.Reduced, Options{}, budget, stalled)
+	if second.Stats.Proved != openPOs(m)-1 || !slices.Equal(stalled, []int{0}) {
+		t.Fatalf("second pass: %d of %d easy POs proved, stalled %v", second.Stats.Proved, openPOs(m)-1, stalled)
+	}
+	for i := 1; i < second.Reduced.NumPOs(); i++ {
+		if second.Reduced.PO(i) != aig.False {
+			t.Fatalf("second pass: PO %d left open", i)
+		}
+	}
+	if second.Reduced.PO(0).ID() == 0 {
+		t.Fatal("second pass: the hard PO was answered inside a 20 ms budget")
+	}
+}
+
+// embed copies the PIs and ANDs of src into dst, with fresh PIs, and
+// returns src's PO literals in dst.
+func embed(dst, src *aig.AIG) []aig.Lit {
+	lit := make([]aig.Lit, src.NumNodes())
+	for id := 1; id < src.NumNodes(); id++ {
+		if src.IsPI(id) {
+			lit[id] = dst.AddPI()
+			continue
+		}
+		f0, f1 := src.Fanins(id)
+		lit[id] = dst.And(lit[f0.ID()].NotIf(f0.IsCompl()), lit[f1.ID()].NotIf(f1.IsCompl()))
+	}
+	out := make([]aig.Lit, src.NumPOs())
+	for i := range out {
+		po := src.PO(i)
+		out[i] = lit[po.ID()].NotIf(po.IsCompl())
+	}
+	return out
 }

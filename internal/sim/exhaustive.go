@@ -91,11 +91,13 @@ type Result struct {
 	Stopped bool
 }
 
-// Exhaustive is the exhaustive simulator (Algorithm 1). BudgetWords caps
-// the simulation-table size M in 64-bit words; the per-entry size E is
-// chosen on the fly as the largest power of two such that E·N ≤ M for N
-// total slots, and simulation proceeds in rounds over truth-table word
-// ranges [rE, (r+1)E).
+// Exhaustive is the exhaustive simulator (Algorithm 1). BudgetWords is the
+// paper's M in 64-bit words: the entry size E is chosen on the fly as the
+// largest power of two such that E·N ≤ M for N total slots, and simulation
+// proceeds in rounds over truth-table word ranges [rE, (r+1)E). M bounds
+// the words one round simulates, not memory: unlike the paper's batch-wide
+// table of E words per slot in global memory, every task simulates in a
+// table of its own (task-local tables below).
 //
 // Parallelism is organised around the cross-window dimension: each round
 // dispatches one kernel whose tasks are whole windows (windows are
@@ -106,6 +108,13 @@ type Result struct {
 // free, since AIG ids are topological — and each pair is compared as soon
 // as both of its roots are simulated, so a window whose last pair is
 // refuted stops simulating mid-round.
+//
+// A task's table holds its window's slots over the task's own word range
+// only, row by row, and comes from a package-level pool sized for the
+// slice budget. No value crosses tasks or rounds: a task seeds its inputs,
+// simulates its nodes and compares only slots it wrote, so no table is
+// ever cleared. The per-batch bookkeeping comes from a package-level pool
+// too, so checkers that live for one engine run share warm buffers.
 type Exhaustive struct {
 	Dev         *par.Device
 	BudgetWords int
@@ -127,16 +136,14 @@ type Exhaustive struct {
 	// engine wires its watchdog-aware cancellation check in here, so a
 	// phase stuck inside a multi-round batch is still cancellable.
 	Stop func() bool
-
-	scratch sync.Pool // *batchScratch: per-batch buffers, reused
 }
 
 // defaultSliceWork is the per-task slot·word granularity above which a
 // window is sliced along the truth-table word dimension.
 const defaultSliceWork = 1 << 15
 
-// NewExhaustive returns a checker over dev with the given memory budget in
-// words (a non-positive budget selects 1<<22 words, 32 MiB).
+// NewExhaustive returns a checker over dev with the given round budget M in
+// words (a non-positive budget selects 1<<22 words).
 func NewExhaustive(dev *par.Device, budgetWords int) *Exhaustive {
 	if budgetWords <= 0 {
 		budgetWords = 1 << 22
@@ -158,7 +165,6 @@ type winPair struct {
 // winState is the per-window precomputation for a batch.
 type winState struct {
 	win     *Window
-	base    int32 // first slot offset in the simulation table
 	nIn     int32
 	ttWords int32
 	fan     []int32   // per node: two fanins as local slot<<1 | compl
@@ -173,10 +179,11 @@ type winState struct {
 }
 
 // simTask is one dispatched unit of a round: a window (or a word-range
-// slice of a large window). Each task is executed by exactly one goroutine,
-// so its mismatch buffer needs no synchronisation; verdicts are applied in
-// a sequential resolution step after the launch, in task order, which keeps
-// results deterministic under parallel execution.
+// slice of a large window). Each task is executed by exactly one goroutine
+// in a table of its own, so neither the table nor its mismatch buffer needs
+// synchronisation; verdicts are applied in a sequential resolution step
+// after the launch, in task order, which keeps results deterministic under
+// parallel execution.
 type simTask struct {
 	st        *winState
 	t0, t1    int32 // word range within the round's [0, E) segment
@@ -195,33 +202,37 @@ type mismatch struct {
 // batchScratch holds the reusable buffers of one CheckBatch call.
 type batchScratch struct {
 	slot   []int32 // dense node-id -> window-local slot map
-	simt   []uint64
 	fan    []int32
 	wpairs []winPair
 	states []winState
 	tasks  []simTask
 }
 
-func (e *Exhaustive) getScratch() *batchScratch {
-	if sc, ok := e.scratch.Get().(*batchScratch); ok {
-		return sc
-	}
-	return &batchScratch{}
-}
+// batchPool recycles per-batch bookkeeping across checkers: the engine
+// makes one checker per run, so a pool inside the checker would never
+// outlive one check.
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-func (e *Exhaustive) putScratch(sc *batchScratch) {
+func putScratch(sc *batchScratch) {
 	// Drop object references so pooled buffers do not pin windows or
 	// mismatch buffers from the previous batch.
-	for i := range sc.states {
-		sc.states[i] = winState{}
-	}
-	for i := range sc.tasks {
-		sc.tasks[i] = simTask{}
-	}
-	sc.states = sc.states[:0]
-	sc.tasks = sc.tasks[:0]
-	e.scratch.Put(sc)
+	clear(sc.states[:cap(sc.states)])
+	clear(sc.tasks[:cap(sc.tasks)])
+	batchPool.Put(sc)
 }
+
+// tableWords is the size of a pooled task table: twice the default slice
+// budget, which holds a whole unsliced window (work ≤ SliceWork) and any
+// slice of a sliced one (at most about SliceWork plus one row).
+const tableWords = 2 * defaultSliceWork
+
+// tablePool recycles task tables (*[]uint64) across tasks, rounds, batches
+// and checkers. A task needing more than its table holds replaces it with
+// a larger one, which goes back to the pool in its place.
+var tablePool = sync.Pool{New: func() any {
+	t := make([]uint64, tableWords)
+	return &t
+}}
 
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
@@ -249,8 +260,8 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 		return res
 	}
 
-	sc := e.getScratch()
-	defer e.putScratch(sc)
+	sc := batchPool.Get().(*batchScratch)
+	defer putScratch(sc)
 
 	totalSlots, totalNodes, totalPairs := 0, 0, 0
 	maxTT := 1
@@ -272,10 +283,6 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 	for E*2*totalSlots <= e.BudgetWords && E*2 <= maxTT {
 		E *= 2
 	}
-	if cap(sc.simt) < totalSlots*E {
-		sc.simt = make([]uint64, totalSlots*E)
-	}
-	simt := sc.simt[:totalSlots*E]
 
 	// Per-window setup, sequential: the dense slot scratch maps node ids
 	// to window-local slots. Entries are overwritten window by window;
@@ -294,12 +301,11 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 	}
 	states := sc.states[:len(windows)]
 
-	base, fo, po := int32(0), 0, 0
+	fo, po := 0, 0
 	for wi, w := range windows {
 		st := &states[wi]
 		*st = winState{
 			win:     w,
-			base:    base,
 			nIn:     int32(len(w.Inputs)),
 			ttWords: int32(w.TTWords()),
 			alive:   int32(len(w.PairIdx)),
@@ -341,7 +347,6 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 		}
 		sortPairsByReady(st.pairs)
 		po += len(w.PairIdx)
-		base += int32(w.NumSlots())
 	}
 
 	sliceWork := e.SliceWork
@@ -430,16 +435,23 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 		// word-level and level-wise dimensions run inside each task.
 		rr := r
 		err := e.Dev.LaunchChunked("exhaustive.window", len(tasks), func(lo, hi int) {
+			tp := tablePool.Get().(*[]uint64)
+			defer tablePool.Put(tp)
 			for i := lo; i < hi; i++ {
-				tasks[i].run(simt, E, rr)
+				tk := &tasks[i]
+				need := tk.st.win.NumSlots() * int(tk.t1-tk.t0)
+				if len(*tp) < need {
+					*tp = make([]uint64, need)
+				}
+				tk.run((*tp)[:need], E, rr)
 			}
 		})
 		rsp.End()
 		if err != nil {
-			// A kernel panicked: the simulation table and the per-task
-			// mismatch buffers are unreliable. Withdraw every verdict —
-			// Equal entries were optimistically true and are now unproven,
-			// and recorded mismatches may be garbage — and report the fault.
+			// A kernel panicked: the per-task mismatch buffers are
+			// unreliable. Withdraw every verdict — Equal entries were
+			// optimistically true and are now unproven, and recorded
+			// mismatches may be garbage — and report the fault.
 			for i := range res.Equal {
 				res.Equal[i] = false
 				res.CEXs[i] = nil
@@ -481,21 +493,21 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 }
 
 // run seeds, simulates and compares one window (or word slice) for one
-// round. Nodes simulate in ascending slot order; each pair compares at its
-// ready point, and simulation stops as soon as no undecided pair needs
-// further node values.
-func (tk *simTask) run(simt []uint64, E, r int) {
+// round in loc, the task's own table: slot s, round word t at
+// loc[s*W + t-t0] for the task's W = t1-t0 words. Nodes simulate in
+// ascending slot order; each pair compares at its ready point, and
+// simulation stops as soon as no undecided pair needs further node values.
+func (tk *simTask) run(loc []uint64, E, r int) {
 	st := tk.st
-	base := int(st.base)
 	nIn := int(st.nIn)
-	t0, t1 := int(tk.t0), int(tk.t1)
+	t0, W := int(tk.t0), int(tk.t1-tk.t0)
 
 	// Seed projection-table segments at the window inputs (Algorithm 1
 	// line 9): generated arithmetically, never materialised in full.
 	for j := 0; j < nIn; j++ {
-		off := (base + j) * E
-		for t := t0; t < t1; t++ {
-			simt[off+t] = tt.ProjectionWord(j, r*E+t)
+		row := loc[j*W : (j+1)*W]
+		for t := range row {
+			row[t] = tt.ProjectionWord(j, r*E+t0+t)
 		}
 	}
 
@@ -512,34 +524,37 @@ func (tk *simTask) run(simt []uint64, E, r int) {
 		}
 	}
 	next := 0
-	uncompared -= tk.compareReady(simt, E, &next, 0)
+	uncompared -= tk.compareReady(loc, &next, 0)
 
 	nodesDone := 0
 	for j := 0; j < int(maxReady) && uncompared > 0; j++ {
 		f0 := st.fan[2*j]
 		f1 := st.fan[2*j+1]
-		s0 := (base + int(f0>>1)) * E
-		s1 := (base + int(f1>>1)) * E
-		dst := (base + nIn + j) * E
+		s0 := int(f0>>1) * W
+		s1 := int(f1>>1) * W
+		dst := loc[(nIn+j)*W : (nIn+j+1)*W]
+		a, b := loc[s0:s0+W], loc[s1:s1+W]
 		m0 := -uint64(f0 & 1)
 		m1 := -uint64(f1 & 1)
-		for t := t0; t < t1; t++ {
-			simt[dst+t] = (simt[s0+t] ^ m0) & (simt[s1+t] ^ m1)
+		for t := range dst {
+			dst[t] = (a[t] ^ m0) & (b[t] ^ m1)
 		}
 		nodesDone++
-		uncompared -= tk.compareReady(simt, E, &next, int32(j+1))
+		if next < len(st.pairs) && st.pairs[next].ready <= int32(j+1) {
+			uncompared -= tk.compareReady(loc, &next, int32(j+1))
+		}
 		if tk.sliced && j&63 == 63 && atomic.LoadInt32(&st.abort) != 0 {
 			break // every pair refuted by sibling slices: stop mid-round
 		}
 	}
-	tk.simulated = int64(nIn+nodesDone) * int64(t1-t0)
+	tk.simulated = int64(nIn+nodesDone) * int64(W)
 }
 
 // compareReady compares every not-yet-compared pair whose ready point has
 // been reached and returns how many live pairs it compared. Mismatches are
 // recorded locally; sliced tasks additionally claim the refutation so the
 // window can abort once no pair is left alive.
-func (tk *simTask) compareReady(simt []uint64, E int, next *int, ready int32) int {
+func (tk *simTask) compareReady(loc []uint64, next *int, ready int32) int {
 	st := tk.st
 	compared := 0
 	for *next < len(st.pairs) && st.pairs[*next].ready <= ready {
@@ -550,7 +565,7 @@ func (tk *simTask) compareReady(simt []uint64, E int, next *int, ready int32) in
 			continue
 		}
 		compared++
-		t, bit, mism := tk.comparePair(simt, E, wp)
+		t, bit, mism := tk.comparePair(loc, wp)
 		if !mism {
 			continue
 		}
@@ -564,30 +579,28 @@ func (tk *simTask) compareReady(simt []uint64, E int, next *int, ready int32) in
 	return compared
 }
 
-// comparePair scans the task's word range of the pair's root segments and
-// returns the first mismatching word offset and bit, if any. A slotA of -1
-// compares against constant zero.
-func (tk *simTask) comparePair(simt []uint64, E int, wp *winPair) (int, int, bool) {
-	st := tk.st
-	base := int(st.base)
-	t0, t1 := int(tk.t0), int(tk.t1)
+// comparePair scans the pair's root rows of the task's table and returns
+// the first mismatching word offset within the round segment and its bit,
+// if any. A slotA of -1 compares against constant zero.
+func (tk *simTask) comparePair(loc []uint64, wp *winPair) (int, int, bool) {
+	t0, W := int(tk.t0), int(tk.t1-tk.t0)
 	mask := uint64(0)
 	if wp.compl {
 		mask = ^uint64(0)
 	}
-	offB := (base + int(wp.slotB)) * E
+	b := loc[int(wp.slotB)*W : int(wp.slotB+1)*W]
 	if wp.slotA < 0 {
-		for t := t0; t < t1; t++ {
-			if v := simt[offB+t] ^ mask; v != 0 {
-				return t, bits.TrailingZeros64(v), true
+		for t, v := range b {
+			if v ^= mask; v != 0 {
+				return t0 + t, bits.TrailingZeros64(v), true
 			}
 		}
 		return 0, 0, false
 	}
-	offA := (base + int(wp.slotA)) * E
-	for t := t0; t < t1; t++ {
-		if v := simt[offA+t] ^ simt[offB+t] ^ mask; v != 0 {
-			return t, bits.TrailingZeros64(v), true
+	a := loc[int(wp.slotA)*W : int(wp.slotA+1)*W]
+	for t, v := range b {
+		if v ^= a[t] ^ mask; v != 0 {
+			return t0 + t, bits.TrailingZeros64(v), true
 		}
 	}
 	return 0, 0, false

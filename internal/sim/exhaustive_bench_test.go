@@ -86,3 +86,19 @@ func BenchmarkExhaustiveCheckBatchOneShot(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExhaustiveCheckBatchFresh is the shape of an L-phase cut batch,
+// 4,000 five-input windows, with a fresh checker per op as the engine makes
+// one per run.
+func BenchmarkExhaustiveCheckBatchFresh(b *testing.B) {
+	g, pairs, windows := deepParityBatch(b, 4000, 5)
+	dev := par.NewDevice(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewExhaustive(dev, 0).CheckBatch(g, pairs, windows)
+		if !r.Equal[0] {
+			b.Fatal("parity pair disproved")
+		}
+	}
+}

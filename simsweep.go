@@ -1,10 +1,9 @@
 // Package simsweep is a combinational equivalence checking (CEC) toolkit
 // built around simulation-based parallel sweeping: candidate node
 // equivalences of a miter are proved by exhaustive simulation — comparing
-// entire truth tables with a memory-capped, multi-round, parallel
-// simulator — instead of SAT, following Liu & Young, "Simulation-based
-// Parallel Sweeping: A New Perspective on Combinational Equivalence
-// Checking" (DAC 2025).
+// entire truth tables with a multi-round, parallel simulator — instead of
+// SAT, following Liu & Young, "Simulation-based Parallel Sweeping: A New
+// Perspective on Combinational Equivalence Checking" (DAC 2025).
 //
 // The package exposes:
 //
@@ -544,9 +543,12 @@ func runBDD(m *AIG, o Options, _ *par.Device) Result {
 // solver (satsweep.CheckPOs). Each attempt's budget is twice the time of
 // the step it follows, charged only for the SAT calls that end with no
 // answer: a proved PO or a model is free, so an attempt that keeps
-// proving POs is not cut off. A model disproves the miter and all POs
-// proved decide it; on a missed budget the POs proved so far are merged to
-// constant zero and the next L phase sweeps only the cones of the others.
+// proving POs is not cut off. A PO whose call ended with no answer is
+// asked after every other open PO in later attempts, so one PO that SAT
+// cannot answer quickly does not eat the budget of the POs behind it. A
+// model disproves the miter and all POs proved decide it; on a missed
+// budget the POs proved so far are merged to constant zero and the next L
+// phase sweeps only the cones of the others.
 // So a miter that PO-level SAT cannot decide costs at most about three
 // times the simulation stage in unanswered SAT time before the final SAT
 // sweep, which stays complete at ConflictLimit 0. The budget is twice the
@@ -569,9 +571,11 @@ func runHybrid(m *AIG, o Options, dev *par.Device) Result {
 		Faults:        o.Faults,
 	}
 	var satTime time.Duration
+	var stalled []int // POs an earlier attempt could not answer: asked last
 	askPOs := func(after string, cur *AIG, took time.Duration) (*AIG, []bool, []string) {
 		budget := 2 * took
-		pr, unanswered := satsweep.CheckPOs(cur, satOpt, budget)
+		pr, unanswered, st := satsweep.CheckPOs(cur, satOpt, budget, stalled)
+		stalled = st
 		satTime += pr.Stats.Runtime
 		if o.Log != nil {
 			fmt.Fprintf(o.Log, "po-sat after %s: budget %v, unanswered %v, %d POs asked, %d proved: %s (%v)\n",
