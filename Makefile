@@ -1,13 +1,8 @@
 GO ?= go
 
-.PHONY: all build vet test doccheck race service-race trace-race cluster-race bench benchtab fuzz fuzz-soak chaos soak-faults bench-sched ledger-test ledger-check
+.PHONY: all build vet test doccheck race service-race trace-race cluster-race bench benchtab fuzz fuzz-soak chaos soak-faults ledger-test ledger-check
 
-# all runs the -sched experiment for its verdict gate but writes its
-# report under .bench_build/, so it never rewrites the committed
-# BENCH_sched.json (make bench-sched regenerates that).
 all: build vet doccheck test ledger-test fuzz chaos race service-race trace-race cluster-race
-	mkdir -p .bench_build
-	$(GO) run ./cmd/benchtab -sched -schedjson .bench_build/BENCH_sched.json
 
 build:
 	$(GO) build ./...
@@ -113,12 +108,6 @@ bench:
 	$(GO) test -bench 'BenchmarkCutsPass|BenchmarkEnumerateNode' -benchmem ./internal/cuts/
 	$(GO) test -bench 'BenchmarkPOPass' -benchmem ./internal/satsweep/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeMiter' -benchmem ./internal/cnf/
-
-# Adaptive class scheduler vs each forced single prover on every benchmark
-# family, with the hybrid flow as the verdict reference, written to
-# BENCH_sched.json. Any verdict disagreement fails the run.
-bench-sched:
-	$(GO) run ./cmd/benchtab -sched
 
 benchtab:
 	$(GO) run ./cmd/benchtab -all

@@ -5,14 +5,10 @@
 //	benchtab -fig 6          Figure 6  (engine phase breakdown)
 //	benchtab -fig 7          Figure 7  (SAT time on P/PG/PGL miters)
 //	benchtab -all            everything
-//	benchtab -sched          adaptive class scheduler vs each forced single
-//	                         prover on every family (BENCH_sched.json)
 //
 // -size scales the instances (1 = quick, 2 = larger); -only restricts to a
-// comma-separated list of families. The Table/Figure kernel profile is
-// written only to a path named with -benchjson. A filtered run is not a
-// canonical artifact: with -only set, -sched writes its JSON only to a path
-// named explicitly with -schedjson.
+// comma-separated list of families. The kernel profile is written only to a
+// path named with -benchjson.
 //
 // Speed claims rest on the benchmark ledger (cmd/ledger), not on these
 // one-off runs.
@@ -46,20 +42,8 @@ func run() int {
 	workers := flag.Int("workers", 0, "parallel workers (0: all CPUs)")
 	seed := flag.Int64("seed", 1, "random simulation seed")
 	benchJSON := flag.String("benchjson", "", "write per-kernel device statistics to this file (empty: disabled)")
-	schedBench := flag.Bool("sched", false, "compare the adaptive class scheduler against each forced single prover on every family")
-	schedJSON := flag.String("schedjson", "BENCH_sched.json", "class-scheduler benchmark report path")
-	schedBudget := flag.Duration("sched-budget", 90*time.Second, "wall-clock budget per forced single-prover baseline run for -sched (0: unlimited)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	flag.Parse()
-
-	if *only != "" {
-		named := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { named[f.Name] = true })
-		if !named["schedjson"] {
-			*schedJSON = ""
-		}
-		fmt.Println("filtered run (-only): no canonical BENCH_*.json is written; name -schedjson to write a report")
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -72,14 +56,6 @@ func run() int {
 			return 2
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	if *schedBench {
-		if err := runSchedBench(*schedJSON, *size, *only, *workers, *seed, *schedBudget); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			return 2
-		}
-		return 0
 	}
 
 	if *all {
@@ -188,23 +164,6 @@ func suite(size int, only string) []bench.Case {
 	return filtered
 }
 
-// writeReport writes v as indented JSON to path and announces it as what.
-// An empty path writes nothing.
-func writeReport(path, what string, v interface{}) error {
-	if path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s written to %s\n", what, path)
-	return nil
-}
-
 // table2Disagreements returns the families whose Table II columns (abc,
 // cfm, ours) produced contradictory decided verdicts. Undecided columns are
 // tolerated — a budgeted baseline may starve — but two decided columns must
@@ -246,7 +205,12 @@ type benchReport struct {
 	Kernels   []kernelRecord `json:"kernels"`
 }
 
+// writeBenchJSON writes the device's kernel profile as indented JSON to
+// path. An empty path writes nothing.
 func writeBenchJSON(path string, dev *par.Device) error {
+	if path == "" {
+		return nil
+	}
 	stats := dev.Stats()
 	report := benchReport{
 		Generated: time.Now().UTC().Format(time.RFC3339),
@@ -264,5 +228,13 @@ func writeBenchJSON(path string, dev *par.Device) error {
 	sort.Slice(report.Kernels, func(i, j int) bool {
 		return report.Kernels[i].TimeNS > report.Kernels[j].TimeNS
 	})
-	return writeReport(path, "kernel statistics", report)
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("kernel statistics written to %s\n", path)
+	return nil
 }

@@ -1,13 +1,11 @@
 // Command cec checks the combinational equivalence of two AIGER netlists
 // (or decides a single miter) with any engine of the simsweep engine
 // table: the simulation-based sweeping engine, the SAT sweeping baseline,
-// the BDD engine, the hybrid sim+SAT flow, the adaptive per-class
-// scheduler or a portfolio race.
+// the BDD engine, the hybrid sim+SAT flow or a portfolio race.
 //
 // Usage:
 //
 //	cec [-engine name] a.aig b.aig
-//	cec -engine sched -sched-stats a.aig b.aig
 //	cec -miter m.aig
 //	cec -trace out.json -phase-report a.aig b.aig
 //
@@ -36,7 +34,6 @@ func run() int {
 		names = append(names, string(e.Name))
 	}
 	engine := flag.String("engine", names[0], "checking engine: "+strings.Join(names, ", "))
-	schedStats := flag.Bool("sched-stats", false, "print the scheduler's per-engine routing table when the sched engine ran")
 	miterPath := flag.String("miter", "", "check a prebuilt miter instead of two circuits")
 	seq := flag.Bool("seq", false, "treat AIGER inputs as sequential: cut at the latch boundary")
 	dump := flag.String("dump", "", "write the final (reduced) miter to this AIGER file")
@@ -162,25 +159,6 @@ func run() int {
 			fmt.Printf(" (POs proved by PO-level SAT included); SAT backend took %v", res.SATTime.Round(1e6))
 		}
 		fmt.Println()
-	}
-	if res.Sched != nil {
-		st := res.Sched
-		fmt.Printf("sched: %d classes (%d pairs) over %d rounds; %d escalations (%.1f%%), %d deferred, %d parked, %d cex shared\n",
-			st.Classes, st.Pairs, st.Rounds, st.Escalations, st.EscalationPercent(), st.Deferred, st.Parked, st.SharedCEX)
-		if *schedStats {
-			fmt.Println("  engine  routed  escal.  failed  proved  disproved      time")
-			for _, e := range []string{"sim", "sat", "bdd"} {
-				row := st.PerEngine[e]
-				fmt.Printf("  %-6s  %6d  %6d  %6d  %6d  %9d  %8v\n",
-					e, row.Routed, row.Escalated, row.Failed, row.Proved, row.Disproved, row.Time.Round(1e6))
-			}
-			for _, e := range []string{"sim", "sat", "bdd"} {
-				if ex, ok := st.Examples[e]; ok {
-					fmt.Printf("  example %s win: class repr n%d (member n%d), size %d, support %d, depth %d, round %d\n",
-						e, ex.Repr, ex.Member, ex.Size, ex.Support, ex.Depth, ex.Round)
-				}
-			}
-		}
 	}
 	if *verbose {
 		for _, ph := range res.SimPhases {

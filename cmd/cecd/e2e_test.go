@@ -334,6 +334,7 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		"bad aiger":      {"a": base64.StdEncoding.EncodeToString([]byte("nonsense")), "b": base64.StdEncoding.EncodeToString([]byte("nonsense"))},
 		"unknown engine": {"miter": "YWFnIDEgMCAwIDEgMAox", "engine": "quantum"},
 		"retired engine": {"miter": "YWFnIDEgMCAwIDEgMAox", "engine": "cube"},
+		"retired sched":  {"miter": "YWFnIDEgMCAwIDEgMAox", "engine": "sched"},
 	} {
 		_, status := postJob(t, ts.URL, body)
 		if status != http.StatusBadRequest {
@@ -518,53 +519,5 @@ func TestDaemonTracedJob(t *testing.T) {
 	}
 	if phaseCount < 1 {
 		t.Fatalf("phase duration histogram empty:\n%s", metrics)
-	}
-}
-
-// TestDaemonSchedEngine pins the sched engine's wire surface: a job with
-// "engine": "sched" must pass admission (it was once rejected as unknown
-// while every other engine name worked), run the class scheduler, settle
-// with the right verdict, replay from the result cache, and export the
-// per-engine routing metric.
-func TestDaemonSchedEngine(t *testing.T) {
-	svc := service.New(service.Config{MaxConcurrent: 1, TotalWorkers: 2})
-	defer svc.Close()
-	ts := httptest.NewServer(service.NewHandler(svc))
-	defer ts.Close()
-
-	base, err := simsweep.Generate("multiplier", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := simsweep.Optimize(base)
-
-	j, status := postJob(t, ts.URL, map[string]interface{}{
-		"a": b64AIGER(t, base), "b": b64AIGER(t, opt), "engine": "sched",
-	})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit sched job: status %d (%s)", status, j.Error)
-	}
-	done := waitJob(t, ts.URL, j.ID, 30*time.Second)
-	if done.State != string(service.StateDone) || done.Verdict != "equivalent" {
-		t.Fatalf("sched job: state=%s verdict=%s (%s)", done.State, done.Verdict, done.Error)
-	}
-
-	// The identical resubmission replays from the fingerprint cache.
-	hit, status := postJob(t, ts.URL, map[string]interface{}{
-		"a": b64AIGER(t, base), "b": b64AIGER(t, opt), "engine": "sched",
-	})
-	if status != http.StatusOK || !hit.Cached {
-		t.Fatalf("resubmit: status %d cached=%v", status, hit.Cached)
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var mbuf bytes.Buffer
-	mbuf.ReadFrom(resp.Body)
-	if !strings.Contains(mbuf.String(), `cecd_sched_classes_total{engine=`) {
-		t.Fatalf("metrics missing cecd_sched_classes_total:\n%s", mbuf.String())
 	}
 }

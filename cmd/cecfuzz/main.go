@@ -1,19 +1,16 @@
 // Command cecfuzz is the differential fuzzing harness as a standalone
 // soak/robustness tool: it generates seeded random miters, cross-checks
 // every CEC backend on each (simulation engine under several
-// configurations, hybrid flow, SAT sweeping, BDD, portfolio, the class
-// scheduler, and a truth-table oracle on narrow miters), validates every
-// counter-example by replay, applies metamorphic transforms, and shrinks
-// any failure to a minimal AIGER reproducer.
+// configurations, hybrid flow, SAT sweeping, BDD, portfolio and a
+// truth-table oracle on narrow miters), validates every counter-example
+// by replay, applies metamorphic transforms, and shrinks any failure to a
+// minimal AIGER reproducer.
 //
 //	cecfuzz -seed 1 -n 200              quick sweep (exit 1 on any failure)
 //	cecfuzz -seed 1 -n 200 -shrink      … with failing miters minimised
 //	cecfuzz -n 5000 -timing             soak run with per-backend timing
 //	cecfuzz -n 500 -faults "par.worker.panic:p=0.3;satsweep.pair.oom:p=0.3"
 //	                                    chaos soak: engines fuzzed while faulted
-//	cecfuzz -n 1000 -sched              scheduler focus: oracle + hybrid +
-//	                                    class scheduler only, for fast soak
-//	                                    on the routing paths
 //	cecfuzz -n 100 -cluster 3           additionally cross-check a live
 //	                                    coordinator/worker cluster, crashing
 //	                                    and reviving a worker every 25 checks
@@ -57,7 +54,6 @@ func run() int {
 	noMeta := flag.Bool("no-metamorphic", false, "skip the PI-permutation/strash/resyn2 metamorphic re-checks")
 	timing := flag.Bool("timing", false, "print the per-backend timing table to stderr")
 	faults := flag.String("faults", "", "fault-injection spec armed inside every engine backend, e.g. \"par.worker.panic:p=0.3;sim.round.stall:p=0.1,delay=5ms\"")
-	schedFocus := flag.Bool("sched", false, "focus the roster on the class scheduler: oracle + hybrid + sched backends only")
 	clusterNodes := flag.Int("cluster", 0, "append an in-process coordinator/worker cluster backend with this many worker daemons (0: off)")
 	clusterKill := flag.Int("cluster-kill-every", 25, "with -cluster, crash-and-revive one worker every this many cluster checks (0: no sabotage)")
 	flag.Parse()
@@ -73,25 +69,12 @@ func run() int {
 		CorpusDir:    *corpus,
 		FaultSpec:    *faults,
 	}
-	if *schedFocus || *clusterNodes > 0 {
+	if *clusterNodes > 0 {
 		backends, berr := difftest.DefaultBackendsWithFaults(*workers, *seed, *faults)
 		if berr != nil {
 			fmt.Fprintln(os.Stderr, "cecfuzz:", berr)
 			return 2
 		}
-		if *schedFocus {
-			keep := map[string]bool{"oracle": true, "hybrid": true, "sched": true}
-			var focused []difftest.Backend
-			for _, b := range backends {
-				if keep[b.Name] {
-					focused = append(focused, b)
-				}
-			}
-			backends = focused
-		}
-		o.Backends = backends
-	}
-	if *clusterNodes > 0 {
 		rig, rerr := difftest.StartClusterRig(difftest.ClusterRigConfig{
 			Nodes:     *clusterNodes,
 			KillEvery: *clusterKill,
@@ -106,7 +89,7 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "cecfuzz: cluster rig crashed and revived %d workers\n", rig.Kills())
 			}
 		}()
-		o.Backends = append(o.Backends, rig.Backend())
+		o.Backends = append(backends, rig.Backend())
 	}
 	s, err := difftest.Run(o, os.Stdout)
 	if err != nil {

@@ -152,8 +152,6 @@ type Coordinator struct {
 	deaths     uint64
 	duplicates uint64
 
-	schedClasses map[string]uint64 // per-prover routed classes, summed over worker verdicts
-
 	fed  *fedCache
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -532,14 +530,6 @@ func (c *Coordinator) settleRemote(j *cjob, jj service.JobJSON, m *member) {
 	j.res = jj
 	j.node = m.id
 	j.errMsg = jj.Error
-	if len(jj.SchedClasses) > 0 {
-		if c.schedClasses == nil {
-			c.schedClasses = make(map[string]uint64, len(jj.SchedClasses))
-		}
-		for e, n := range jj.SchedClasses {
-			c.schedClasses[e] += n
-		}
-	}
 	if v, ok := verdictOfJobJSON(jj, m.id); ok {
 		c.fed.put(j.key, v)
 	}
@@ -824,8 +814,6 @@ type Stats struct {
 	FedIndexHits    uint64
 	FedIndexPuts    uint64
 	FedIndexEntries int
-
-	SchedClasses map[string]uint64
 }
 
 // Stats snapshots counters, membership and per-worker load.
@@ -851,12 +839,6 @@ func (c *Coordinator) Stats() Stats {
 	}
 	for k, v := range c.byState {
 		st.ByState[k] = v
-	}
-	if len(c.schedClasses) > 0 {
-		st.SchedClasses = make(map[string]uint64, len(c.schedClasses))
-		for e, n := range c.schedClasses {
-			st.SchedClasses[e] = n
-		}
 	}
 	for _, m := range c.workers {
 		st.Workers = append(st.Workers, WorkerStat{

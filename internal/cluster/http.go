@@ -175,18 +175,6 @@ func writeClusterMetrics(w io.Writer, st Stats) {
 	fmt.Fprintf(w, "# HELP cecd_cluster_duplicate_verdicts_total Late verdicts dropped by at-most-once settlement.\n")
 	fmt.Fprintf(w, "# TYPE cecd_cluster_duplicate_verdicts_total counter\n")
 	fmt.Fprintf(w, "cecd_cluster_duplicate_verdicts_total %d\n", st.Duplicates)
-	if st.SchedClasses != nil {
-		fmt.Fprintf(w, "# HELP cecd_cluster_sched_classes_total Candidate classes workers' sched engines routed, by prover.\n")
-		fmt.Fprintf(w, "# TYPE cecd_cluster_sched_classes_total counter\n")
-		engines := make([]string, 0, len(st.SchedClasses))
-		for e := range st.SchedClasses {
-			engines = append(engines, e)
-		}
-		sort.Strings(engines)
-		for _, e := range engines {
-			fmt.Fprintf(w, "cecd_cluster_sched_classes_total{engine=%q} %d\n", e, st.SchedClasses[e])
-		}
-	}
 
 	fmt.Fprintf(w, "# HELP cecd_cluster_jobs_total Finished cluster jobs by terminal state.\n")
 	fmt.Fprintf(w, "# TYPE cecd_cluster_jobs_total counter\n")

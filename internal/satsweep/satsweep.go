@@ -161,19 +161,6 @@ func (c *charge) end(st sat.Status) {
 	}
 }
 
-// FinishPOs is the sweep's final PO pass on its own, with no class
-// sweeping first and no time budget: every non-constant PO of m is asked on
-// one incremental solver under opt.ConflictLimit. A model is a
-// counter-example; all POs proved is Equivalent. A missed conflict limit or
-// opt.Stop leaves the result Undecided, with the POs proved so far merged
-// to constant zero in Reduced. Unlike CheckPOs it recovers no panics, so
-// a caller that sweeps first recovers a faulted pass as it recovers its
-// own rounds.
-func FinishPOs(m *aig.AIG, opt Options) Result {
-	res, _ := finishPOs(m, opt, Result{Reduced: m}, nil, nil)
-	return res
-}
-
 // recovered turns a panic of a sweep over m into an Undecided result that
 // carries m and the fault, and stamps the sweep's runtime. Defer it.
 func recovered(m *aig.AIG, start time.Time, res *Result) {

@@ -369,13 +369,14 @@ func constantOneMiter(t *testing.T) (m, reduced *aig.AIG) {
 }
 
 // TestPOPassConstantOneHasCEX checks that the PO pass, budgeted (CheckPOs)
-// or not (FinishPOs, the class scheduler's final pass), disproves a miter
-// with a constant-one PO by a counter-example (any input fires it) that
-// replays on both the merged and the original miter.
+// or not (finishPOs with no charge, the final pass of CheckMiter), disproves
+// a miter with a constant-one PO by a counter-example (any input fires it)
+// that replays on both the merged and the original miter.
 func TestPOPassConstantOneHasCEX(t *testing.T) {
 	m, reduced := constantOneMiter(t)
 	budgeted, _, _ := CheckPOs(reduced, Options{}, time.Minute, nil)
-	for _, res := range []Result{budgeted, FinishPOs(reduced, Options{})} {
+	unbudgeted, _ := finishPOs(reduced, Options{}, Result{Reduced: reduced}, nil, nil)
+	for _, res := range []Result{budgeted, unbudgeted} {
 		if res.Outcome != miter.NotEquivalent {
 			t.Fatalf("outcome = %v, want not equivalent", res.Outcome)
 		}

@@ -56,10 +56,6 @@ type JobJSON struct {
 	// Node names the worker that executed the job; set by the cluster
 	// coordinator, empty on a single-node daemon.
 	Node string `json:"node,omitempty"`
-	// SchedClasses counts the classes the sched engine routed, by prover
-	// (sched jobs only). The cluster coordinator aggregates it across
-	// workers into its own metrics.
-	SchedClasses map[string]uint64 `json:"sched_classes,omitempty"`
 
 	Created  string `json:"created,omitempty"`
 	Started  string `json:"started,omitempty"`
@@ -90,12 +86,6 @@ func jobJSON(j Job) JobJSON {
 		out.ReducedPercent = r.ReducedPercent
 		out.PhasesRun = len(r.SimPhases)
 		out.Degraded = r.Degraded
-		if r.Sched != nil && len(r.Sched.PerEngine) > 0 {
-			out.SchedClasses = make(map[string]uint64, len(r.Sched.PerEngine))
-			for e, row := range r.Sched.PerEngine {
-				out.SchedClasses[e] = row.Routed
-			}
-		}
 		if r.Outcome == simsweep.NotEquivalent && r.CEX != nil {
 			out.CEX = make([]int, len(r.CEX))
 			for i, v := range r.CEX {

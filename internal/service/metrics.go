@@ -139,18 +139,6 @@ func writeMetrics(w io.Writer, st Stats) {
 	fmt.Fprintf(w, "# HELP cecd_degraded_total Jobs whose result survived internal faults (Result.Degraded).\n")
 	fmt.Fprintf(w, "# TYPE cecd_degraded_total counter\n")
 	fmt.Fprintf(w, "cecd_degraded_total %d\n", st.Degraded)
-	if st.SchedClasses != nil {
-		fmt.Fprintf(w, "# HELP cecd_sched_classes_total Candidate classes the sched engine routed, by prover.\n")
-		fmt.Fprintf(w, "# TYPE cecd_sched_classes_total counter\n")
-		engines := make([]string, 0, len(st.SchedClasses))
-		for e := range st.SchedClasses {
-			engines = append(engines, e)
-		}
-		sort.Strings(engines)
-		for _, e := range engines {
-			fmt.Fprintf(w, "cecd_sched_classes_total{engine=%q} %d\n", e, st.SchedClasses[e])
-		}
-	}
 	if st.FaultsByHook != nil {
 		fmt.Fprintf(w, "# HELP cecd_faults_total Fires of each armed fault-injection hook.\n")
 		fmt.Fprintf(w, "# TYPE cecd_faults_total counter\n")

@@ -224,10 +224,9 @@ type Service struct {
 	coalesced     uint64 // submissions attached to an in-flight identical job
 	byOutcome     map[State]uint64
 	latencies     *latencyRing
-	runnerCrashes uint64            // recovered runner panics (injected or real)
-	requeues      uint64            // jobs re-queued after a runner crash
-	degraded      uint64            // jobs whose result reported Degraded
-	schedClasses  map[string]uint64 // sched-engine classes routed, by engine name
+	runnerCrashes uint64 // recovered runner panics (injected or real)
+	requeues      uint64 // jobs re-queued after a runner crash
+	degraded      uint64 // jobs whose result reported Degraded
 
 	// histograms for /metrics; each synchronises itself (the kernel
 	// launch observer fires concurrently from every runner).
@@ -256,10 +255,9 @@ func New(cfg Config) *Service {
 			"G": newHistogram(phaseBuckets...),
 			"L": newHistogram(phaseBuckets...),
 		},
-		launchHist:   newHistogram(launchBuckets...),
-		queueHist:    newHistogram(queueBuckets...),
-		queue:        make(chan *job, cfg.QueueCap),
-		schedClasses: make(map[string]uint64),
+		launchHist: newHistogram(launchBuckets...),
+		queueHist:  newHistogram(queueBuckets...),
+		queue:      make(chan *job, cfg.QueueCap),
 	}
 	perDev := cfg.TotalWorkers / cfg.MaxConcurrent
 	if perDev < 1 {
@@ -685,11 +683,6 @@ func (s *Service) runJob(j *job, dev *par.Device) {
 	if res.Degraded {
 		s.degraded++
 	}
-	if res.Sched != nil {
-		for e, row := range res.Sched.PerEngine {
-			s.schedClasses[e] += row.Routed
-		}
-	}
 	s.finishLocked(j)
 	s.mu.Unlock()
 	s.logf("job %s: %s", j.ID, j.State)
@@ -829,9 +822,6 @@ type Stats struct {
 	// FaultsByHook is the armed injector's fire count per hook (nil when
 	// the service runs without fault injection).
 	FaultsByHook map[string]uint64
-	// SchedClasses counts the classes the sched engine routed, by engine
-	// name, across every job the service ran (nil until a sched job ran).
-	SchedClasses map[string]uint64
 }
 
 // Stats returns the current counters.
@@ -841,13 +831,6 @@ func (s *Service) Stats() Stats {
 	by := make(map[State]uint64, len(s.byOutcome))
 	for k, v := range s.byOutcome {
 		by[k] = v
-	}
-	var sched map[string]uint64
-	if len(s.schedClasses) > 0 {
-		sched = make(map[string]uint64, len(s.schedClasses))
-		for k, v := range s.schedClasses {
-			sched[k] = v
-		}
 	}
 	p50, p99 := s.latencies.percentiles()
 	return Stats{
@@ -868,7 +851,6 @@ func (s *Service) Stats() Stats {
 		Requeues:      s.requeues,
 		Degraded:      s.degraded,
 		FaultsByHook:  s.cfg.Faults.Counts(),
-		SchedClasses:  sched,
 	}
 }
 

@@ -138,22 +138,19 @@ func TestResultCacheHitAndSymmetry(t *testing.T) {
 		t.Fatal("(B, A) resubmission missed the symmetric cache entry")
 	}
 
-	// The cache key ignores the engine: a sched submission of a pair the
+	// The cache key ignores the engine: a SAT submission of a pair the
 	// default engine decided is answered from the cache and runs nothing.
-	sched, err := s.Submit(Request{A: fastA, B: fastB, Engine: simsweep.EngineSched})
+	other, err := s.Submit(Request{A: fastA, B: fastB, Engine: simsweep.EngineSAT})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sched.State != StateDone || !sched.CacheHit || sched.Result.Outcome != simsweep.Equivalent {
-		t.Fatalf("sched resubmission: state=%s hit=%v", sched.State, sched.CacheHit)
+	if other.State != StateDone || !other.CacheHit || other.Result.Outcome != simsweep.Equivalent {
+		t.Fatalf("sat resubmission: state=%s hit=%v", other.State, other.CacheHit)
 	}
 
 	st := s.Stats()
 	if st.CacheHits != 3 || st.CacheMisses != 1 {
 		t.Fatalf("cache counters: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
-	}
-	if st.SchedClasses != nil {
-		t.Fatalf("a cache hit ran the sched engine: routed %v", st.SchedClasses)
 	}
 }
 

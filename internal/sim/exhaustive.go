@@ -3,7 +3,6 @@ package sim
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"simsweep/internal/aig"
 	"simsweep/internal/fault"
@@ -106,8 +105,10 @@ type Result struct {
 // dimension so a single huge window still saturates the device. Inside a
 // task, nodes simulate in ascending-id order — a topological schedule for
 // free, since AIG ids are topological — and each pair is compared as soon
-// as both of its roots are simulated, so a window whose last pair is
-// refuted stops simulating mid-round.
+// as both of its roots are simulated, so a task stops at the deepest root
+// of the pairs still alive. A slice runs to that point whatever its sibling
+// slices find, so slicing and the worker count change neither the
+// counter-examples nor the words simulated.
 //
 // A task's table holds its window's slots over the task's own word range
 // only, row by row, and comes from a package-level pool sized for the
@@ -153,13 +154,12 @@ func NewExhaustive(dev *par.Device, budgetWords int) *Exhaustive {
 
 // winPair is the per-window precomputation of one candidate pair.
 type winPair struct {
-	pi      int32 // index into the batch pair slice
-	slotA   int32 // window-local slot of root A; -1 for constant zero
-	slotB   int32 // window-local slot of root B
-	ready   int32 // window nodes that must simulate before comparing
-	compl   bool
-	dead    bool  // refuted in an earlier resolution step
-	claimed int32 // atomic claim flag for word-sliced rounds
+	pi    int32 // index into the batch pair slice
+	slotA int32 // window-local slot of root A; -1 for constant zero
+	slotB int32 // window-local slot of root B
+	ready int32 // window nodes that must simulate before comparing
+	compl bool
+	dead  bool // refuted in an earlier resolution step
 }
 
 // winState is the per-window precomputation for a batch.
@@ -170,12 +170,6 @@ type winState struct {
 	fan     []int32   // per node: two fanins as local slot<<1 | compl
 	pairs   []winPair // sorted by ascending ready point
 	alive   int32     // unresolved pairs (owned by the resolution step)
-
-	// Shared state of word-sliced rounds: slices count refutations with
-	// aliveAtomic and raise abort once every pair of the window is
-	// refuted, so sibling slices stop simulating mid-round.
-	aliveAtomic int32
-	abort       int32
 }
 
 // simTask is one dispatched unit of a round: a window (or a word-range
@@ -397,11 +391,6 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 				tasks = append(tasks, simTask{st: st, t0: 0, t1: int32(E)})
 				continue
 			}
-			st.aliveAtomic = st.alive
-			st.abort = 0
-			for k := range st.pairs {
-				st.pairs[k].claimed = 0
-			}
 			step := (E + nslices - 1) / nslices
 			for t0 := 0; t0 < E; t0 += step {
 				t1 := t0 + step
@@ -543,17 +532,13 @@ func (tk *simTask) run(loc []uint64, E, r int) {
 		if next < len(st.pairs) && st.pairs[next].ready <= int32(j+1) {
 			uncompared -= tk.compareReady(loc, &next, int32(j+1))
 		}
-		if tk.sliced && j&63 == 63 && atomic.LoadInt32(&st.abort) != 0 {
-			break // every pair refuted by sibling slices: stop mid-round
-		}
 	}
 	tk.simulated = int64(nIn+nodesDone) * int64(W)
 }
 
 // compareReady compares every not-yet-compared pair whose ready point has
 // been reached and returns how many live pairs it compared. Mismatches are
-// recorded locally; sliced tasks additionally claim the refutation so the
-// window can abort once no pair is left alive.
+// recorded locally.
 func (tk *simTask) compareReady(loc []uint64, next *int, ready int32) int {
 	st := tk.st
 	compared := 0
@@ -570,11 +555,6 @@ func (tk *simTask) compareReady(loc []uint64, next *int, ready int32) int {
 			continue
 		}
 		tk.mism = append(tk.mism, mismatch{lp: int32(lp), t: int32(t), bit: int8(bit)})
-		if tk.sliced && atomic.CompareAndSwapInt32(&wp.claimed, 0, 1) {
-			if atomic.AddInt32(&st.aliveAtomic, -1) == 0 {
-				atomic.StoreInt32(&st.abort, 1)
-			}
-		}
 	}
 	return compared
 }

@@ -16,8 +16,7 @@ import (
 const (
 	// CatPhase is the category of the per-phase spans of the core engine.
 	CatPhase = "phase"
-	// CatEngine is the category of the engines' run spans: core.check
-	// and sched.round.
+	// CatEngine is the category of the engine's run spans (core.check).
 	CatEngine = "engine"
 	// CatSim is the category of the exhaustive/partial simulator spans.
 	CatSim = "sim"

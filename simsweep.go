@@ -12,10 +12,8 @@
 //     (Generate, Optimize, Double) for building realistic miters,
 //   - the checkers: the simulation engine, a SAT sweeping baseline with a
 //     built-in CDCL solver, a BDD engine, the two-stage hybrid flow
-//     (simulation reduces the miter, SAT sweeping finishes the rest), an
-//     adaptive per-class scheduler that routes every candidate class to
-//     the prover its features fit, and a multi-engine portfolio
-//     (CheckEquivalence, CheckMiter).
+//     (simulation reduces the miter, SAT sweeping finishes the rest) and a
+//     multi-engine portfolio (CheckEquivalence, CheckMiter).
 //
 // Everything is pure Go with no dependencies; the massively parallel GPU
 // kernels of the original system are realised as CPU-parallel kernels over
@@ -42,7 +40,6 @@ import (
 	"simsweep/internal/par"
 	"simsweep/internal/portfolio"
 	"simsweep/internal/satsweep"
-	"simsweep/internal/sched"
 	"simsweep/internal/trace"
 	"simsweep/internal/verilog"
 )
@@ -171,18 +168,13 @@ type Engine string
 
 // Available engines. EngineHybrid is the two-stage run-level flow: the
 // simulation engine reduces (and often fully proves) the miter, and SAT
-// sweeping finishes whatever remains. EngineSched replaces that run-level
-// ladder with per-class routing: every candidate equivalence class is
-// scored against cheap features and the run's routing history, dispatched
-// to the prover that fits it (exhaustive sim, conflict-limited SAT, or
-// BDD), and escalated per class when misrouted (see internal/sched).
+// sweeping finishes whatever remains.
 const (
 	EngineHybrid    Engine = "hybrid"
 	EngineSim       Engine = "sim"
 	EngineSAT       Engine = "sat"
 	EngineBDD       Engine = "bdd"
 	EnginePortfolio Engine = "portfolio"
-	EngineSched     Engine = "sched"
 )
 
 // EngineInfo is one row of the engine table (Engines), the single list of
@@ -215,7 +207,6 @@ func init() {
 		{Name: EngineSim, run: runSim},
 		{Name: EngineSAT, Complete: true, run: runSAT, races: true},
 		{Name: EngineBDD, Complete: true, run: runBDD, races: true},
-		{Name: EngineSched, Complete: true, run: runSched},
 		{Name: EnginePortfolio, Complete: true, run: runPortfolio},
 	}
 }
@@ -386,10 +377,6 @@ type Result struct {
 	// SATTime is the time spent in the hybrid flow's SAT backend: the
 	// PO-level SAT attempts between sweep phases plus the final SAT sweep.
 	SATTime time.Duration
-	// Sched describes the class scheduler's run when the sched engine was
-	// used: per-engine routing counts, escalations, shared
-	// counter-examples and example classes.
-	Sched *SchedStats
 	// Reduced is the final miter (empty when proved).
 	Reduced *AIG
 }
@@ -490,31 +477,6 @@ func runSAT(m *AIG, o Options, dev *par.Device) Result {
 		CEX:        sr.CEX,
 		EngineUsed: "sat",
 		SATTime:    sr.Stats.Runtime,
-		Reduced:    sr.Reduced,
-	}
-}
-
-// SchedStats re-exports the class scheduler's run statistics.
-type SchedStats = sched.Stats
-
-func runSched(m *AIG, o Options, dev *par.Device) Result {
-	sr := sched.CheckMiter(m, sched.Options{
-		Dev:           dev,
-		ConflictLimit: o.ConflictLimit,
-		Seed:          o.Seed,
-		Stop:          o.Stop,
-		Trace:         o.Trace,
-		Faults:        o.Faults,
-	})
-	stats := sr.Stats
-	return Result{
-		Outcome:    sr.Outcome,
-		Stopped:    sr.Stopped,
-		Degraded:   len(sr.Faults) > 0,
-		Faults:     sr.Faults,
-		CEX:        sr.CEX,
-		EngineUsed: "sched",
-		Sched:      &stats,
 		Reduced:    sr.Reduced,
 	}
 }
