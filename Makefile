@@ -102,12 +102,16 @@ soak-faults:
 # enumeration — and the SAT kernel: BenchmarkPOPass, the PO pass on an
 # unreduced control-fabric miter, and BenchmarkEncodeMiter, the variables
 # and clauses its CNF encoding takes.
+# BenchmarkReadMiter is what a check does before the engine: parse two
+# binary AIGER circuits and build their miter, all through the structural
+# hash table.
 bench:
 	$(GO) test -bench 'BenchmarkExhaustiveCheckBatch|BenchmarkDeviceLaunch' -benchmem ./internal/par/ ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckMiterDatapath' -benchmem ./internal/core/
 	$(GO) test -bench 'BenchmarkCutsPass|BenchmarkEnumerateNode' -benchmem ./internal/cuts/
 	$(GO) test -bench 'BenchmarkPOPass' -benchmem ./internal/satsweep/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeMiter' -benchmem ./internal/cnf/
+	$(GO) test -run '^$$' -bench 'BenchmarkReadMiter' -benchmem ./internal/miter/
 
 benchtab:
 	$(GO) run ./cmd/benchtab -all

@@ -82,27 +82,30 @@ type AIG struct {
 	piNames []string
 	poNames []string
 
-	strash map[uint64]int32
+	// strash is the structural hash table (strash.go), an open-addressing
+	// array of AND node ids; strashShift turns a 64-bit hash into a slot
+	// index.
+	strash      []int32
+	strashShift uint8
 }
 
 // New returns an empty AIG containing only the constant-false node.
 func New() *AIG { return NewSized(0) }
 
-// NewSized is New with room for about nodes nodes: the node array and the
-// structural hash table are allocated at that size up front, so building a
-// graph whose size is known in advance (a miter, a parsed file) does not
-// rehash the table as it grows. The hint only reserves capacity; the graph
-// grows past it as usual. Callers reading untrusted sizes must bound the
-// hint themselves.
+// NewSized is New with room for about nodes nodes: the node array holds
+// that many nodes and the structural hash table that many ANDs (the
+// smallest power of two of at least 2·nodes slots, 4 bytes each, so it
+// stays at most half full) before either grows, so building a graph whose
+// size is known in advance (a miter, a parsed file) never rehashes. The
+// hint only reserves capacity; the graph grows past it as usual. Callers
+// reading untrusted sizes must bound the hint themselves.
 func NewSized(nodes int) *AIG {
 	if nodes < 1 {
 		nodes = 1
 	}
-	g := &AIG{
-		nodes:  make([]node, 1, nodes),
-		strash: make(map[uint64]int32, nodes),
-	}
+	g := &AIG{nodes: make([]node, 1, nodes)}
 	g.nodes[0] = node{litInvalid, litInvalid}
+	g.resizeStrash(nodes)
 	return g
 }
 
@@ -207,8 +210,6 @@ func (g *AIG) checkLit(l Lit) {
 	}
 }
 
-func strashKey(f0, f1 Lit) uint64 { return uint64(f0)<<32 | uint64(f1) }
-
 // And returns a literal for the conjunction of a and b, applying constant
 // folding, trivial-rule simplification and structural hashing. At most one
 // new node is appended.
@@ -229,14 +230,13 @@ func (g *AIG) And(a, b Lit) Lit {
 	if a > b {
 		a, b = b, a
 	}
-	key := strashKey(a, b)
-	if id, ok := g.strash[key]; ok {
-		return MakeLit(int(id), false)
+	slot, id := g.lookup(a, b)
+	if id == 0 {
+		id = int32(len(g.nodes))
+		g.nodes = append(g.nodes, node{a, b})
+		g.insert(slot, id)
 	}
-	id := len(g.nodes)
-	g.nodes = append(g.nodes, node{a, b})
-	g.strash[key] = int32(id)
-	return MakeLit(id, false)
+	return MakeLit(int(id), false)
 }
 
 // Or returns a ∨ b.
@@ -271,7 +271,7 @@ func (g *AIG) Rollback(cp int) {
 		if n.f0 == litInvalid {
 			panic("aig: cannot roll back over a primary input")
 		}
-		delete(g.strash, strashKey(n.f0, n.f1))
+		g.unhash(int32(id), n)
 	}
 	g.nodes = g.nodes[:cp]
 }
@@ -390,19 +390,16 @@ func (g *AIG) ConeNodes(roots []int, stop map[int]bool) []int32 {
 
 // Copy returns a structurally identical AIG (fresh strash table included).
 func (g *AIG) Copy() *AIG {
-	out := &AIG{
-		Name:    g.Name,
-		nodes:   append([]node(nil), g.nodes...),
-		pis:     append([]int32(nil), g.pis...),
-		pos:     append([]Lit(nil), g.pos...),
-		piNames: append([]string(nil), g.piNames...),
-		poNames: append([]string(nil), g.poNames...),
-		strash:  make(map[uint64]int32, len(g.strash)),
+	return &AIG{
+		Name:        g.Name,
+		nodes:       append([]node(nil), g.nodes...),
+		pis:         append([]int32(nil), g.pis...),
+		pos:         append([]Lit(nil), g.pos...),
+		piNames:     append([]string(nil), g.piNames...),
+		poNames:     append([]string(nil), g.poNames...),
+		strash:      append([]int32(nil), g.strash...),
+		strashShift: g.strashShift,
 	}
-	for k, v := range g.strash {
-		out.strash[k] = v
-	}
-	return out
 }
 
 // Append copies other into g with fresh PIs and POs appended after g's

@@ -8,7 +8,8 @@ import "fmt"
 //
 //   - every fanin literal refers to an older node (acyclicity),
 //   - fanins of every AND are orderd (canonical form) and non-trivial,
-//   - the structural hash covers exactly the AND nodes,
+//   - the structural hash table has its shape (see validateStrash) and
+//     a lookup of every AND's fanins finds that AND,
 //   - PI bookkeeping is consistent,
 //   - PO literals are in range.
 func (g *AIG) Validate() error {
@@ -24,6 +25,9 @@ func (g *AIG) Validate() error {
 			return fmt.Errorf("aig: node %d registered as PI twice", id)
 		}
 		seenPI[int(id)] = true
+	}
+	if err := g.validateStrash(); err != nil {
+		return err
 	}
 	for id := 1; id < len(g.nodes); id++ {
 		n := g.nodes[id]
@@ -45,13 +49,9 @@ func (g *AIG) Validate() error {
 		if n.f0.ID() == 0 {
 			return fmt.Errorf("aig: AND %d has a constant fanin", id)
 		}
-		hit, ok := g.strash[strashKey(n.f0, n.f1)]
-		if !ok || int(hit) != id {
+		if _, hit := g.lookup(n.f0, n.f1); int(hit) != id {
 			return fmt.Errorf("aig: AND %d missing from (or mismatched in) the strash table", id)
 		}
-	}
-	if len(g.strash) != g.NumAnds() {
-		return fmt.Errorf("aig: strash has %d entries for %d ANDs", len(g.strash), g.NumAnds())
 	}
 	for i, po := range g.pos {
 		if po.ID() >= len(g.nodes) {

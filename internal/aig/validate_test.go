@@ -42,11 +42,26 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	ab := g.And(a, b)
 	g.AddPO(ab)
 
-	// Corrupt the strash table.
+	// Corrupt the strash table: drop the AND's entry, move it off its
+	// probe path, hash it twice.
 	bad := g.Copy()
-	delete(bad.strash, strashKey(a, b))
+	slot, _ := bad.lookup(a, b)
+	bad.strash[slot] = 0
 	if bad.Validate() == nil {
 		t.Fatal("missing strash entry not detected")
+	}
+	bad = g.Copy()
+	slot, _ = bad.lookup(a, b)
+	bad.strash[slot] = 0
+	bad.strash[(slot-1)&uint32(len(bad.strash)-1)] = int32(ab.ID())
+	if bad.Validate() == nil {
+		t.Fatal("strash entry off its probe path not detected")
+	}
+	bad = g.Copy()
+	slot, _ = bad.lookup(a, b)
+	bad.strash[(slot+1)&uint32(len(bad.strash)-1)] = int32(ab.ID())
+	if bad.Validate() == nil {
+		t.Fatal("twice-hashed AND not detected")
 	}
 
 	// Unordered fanins.

@@ -47,7 +47,10 @@ func CheckMiterStepped(m *aig.AIG, cfg Config, step Step) Result {
 	e.beginPart()
 	e.run()
 	e.endPart()
-	e.res.Stats.FinalAnds = liveAnds(e.res.Reduced)
+	e.res.Stats.FinalAnds = e.res.Stats.InitialAnds
+	if e.res.Reduced != m {
+		e.res.Stats.FinalAnds = liveAnds(e.res.Reduced)
+	}
 	if e.partial != nil {
 		e.res.PatternBank = e.partial.ExportBank()
 	}

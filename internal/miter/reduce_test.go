@@ -185,8 +185,8 @@ func allocated(f func()) uint64 {
 
 // TestReduceCostsOnlyTheLiveCone pins Reduce's cost to the live cone: on a
 // miter of more than 10k ANDs with every PO merged to zero, nothing is
-// live but the PIs, so Reduce must allocate well under half of what one
-// strash table of the input takes.
+// live but the PIs, so Reduce must allocate well under half of what a Go
+// map with one entry per AND of the input takes.
 func TestReduceCostsOnlyTheLiveCone(t *testing.T) {
 	g, err := gen.Benchmark("vga_lcd", 4)
 	if err != nil {
@@ -223,7 +223,7 @@ func TestReduceCostsOnlyTheLiveCone(t *testing.T) {
 	strash := allocated(func() { table = make(map[uint64]int32, m.NumAnds()) })
 	runtime.KeepAlive(table)
 	if cost*2 > strash {
-		t.Fatalf("Reduce allocated %d bytes; one strash table of the %d-AND input takes %d", cost, m.NumAnds(), strash)
+		t.Fatalf("Reduce allocated %d bytes; a map over the %d ANDs of the input takes %d", cost, m.NumAnds(), strash)
 	}
-	t.Logf("Reduce allocated %d bytes; one strash table of the %d-AND input takes %d", cost, m.NumAnds(), strash)
+	t.Logf("Reduce allocated %d bytes; a map over the %d ANDs of the input takes %d", cost, m.NumAnds(), strash)
 }
