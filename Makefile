@@ -96,7 +96,9 @@ soak-faults:
 
 # Microbenchmarks: the worker pool and exhaustive simulator, the engine
 # as the facade runs it (BenchmarkCheckMiterDatapath: a fresh engine per
-# op, so what one check allocates shows), the cut kernels —
+# op, so what one check allocates shows; BenchmarkHybridControl: a fresh
+# hybrid check of the vga-w7 control fabric per op, whose time hinges on
+# the PO-level SAT attempt after P+G), the cut kernels —
 # BenchmarkCutsPass (strata kernel) against BenchmarkCutsPassReference (the
 # retained per-level reference) is the before/after measurement of the cut
 # enumeration — and the SAT kernel: BenchmarkPOPass, the PO pass on an
@@ -108,6 +110,7 @@ soak-faults:
 bench:
 	$(GO) test -bench 'BenchmarkExhaustiveCheckBatch|BenchmarkDeviceLaunch' -benchmem ./internal/par/ ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckMiterDatapath' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkHybridControl' -benchmem .
 	$(GO) test -bench 'BenchmarkCutsPass|BenchmarkEnumerateNode' -benchmem ./internal/cuts/
 	$(GO) test -bench 'BenchmarkPOPass' -benchmem ./internal/satsweep/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeMiter' -benchmem ./internal/cnf/

@@ -14,10 +14,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"simsweep/internal/bench"
 	"simsweep/internal/core"
 	"simsweep/internal/cuts"
+	"simsweep/internal/gen"
 	"simsweep/internal/par"
 	"simsweep/internal/satsweep"
 )
@@ -232,4 +234,38 @@ func BenchmarkEngineKernels(b *testing.B) {
 		words = res.Stats.WordsSimulated
 	}
 	b.ReportMetric(float64(words), "words-simulated")
+}
+
+// BenchmarkHybridControl checks vga-w7, the slowest control fabric of the
+// benchmark ledger (fabric seed 64), against its resyn2 self through
+// CheckMiter as the facade's users do: one fresh check per op on a
+// long-lived 2-worker device, op i with simulation seed i+1, as each pass
+// of the ledger draws a seed of its own. A check's time hinges on hybrid's
+// PO-level SAT attempt after P+G: when it proves every PO the check ends
+// there, and when it stalls the check runs an L phase and a second
+// attempt, about twice as long. max-ms reports the slowest op, so a
+// stalled op shows even when the mean hides it.
+func BenchmarkHybridControl(b *testing.B) {
+	g, err := gen.Control(gen.StyleVGA, 7, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := BuildMiter(g, Optimize(g))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := NewDevice(2)
+	defer dev.Close()
+	var slowest time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		r, err := CheckMiter(m, Options{Dev: dev, Seed: int64(i + 1)})
+		if err != nil || r.Outcome != Equivalent {
+			b.Fatalf("outcome %v, err %v", r.Outcome, err)
+		}
+		slowest = max(slowest, time.Since(start))
+	}
+	b.ReportMetric(float64(slowest.Microseconds())/1e3, "max-ms")
 }

@@ -2,11 +2,14 @@ package simsweep_test
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"simsweep"
 	"simsweep/internal/core"
 	"simsweep/internal/difftest"
+	"simsweep/internal/fault"
 	"simsweep/internal/gen"
 )
 
@@ -128,5 +131,54 @@ func TestHybridAttemptFaultsNeverFlip(t *testing.T) {
 	}
 	if !res.Degraded || len(res.Faults) == 0 {
 		t.Fatalf("every SAT query faulted but the result is not degraded: %v", res.Faults)
+	}
+}
+
+// TestHybridAttemptsIgnoreSimulationSpeed checks that hybrid's PO-level SAT
+// attempts are budgeted in conflicts, not in the time of the steps before
+// them: on the vga-w7 control fabric, the attempt log (per attempt: the
+// step it follows, its budget and charge, the POs asked and proved, and
+// its outcome) is the same when every exhaustive-simulation round is
+// stalled by 20 ms. A budget drawn from the step's wall time would grow
+// with the stall.
+func TestHybridAttemptsIgnoreSimulationSpeed(t *testing.T) {
+	g, err := gen.Control(gen.StyleVGA, 7, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := simsweep.BuildMiter(g, simsweep.Optimize(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	attempts := func(faults *simsweep.FaultInjector) []string {
+		var log strings.Builder
+		res, err := simsweep.CheckMiter(m, simsweep.Options{Workers: 2, Seed: 1, Faults: faults, Log: &log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outcome != simsweep.Equivalent || res.Degraded {
+			t.Fatalf("outcome %v, degraded %v (%v)", res.Outcome, res.Degraded, res.Faults)
+		}
+		var out []string
+		for _, line := range strings.Split(log.String(), "\n") {
+			if strings.HasPrefix(line, "po-sat after ") {
+				// The attempt's wall time, the last field, is not part of
+				// its outcome.
+				out = append(out, line[:strings.LastIndex(line, " (")])
+			}
+		}
+		return out
+	}
+	plain := attempts(nil)
+	stall, err := simsweep.ParseFaults("sim.round.stall:delay=20ms", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := attempts(stall)
+	if len(plain) == 0 || !slices.Equal(plain, stalled) {
+		t.Fatalf("attempt logs differ:\nplain:\n%s\nstalled rounds:\n%s", strings.Join(plain, "\n"), strings.Join(stalled, "\n"))
+	}
+	if stall.Counts()[fault.HookSimStall] == 0 {
+		t.Fatal("no simulation round stalled")
 	}
 }

@@ -212,10 +212,23 @@ func (g *AIG) checkLit(l Lit) {
 
 // And returns a literal for the conjunction of a and b, applying constant
 // folding, trivial-rule simplification and structural hashing. At most one
-// new node is appended.
+// new node is appended. It panics when a or b is not a literal of g.
 func (g *AIG) And(a, b Lit) Lit {
 	g.checkLit(a)
 	g.checkLit(b)
+	return g.and(a, b)
+}
+
+// UncheckedAnd is g.And(a, b) without the range checks on a and b, for
+// builders whose literals are g's by construction: the AIGER reader, which
+// range-checks every literal it reads, and the miter package, which maps
+// the nodes of a valid graph. A literal out of range corrupts g. It is a
+// function rather than a method so that the facade's AIG type, which
+// carries every method of AIG, offers no unchecked path.
+func UncheckedAnd(g *AIG, a, b Lit) Lit { return g.and(a, b) }
+
+// and is And without the range checks.
+func (g *AIG) and(a, b Lit) Lit {
 	// Trivial rules.
 	switch {
 	case a == False || b == False || a == b.Not():

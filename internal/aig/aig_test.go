@@ -146,7 +146,7 @@ func TestSupportsCapped(t *testing.T) {
 	small := g.And(lits[0], lits[1])
 	other := g.And(lits[2], lits[3])
 	s := g.SupportsCapped(4)
-	if !s.Big[acc.ID()] {
+	if !s.Big(acc.ID()) {
 		t.Error("wide conjunction not marked big under cap 4")
 	}
 	if s.Size(small.ID()) != 2 {

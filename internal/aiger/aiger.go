@@ -329,7 +329,7 @@ func readASCII(br *bufio.Reader, h *header) (*aig.AIG, error) {
 			return nil, fmt.Errorf("aiger: AND %d references undefined variable", al[0])
 		}
 		defined[al[0]>>1] = true
-		lits[al[0]>>1] = g.And(f0, f1)
+		lits[al[0]>>1] = aig.UncheckedAnd(g, f0, f1) // ref checked both
 	}
 	for _, l := range outs {
 		po, ok := ref(l)
@@ -404,7 +404,7 @@ func readBinary(br *bufio.Reader, h *header) (*aig.AIG, error) {
 		if err != nil {
 			return nil, err
 		}
-		ands = append(ands, g.And(f0, f1))
+		ands = append(ands, aig.UncheckedAnd(g, f0, f1)) // litOf checked both
 	}
 	for _, l := range outs {
 		po, err := litOf(l)

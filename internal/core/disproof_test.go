@@ -109,14 +109,14 @@ func TestWitnessedMutantsDisprovedByRandomSweep(t *testing.T) {
 // TestLiveAndsMatchesClean pins the mark-pass AND count to the rebuild it
 // replaces: on benchmark families and their miters, on the engine's
 // reduced miters, on mutants that leave dangling logic and on the
-// differential harness's random miters, liveAnds equals the AND count of
-// miter.Clean.
+// differential harness's random miters, miter.LiveAnds equals the AND
+// count of miter.Clean.
 func TestLiveAndsMatchesClean(t *testing.T) {
 	check := func(label string, g *aig.AIG) {
 		t.Helper()
 		clean, _ := miter.Clean(g)
-		if got, want := core.LiveAnds(g), clean.NumAnds(); got != want {
-			t.Fatalf("%s: liveAnds = %d, miter.Clean keeps %d", label, got, want)
+		if got, want := miter.LiveAnds(g), clean.NumAnds(); got != want {
+			t.Fatalf("%s: LiveAnds = %d, miter.Clean keeps %d", label, got, want)
 		}
 	}
 	dev := par.NewDevice(2)

@@ -20,13 +20,13 @@ import (
 func CheckMiter(m *aig.AIG, cfg Config) Result { return CheckMiterStepped(m, cfg, nil) }
 
 // Step is the step hook of CheckMiterStepped. It is called with the label
-// of the step the engine just finished ("PG", then "L1", "L2", ...), the
-// current miter and the wall-clock time that step took. A non-nil cex (a
-// PI assignment firing a PO) disproves the miter. A non-nil next, which
-// must be cur with proved equivalences merged, becomes the miter the run
-// goes on with. Non-empty faults withdraw the call's result: they enter the
-// run's fault chain, and the hook is not called again.
-type Step func(after string, cur *aig.AIG, took time.Duration) (next *aig.AIG, cex []bool, faults []string)
+// of the step the engine just finished ("PG", then "L1", "L2", ...) and
+// the current miter. A non-nil cex (a PI assignment firing a PO) disproves
+// the miter. A non-nil next, which must be cur with proved equivalences
+// merged, becomes the miter the run goes on with. Non-empty faults withdraw
+// the call's result: they enter the run's fault chain, and the hook is not
+// called again.
+type Step func(after string, cur *aig.AIG) (next *aig.AIG, cex []bool, faults []string)
 
 // CheckMiterStepped is CheckMiter with a step hook (nil: none), called at
 // every step boundary of an undecided run: after the P and G phases, and
@@ -40,7 +40,7 @@ func CheckMiterStepped(m *aig.AIG, cfg Config, step Step) Result {
 		e.tb = cfg.Trace.Buf(trace.ControlTrack)
 	}
 	e.res.Reduced = m
-	e.res.Stats.InitialAnds = liveAnds(m)
+	e.res.Stats.InitialAnds = miter.LiveAnds(m)
 	if cfg.KeepSnapshots {
 		e.res.Snapshots = make(map[string]*aig.AIG)
 	}
@@ -49,7 +49,7 @@ func CheckMiterStepped(m *aig.AIG, cfg Config, step Step) Result {
 	e.endPart()
 	e.res.Stats.FinalAnds = e.res.Stats.InitialAnds
 	if e.res.Reduced != m {
-		e.res.Stats.FinalAnds = liveAnds(e.res.Reduced)
+		e.res.Stats.FinalAnds = miter.LiveAnds(e.res.Reduced)
 	}
 	if e.partial != nil {
 		e.res.PatternBank = e.partial.ExportBank()
@@ -66,46 +66,21 @@ func (e *engine) beginPart() {
 	e.partStart = time.Now()
 	e.partRounds, e.partWords = e.res.Stats.Rounds, e.res.Stats.WordsSimulated
 	if e.tb != nil {
-		e.part.Arg("initial_ands", int64(liveAnds(e.cur)))
+		e.part.Arg("initial_ands", int64(miter.LiveAnds(e.cur)))
 	}
 }
 
-// endPart closes the current stretch, adds its time to Stats.Runtime and
-// returns it. Its span carries the AND count at its end and the rounds and
-// words it simulated, so the spans of a split run sum to the Stats totals.
-func (e *engine) endPart() time.Duration {
-	took := time.Since(e.partStart)
-	e.res.Stats.Runtime += took
+// endPart closes the current stretch and adds its time to Stats.Runtime.
+// Its span carries the AND count at its end and the rounds and words it
+// simulated, so the spans of a split run sum to the Stats totals.
+func (e *engine) endPart() {
+	e.res.Stats.Runtime += time.Since(e.partStart)
 	if e.tb != nil {
-		e.part.Arg("final_ands", int64(liveAnds(e.cur)))
+		e.part.Arg("final_ands", int64(miter.LiveAnds(e.cur)))
 		e.part.Arg("rounds", int64(e.res.Stats.Rounds-e.partRounds))
 		e.part.Arg("words_simulated", e.res.Stats.WordsSimulated-e.partWords)
 	}
 	e.part.End()
-	return took
-}
-
-// liveAnds counts the AND nodes in the PO cones — the miter size that the
-// "Reduced (%)" metric is measured on. One descending-id mark pass suffices
-// because ids are topological. Every AIG is built through the strashing
-// aig.And, so no two cone nodes have the same fanins and the count equals
-// the AND count of the miter.Clean rebuild, without building it.
-func liveAnds(g *aig.AIG) int {
-	live := make([]bool, g.NumNodes())
-	for i := 0; i < g.NumPOs(); i++ {
-		live[g.PO(i).ID()] = true
-	}
-	n := 0
-	for id := g.NumNodes() - 1; id > 0; id-- {
-		if !live[id] || !g.IsAnd(id) {
-			continue
-		}
-		n++
-		f0, f1 := g.Fanins(id)
-		live[f0.ID()] = true
-		live[f1.ID()] = true
-	}
-	return n
 }
 
 type engine struct {
@@ -265,8 +240,8 @@ func (e *engine) ask(after string) bool {
 	if e.step == nil {
 		return true
 	}
-	took := e.endPart()
-	next, cex, faults := e.step(after, e.cur, took)
+	e.endPart()
+	next, cex, faults := e.step(after, e.cur)
 	e.beginPart()
 	switch {
 	case len(faults) > 0:
@@ -502,7 +477,7 @@ func (e *engine) phaseP() {
 		pairs = append(pairs, sim.Pair{A: 0, B: int32(d), Compl: po.IsCompl()})
 		specs = append(specs, sim.Spec{
 			Roots:   []int32{int32(d)},
-			Inputs:  sup.Sets[d],
+			Inputs:  sup.Set(d),
 			PairIdx: []int32{int32(len(pairs) - 1)},
 		})
 	}
@@ -608,10 +583,10 @@ func (e *engine) phaseG() {
 		}
 		var inputs []int32
 		if p.Repr == 0 {
-			if sup.Big[p.Member] {
+			if sup.Big(int(p.Member)) {
 				continue
 			}
-			inputs = sup.Sets[p.Member]
+			inputs = sup.Set(int(p.Member))
 		} else {
 			u, ok := sup.Union(int(p.Repr), int(p.Member))
 			if !ok {

@@ -54,7 +54,7 @@ func starvedMultiplier(t *testing.T) (*aig.AIG, Config) {
 // verdict is the plain run's, the hook is called after PG and then after L
 // phases in order, its time stays out of Stats.Runtime, and the run's
 // core.check spans, one per stretch between hook calls, add up to the
-// Stats totals.
+// Stats totals and leave the hook's time out too.
 func TestStepHookRunsOutsideTheEngine(t *testing.T) {
 	m, cfg := starvedMultiplier(t)
 	tr := trace.New(0)
@@ -63,9 +63,9 @@ func TestStepHookRunsOutsideTheEngine(t *testing.T) {
 	const nap = 10 * time.Millisecond
 	var labels []string
 	start := time.Now()
-	res := CheckMiterStepped(m, cfg, func(after string, cur *aig.AIG, took time.Duration) (*aig.AIG, []bool, []string) {
-		if took <= 0 || cur.NumPIs() != m.NumPIs() {
-			t.Errorf("hook after %s: took %v, %d PIs", after, took, cur.NumPIs())
+	res := CheckMiterStepped(m, cfg, func(after string, cur *aig.AIG) (*aig.AIG, []bool, []string) {
+		if cur.NumPIs() != m.NumPIs() {
+			t.Errorf("hook after %s: %d PIs", after, cur.NumPIs())
 		}
 		labels = append(labels, after)
 		time.Sleep(nap)
@@ -99,6 +99,9 @@ func TestStepHookRunsOutsideTheEngine(t *testing.T) {
 	}
 	if len(parts) != len(labels)+1 {
 		t.Fatalf("%d core.check spans for %d hook calls", len(parts), len(labels))
+	}
+	if limit := wall - time.Duration(len(labels))*nap; time.Duration(dur) > limit {
+		t.Fatalf("core.check spans last %v and count the hook: wall %v, %d hook calls of %v", time.Duration(dur), wall, len(labels), nap)
 	}
 	if words != res.Stats.WordsSimulated {
 		t.Fatalf("spans simulated %d words, Stats %d", words, res.Stats.WordsSimulated)
@@ -155,7 +158,7 @@ func TestStepHookDecides(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			calls := 0
-			res := CheckMiterStepped(m, cfg, func(string, *aig.AIG, time.Duration) (*aig.AIG, []bool, []string) {
+			res := CheckMiterStepped(m, cfg, func(string, *aig.AIG) (*aig.AIG, []bool, []string) {
 				calls++
 				return tc.answer()
 			})

@@ -110,54 +110,56 @@ func CheckMiter(m *aig.AIG, opt Options) (res Result) {
 }
 
 // CheckPOs is the sweep's final PO pass on its own, under a budget of
-// unanswered SAT time: every non-constant PO of m is asked on one
+// unanswered conflicts: every non-constant PO of m is asked on one
 // incremental solver, with no class sweeping first. A model is a
-// counter-example; all POs proved is Equivalent. Only a call that ends with
-// no answer is charged its wall time: a proved PO or a model costs nothing.
-// A call is cut once the time charged plus its own reaches budget (the
-// solver polls the clock every 32 conflicts), and the pass asks nothing
-// more once the charge reaches it, so budget <= 0 asks nothing at all. The
-// pass then ends Undecided, and Reduced is m with the POs proved so far
-// merged to constant zero. Panics are recovered as in CheckMiter.
+// counter-example; all POs proved is Equivalent. Each call's conflict limit
+// is the budget not yet charged, or opt.ConflictLimit when that is set and
+// smaller, and only a call that ends with no answer is charged, with the
+// conflicts it spent: a proved PO or a model costs nothing. So the charge
+// never exceeds the budget. Once the charge reaches it the pass asks
+// nothing more (budget <= 0 asks nothing at all) and ends Undecided, and
+// Reduced is m with the POs proved so far merged to constant zero. No
+// clock enters the charge: the pass's outcome depends only on its
+// arguments. Panics are recovered as in CheckMiter.
 //
 // The POs in stalled (sorted PO indices) are asked after every other open
 // PO, so a PO that an earlier pass could not answer does not eat the budget
-// of the POs behind it. CheckPOs returns the unanswered time charged and
-// stalled with the POs whose call ended with no answer added; PO positions
-// survive miter.Reduce, so the set carries over to the next pass on
-// Reduced.
-func CheckPOs(m *aig.AIG, opt Options, budget time.Duration, stalled []int) (res Result, unanswered time.Duration, stalledAfter []int) {
+// of the POs behind it. CheckPOs returns the unanswered conflicts charged
+// and stalled with the POs whose call ended with no answer added; PO
+// positions survive miter.Reduce, so the set carries over to the next pass
+// on Reduced.
+func CheckPOs(m *aig.AIG, opt Options, budget int64, stalled []int) (res Result, unanswered int64, stalledAfter []int) {
 	defer recovered(m, time.Now(), &res)
 	meter := &charge{budget: budget}
 	res, stalledAfter = finishPOs(m, opt, Result{Reduced: m}, meter, stalled)
 	return res, meter.spent, stalledAfter
 }
 
-// charge meters a budgeted PO pass: the wall time of the calls that ended
-// with no answer, against the budget. A nil charge is no budget.
+// charge meters a budgeted PO pass in conflicts: the conflicts of the calls
+// that ended with no answer, against the budget. A nil charge is no budget.
 type charge struct {
-	budget, spent time.Duration
-	call          time.Time // start of the running call
+	budget, spent int64
 }
 
 // spentUp reports, between calls, that the charge has reached the budget.
 func (c *charge) spentUp() bool { return c != nil && c.spent >= c.budget }
 
-// cut reports, inside a call, that the charge would reach the budget if the
-// running call ended now with no answer.
-func (c *charge) cut() bool { return c != nil && c.spent+time.Since(c.call) >= c.budget }
-
-// begin starts the clock of a call.
-func (c *charge) begin() {
-	if c != nil {
-		c.call = time.Now()
+// limit returns the conflict limit of the next call: the budget left, or
+// the caller's per-call limit (0: none) when that is smaller.
+func (c *charge) limit(perCall int64) int64 {
+	if c == nil {
+		return perCall
 	}
+	if left := c.budget - c.spent; perCall <= 0 || left < perCall {
+		return left
+	}
+	return perCall
 }
 
-// end charges the call begun last when it ended with no answer.
-func (c *charge) end(st sat.Status) {
+// end charges a call that ended with status st after spending conflicts.
+func (c *charge) end(st sat.Status, conflicts int64) {
 	if c != nil && st == sat.Unknown {
-		c.spent += time.Since(c.call)
+		c.spent += conflicts
 	}
 }
 
@@ -296,8 +298,7 @@ func sweepRound(cur *aig.AIG, classes *ec.Manager, partial *sim.Partial, opt Opt
 // returns last with the POs whose call ended with no answer added.
 func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge, last []int) (Result, []int) {
 	solver := sat.New()
-	solver.SetConflictLimit(opt.ConflictLimit)
-	solver.SetStop(func() bool { return opt.stopped() || meter.cut() })
+	solver.SetStop(opt.stopped)
 	stop := func() bool { return opt.stopped() || meter.spentUp() }
 	enc := cnf.NewEncoder(cur, solver)
 	tb := opt.traceBuf()
@@ -345,9 +346,10 @@ func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge, last []int)
 		opt.Faults.Panic(fault.HookSATOOM)
 		res.Stats.SATCalls++
 		q := enc.LitOf(po)
-		meter.begin()
+		solver.SetConflictLimit(meter.limit(opt.ConflictLimit))
+		before := solver.Stats().Conflicts
 		st := tracedSolve(tb, "sat.po", solver, q)
-		meter.end(st)
+		meter.end(st, solver.Stats().Conflicts-before)
 		switch st {
 		case sat.Unsat:
 			res.Stats.Proved++
@@ -388,7 +390,7 @@ func finishPOs(cur *aig.AIG, opt Options, res Result, meter *charge, last []int)
 	}
 	// An Unknown may be a cancelled solve rather than a budget miss: a
 	// stop can land inside the final PO's solve, after the last loop-top
-	// check. A missed time budget is not a stop.
+	// check. A missed conflict budget is not a stop.
 	if undecided && opt.stopped() {
 		res.Stopped = true
 	}

@@ -5,12 +5,12 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"simsweep/internal/aig"
 	"simsweep/internal/fault"
 	"simsweep/internal/gen"
 	"simsweep/internal/miter"
+	"simsweep/internal/trace"
 )
 
 // adder builds an n-bit ripple-carry adder; variant changes the carry
@@ -368,13 +368,16 @@ func constantOneMiter(t *testing.T) (m, reduced *aig.AIG) {
 	return nil, nil
 }
 
+// ample is a conflict budget no PO pass of these tests comes near.
+const ample = int64(1) << 40
+
 // TestPOPassConstantOneHasCEX checks that the PO pass, budgeted (CheckPOs)
 // or not (finishPOs with no charge, the final pass of CheckMiter), disproves
 // a miter with a constant-one PO by a counter-example (any input fires it)
 // that replays on both the merged and the original miter.
 func TestPOPassConstantOneHasCEX(t *testing.T) {
 	m, reduced := constantOneMiter(t)
-	budgeted, _, _ := CheckPOs(reduced, Options{}, time.Minute, nil)
+	budgeted, _, _ := CheckPOs(reduced, Options{}, ample, nil)
 	unbudgeted, _ := finishPOs(reduced, Options{}, Result{Reduced: reduced}, nil, nil)
 	for _, res := range []Result{budgeted, unbudgeted} {
 		if res.Outcome != miter.NotEquivalent {
@@ -388,62 +391,91 @@ func TestPOPassConstantOneHasCEX(t *testing.T) {
 
 // TestCheckPOsBudget pins the budgeted PO pass: a spent budget asks nothing
 // and hands the miter back undecided, not stopped; an ample one proves every
-// PO; a faulted query is recovered into an Undecided result that carries the
-// input miter and the fault.
+// PO and charges nothing; a faulted query is recovered into an Undecided
+// result that carries the input miter and the fault.
 func TestCheckPOsBudget(t *testing.T) {
 	m, err := miter.Build(adder(6, false), adder(6, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, _ := CheckPOs(m, Options{}, 0, nil)
-	if res.Outcome != miter.Undecided || res.Stopped || res.Reduced != m || res.Stats.SATCalls != 0 {
-		t.Fatalf("zero budget: outcome %v, stopped %v, %d calls", res.Outcome, res.Stopped, res.Stats.SATCalls)
+	res, unanswered, _ := CheckPOs(m, Options{}, 0, nil)
+	if res.Outcome != miter.Undecided || res.Stopped || res.Reduced != m || res.Stats.SATCalls != 0 || unanswered != 0 {
+		t.Fatalf("zero budget: outcome %v, stopped %v, %d calls, %d unanswered", res.Outcome, res.Stopped, res.Stats.SATCalls, unanswered)
 	}
-	res, _, _ = CheckPOs(m, Options{}, time.Minute, nil)
-	if res.Outcome != miter.Equivalent || !miter.IsProved(res.Reduced) || res.Stats.SATCalls == 0 || res.Stats.Runtime <= 0 {
-		t.Fatalf("ample budget: outcome %v, %d calls, runtime %v", res.Outcome, res.Stats.SATCalls, res.Stats.Runtime)
+	res, unanswered, _ = CheckPOs(m, Options{}, ample, nil)
+	if res.Outcome != miter.Equivalent || !miter.IsProved(res.Reduced) || res.Stats.SATCalls == 0 || res.Stats.Runtime <= 0 || unanswered != 0 {
+		t.Fatalf("ample budget: outcome %v, %d calls, runtime %v, %d unanswered", res.Outcome, res.Stats.SATCalls, res.Stats.Runtime, unanswered)
 	}
 	in, err := fault.Parse("satsweep.pair.oom:every=1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, _ = CheckPOs(m, Options{Faults: in}, time.Minute, nil)
+	res, _, _ = CheckPOs(m, Options{Faults: in}, ample, nil)
 	if res.Outcome != miter.Undecided || res.Reduced != m || len(res.Faults) != 1 {
 		t.Fatalf("faulted: outcome %v, faults %v", res.Outcome, res.Faults)
 	}
 }
 
+// poConflicts runs an unbudgeted traced PO pass over m and returns the
+// conflicts of its costliest call and of all its calls.
+func poConflicts(t *testing.T, m *aig.AIG) (most, total int64) {
+	t.Helper()
+	tr := trace.New(0)
+	tr.Enable()
+	finishPOs(m, Options{Trace: tr}, Result{Reduced: m}, nil, nil)
+	for _, e := range tr.Events() {
+		if e.Kind != trace.KindSpan || e.Name != "sat.po" {
+			continue
+		}
+		for _, a := range e.Args[:e.NArg] {
+			if a.Key == "conflicts" {
+				most = max(most, a.Val)
+				total += a.Val
+			}
+		}
+	}
+	return most, total
+}
+
 // TestCheckPOsChargesOnlyUnanswered pins the charging rule of the budgeted
-// PO pass: a call that proves its PO or finds a model costs nothing, so a
-// budget far below the pass's answered time still lets every PO be asked.
-// Each PO of these adder miters needs fewer than 32 conflicts, the period
-// at which the solver polls its stop probe, so no call can be cut and the
-// verdicts do not depend on machine speed: a 1 ns budget decides the EQ
-// miter Equivalent and disproves the NEQ one, whose differing PO is last.
+// PO pass: a call that proves its PO or finds a model costs nothing. The
+// budget is one more than the conflicts of the pass's costliest call (the
+// solver checks its limit after each conflict, before it can conclude), so
+// no call runs out of conflicts, and it is below the pass's conflicts in
+// total, which an attempt charged for every call could not afford: it
+// decides the EQ miter Equivalent and disproves the NEQ one, whose
+// differing PO is last, with nothing charged.
 func TestCheckPOsChargesOnlyUnanswered(t *testing.T) {
-	m, err := miter.Build(adder(6, false), adder(6, true))
+	eq, err := miter.Build(adder(6, false), adder(6, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, unanswered, _ := CheckPOs(m, Options{}, time.Nanosecond, nil)
-	if res.Outcome != miter.Equivalent || res.Stats.SATCalls != openPOs(m) || unanswered != 0 {
-		t.Fatalf("EQ: outcome %v, %d of %d POs asked, %v unanswered", res.Outcome, res.Stats.SATCalls, openPOs(m), unanswered)
-	}
-
 	bad := adder(6, true)
 	a0, b0 := bad.PI(0), bad.PI(6)
 	last := bad.NumPOs() - 1
 	bad.SetPO(last, bad.Or(bad.PO(last), bad.And(a0, b0)))
-	m, err = miter.Build(adder(6, false), bad)
+	neq, err := miter.Build(adder(6, false), bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, unanswered, _ = CheckPOs(m, Options{}, time.Nanosecond, nil)
-	if res.Outcome != miter.NotEquivalent || !fires(m, res.CEX) || unanswered != 0 {
-		t.Fatalf("NEQ: outcome %v, %d calls, %v unanswered, CEX %v", res.Outcome, res.Stats.SATCalls, unanswered, res.CEX)
-	}
-	if res.Stats.SATCalls != openPOs(m) {
-		t.Fatalf("NEQ: %d of %d POs asked, want the last PO to disprove", res.Stats.SATCalls, openPOs(m))
+	for _, tc := range []struct {
+		name string
+		m    *aig.AIG
+		want miter.Outcome
+	}{{"EQ", eq, miter.Equivalent}, {"NEQ", neq, miter.NotEquivalent}} {
+		most, total := poConflicts(t, tc.m)
+		budget := most + 1
+		if most == 0 || total <= budget {
+			t.Fatalf("%s: costliest call %d of %d conflicts: the miter does not separate the charging rules", tc.name, most, total)
+		}
+		res, unanswered, _ := CheckPOs(tc.m, Options{}, budget, nil)
+		if res.Outcome != tc.want || res.Stats.SATCalls != openPOs(tc.m) || unanswered != 0 {
+			t.Fatalf("%s, budget %d of %d conflicts: outcome %v, %d of %d POs asked, %d unanswered",
+				tc.name, budget, total, res.Outcome, res.Stats.SATCalls, openPOs(tc.m), unanswered)
+		}
+		if tc.want == miter.NotEquivalent && !fires(tc.m, res.CEX) {
+			t.Fatalf("%s: counter-example %v does not replay", tc.name, res.CEX)
+		}
 	}
 }
 
@@ -460,10 +492,12 @@ func openPOs(m *aig.AIG) int {
 
 // TestCheckPOsAsksStalledPOsLast puts one PO that needs seconds of SAT (the
 // middle product bit of an 8-bit Booth-vs-array multiplier miter) ahead of
-// the easy POs of an adder miter, under a 20 ms budget. The first pass
-// stalls on the hard PO and asks nothing else. The second pass, told that
-// PO stalled, must ask it last and prove every easy PO first; in index
-// order it would spend its whole budget on the hard PO again.
+// the easy POs of an adder miter, under a budget of 2,000 conflicts. The
+// first pass spends the whole budget on the hard PO, exactly, and asks
+// nothing else. The second pass, told that PO stalled, must ask it last and
+// prove every easy PO first; in index order it would spend its whole budget
+// on the hard PO again. With a per-call ConflictLimit below the budget, one
+// pass charges the hard PO that limit and goes on to the easy POs.
 func TestCheckPOsAsksStalledPOsLast(t *testing.T) {
 	hard, err := gen.BoothArrayMiter(8, false)
 	if err != nil {
@@ -478,24 +512,38 @@ func TestCheckPOsAsksStalledPOsLast(t *testing.T) {
 	for _, po := range embed(m, easy) {
 		m.AddPO(po)
 	}
-	const budget = 20 * time.Millisecond
+	const budget = 2000
 
-	first, _, stalled := CheckPOs(m, Options{}, budget, nil)
-	if first.Outcome != miter.Undecided || first.Stats.SATCalls != 1 || !slices.Equal(stalled, []int{0}) {
-		t.Fatalf("first pass: outcome %v, %d calls, stalled %v; want undecided after one call, stalled [0]",
-			first.Outcome, first.Stats.SATCalls, stalled)
+	first, unanswered, stalled := CheckPOs(m, Options{}, budget, nil)
+	if first.Outcome != miter.Undecided || first.Stats.SATCalls != 1 || unanswered != budget || !slices.Equal(stalled, []int{0}) {
+		t.Fatalf("first pass: outcome %v, %d calls, %d unanswered, stalled %v; want undecided after one call, %d unanswered, stalled [0]",
+			first.Outcome, first.Stats.SATCalls, unanswered, stalled, budget)
 	}
-	second, _, stalled := CheckPOs(first.Reduced, Options{}, budget, stalled)
-	if second.Stats.Proved != openPOs(m)-1 || !slices.Equal(stalled, []int{0}) {
-		t.Fatalf("second pass: %d of %d easy POs proved, stalled %v", second.Stats.Proved, openPOs(m)-1, stalled)
+	second, unanswered, stalled := CheckPOs(first.Reduced, Options{}, budget, stalled)
+	if second.Stats.Proved != openPOs(m)-1 || unanswered != budget || !slices.Equal(stalled, []int{0}) {
+		t.Fatalf("second pass: %d of %d easy POs proved, %d unanswered, stalled %v", second.Stats.Proved, openPOs(m)-1, unanswered, stalled)
 	}
-	for i := 1; i < second.Reduced.NumPOs(); i++ {
-		if second.Reduced.PO(i) != aig.False {
-			t.Fatalf("second pass: PO %d left open", i)
+	assertEasyProved(t, "second pass", second.Reduced)
+
+	const perCall = 300
+	capped, unanswered, stalled := CheckPOs(m, Options{ConflictLimit: perCall}, budget, nil)
+	if capped.Stats.Proved != openPOs(m)-1 || unanswered != perCall || !slices.Equal(stalled, []int{0}) {
+		t.Fatalf("per-call limit %d: %d of %d easy POs proved, %d unanswered, stalled %v", perCall, capped.Stats.Proved, openPOs(m)-1, unanswered, stalled)
+	}
+	assertEasyProved(t, "per-call limit", capped.Reduced)
+}
+
+// assertEasyProved checks that every PO of m but the first, the hard one,
+// is proved, and the first is still open.
+func assertEasyProved(t *testing.T, pass string, m *aig.AIG) {
+	t.Helper()
+	for i := 1; i < m.NumPOs(); i++ {
+		if m.PO(i) != aig.False {
+			t.Fatalf("%s: PO %d left open", pass, i)
 		}
 	}
-	if second.Reduced.PO(0).ID() == 0 {
-		t.Fatal("second pass: the hard PO was answered inside a 20 ms budget")
+	if m.PO(0).ID() == 0 {
+		t.Fatalf("%s: the hard PO was answered inside its conflict budget", pass)
 	}
 }
 

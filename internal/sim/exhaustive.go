@@ -102,13 +102,14 @@ type Result struct {
 // dispatches one kernel whose tasks are whole windows (windows are
 // independent, so no inter-window barrier exists), and a window whose
 // slot·word work exceeds SliceWork is split along the truth-table word
-// dimension so a single huge window still saturates the device. Inside a
-// task, nodes simulate in ascending-id order — a topological schedule for
-// free, since AIG ids are topological — and each pair is compared as soon
-// as both of its roots are simulated, so a task stops at the deepest root
-// of the pairs still alive. A slice runs to that point whatever its sibling
-// slices find, so slicing and the worker count change neither the
-// counter-examples nor the words simulated.
+// dimension so a single huge window still saturates the device. A task
+// covers only its window's own table: a window whose table is shorter than
+// the round's E words simulates it once, not E/TTWords copies. Inside a
+// task, nodes simulate in window order, which is topological, and each
+// pair is compared as soon as both of its roots are simulated, so a task
+// stops at the last root of the pairs still alive. A slice runs to that
+// point whatever its sibling slices find, so slicing and the worker count
+// change neither the counter-examples nor the words simulated.
 //
 // A task's table holds its window's slots over the task's own word range
 // only, row by row, and comes from a package-level pool sized for the
@@ -374,29 +375,27 @@ func (e *Exhaustive) CheckBatch(g *aig.AIG, pairs []Pair, windows []*Window) Res
 		}
 		// Build the round's task list: one task per active window, or
 		// several word-range slices for windows above the slice budget.
+		// A window's words in the round are its whole table when that is
+		// shorter than E (both are powers of two, so such a window is
+		// active in round 0 alone), else E.
 		tasks = tasks[:0]
 		for wi := range states {
 			st := &states[wi]
 			if st.alive <= 0 || int(st.ttWords) <= r*E {
 				continue
 			}
+			span := min(E, int(st.ttWords))
 			nslices := 1
-			if work := st.win.NumSlots() * E; work > sliceWork && E > 1 {
-				nslices = (work + sliceWork - 1) / sliceWork
-				if nslices > E {
-					nslices = E
-				}
+			if work := st.win.NumSlots() * span; work > sliceWork && span > 1 {
+				nslices = min(span, (work+sliceWork-1)/sliceWork)
 			}
 			if nslices == 1 {
-				tasks = append(tasks, simTask{st: st, t0: 0, t1: int32(E)})
+				tasks = append(tasks, simTask{st: st, t0: 0, t1: int32(span)})
 				continue
 			}
-			step := (E + nslices - 1) / nslices
-			for t0 := 0; t0 < E; t0 += step {
-				t1 := t0 + step
-				if t1 > E {
-					t1 = E
-				}
+			step := (span + nslices - 1) / nslices
+			for t0 := 0; t0 < span; t0 += step {
+				t1 := min(t0+step, span)
 				tasks = append(tasks, simTask{st: st, t0: int32(t0), t1: int32(t1), sliced: true})
 			}
 		}

@@ -320,7 +320,8 @@ func TestBuildWindowRejectsLeakyInputs(t *testing.T) {
 
 // TestBuildWindowConcurrent builds the windows of one AIG from several
 // goroutines at once: the pooled stamp arrays must not leak between calls,
-// so every result equals the node's cone as aig.ConeNodes computes it.
+// so every result holds the node's cone as aig.ConeNodes computes it, each
+// node once and after its fanins in the window (topological order).
 // Under -race it also checks that the pool hands each call its own scratch.
 func TestBuildWindowConcurrent(t *testing.T) {
 	g, err := gen.Multiplier(6)
@@ -344,8 +345,12 @@ func TestBuildWindowConcurrent(t *testing.T) {
 			for n := range specs {
 				i := (n*(k+1) + k) % len(specs) // each goroutine its own order
 				w, err := BuildWindow(g, specs[i])
-				if err != nil || !slices.Equal(w.Nodes, want[i]) {
-					errs <- fmt.Errorf("goroutine %d, root %v: got %v (%v), want %v", k, specs[i].Roots, w, err, want[i])
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d, root %v: %v", k, specs[i].Roots, err)
+					return
+				}
+				if msg := topoConeMismatch(g, w, want[i]); msg != "" {
+					errs <- fmt.Errorf("goroutine %d, root %v: %s", k, specs[i].Roots, msg)
 					return
 				}
 			}
@@ -356,6 +361,31 @@ func TestBuildWindowConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// topoConeMismatch describes how w.Nodes differs from a topological order
+// of the node set cone (sorted ids), or returns "" when it is one: the same
+// nodes, each once, and every node after those of its fanins that are in
+// the window.
+func topoConeMismatch(g *aig.AIG, w *Window, cone []int32) string {
+	got := slices.Clone(w.Nodes)
+	slices.Sort(got)
+	if !slices.Equal(got, cone) {
+		return fmt.Sprintf("nodes %v, want the set %v", w.Nodes, cone)
+	}
+	pos := make(map[int32]int, len(w.Nodes))
+	for i, id := range w.Nodes {
+		pos[id] = i
+	}
+	for i, id := range w.Nodes {
+		f0, f1 := g.Fanins(int(id))
+		for _, f := range [2]aig.Lit{f0, f1} {
+			if at, in := pos[int32(f.ID())]; in && at >= i {
+				return fmt.Sprintf("node %d at %d precedes its fanin %d at %d in %v", id, i, f.ID(), at, w.Nodes)
+			}
+		}
+	}
+	return ""
 }
 
 func TestLocalFunctionCheckOverCut(t *testing.T) {

@@ -20,9 +20,10 @@ type Spec struct {
 }
 
 // Window is a materialised simulation window: the Spec plus the cone of AND
-// nodes between the inputs and the roots, in topological (ascending-id)
-// order. Per the paper, a window contains the intersection of the TFIs of
-// the roots with the TFOs of the inputs, plus the roots themselves.
+// nodes between the inputs and the roots, in topological order (every node
+// after its fanins in the window). Per the paper, a window contains the
+// intersection of the TFIs of the roots with the TFOs of the inputs, plus
+// the roots themselves.
 type Window struct {
 	Spec
 	Nodes []int32
@@ -46,7 +47,7 @@ func TTWords(k int) int {
 
 // buildScratch is the reusable state of one BuildWindow call: a dense
 // per-node stamp (mark[id] == epoch: the node is an input or already
-// visited in this call) and the depth-first stack. Bumping the epoch
+// expanded in this call) and the depth-first stack. Bumping the epoch
 // clears every stamp at once, so a call touches only the nodes of its cone.
 type buildScratch struct {
 	mark  []uint32
@@ -69,11 +70,13 @@ func (sc *buildScratch) begin(n int) {
 	}
 }
 
-// BuildWindow materialises the cone of spec's roots stopped at its inputs.
-// It fails if the cone escapes the inputs (some path from a root reaches a
-// PI or the constant that is not an input), which means the inputs were not
-// a cut of the roots. Its scratch comes from a pool, so concurrent calls
-// are safe and a call allocates only the window it returns.
+// BuildWindow materialises the cone of spec's roots stopped at its inputs,
+// in depth-first post-order: a node follows its fanins, which is all the
+// simulation kernel asks of the order, so the cone needs no sort. It fails
+// if the cone escapes the inputs (some path from a root reaches a PI or the
+// constant that is not an input), which means the inputs were not a cut of
+// the roots. Its scratch comes from a pool, so concurrent calls are safe
+// and a call allocates only the window it returns.
 func BuildWindow(g *aig.AIG, spec Spec) (*Window, error) {
 	sc := buildPool.Get().(*buildScratch)
 	defer buildPool.Put(sc)
@@ -81,11 +84,15 @@ func BuildWindow(g *aig.AIG, spec Spec) (*Window, error) {
 	if err != nil {
 		return nil, err
 	}
-	slices.Sort(nodes)
 	return &Window{Spec: spec, Nodes: nodes}, nil
 }
 
-// cone collects the AND nodes of spec's window in depth-first order.
+// cone collects the AND nodes of spec's window in depth-first post-order.
+// A stack entry id is a node to expand, and ^id (negative) a node whose
+// fanins are expanded, emitted when it is popped. A node is stamped when
+// it is expanded, so it may sit on the stack more than once; the later
+// copies are skipped. A fanin cannot be on the stack expanded but not yet
+// emitted, as that would be a cycle.
 func (sc *buildScratch) cone(g *aig.AIG, spec Spec) ([]int32, error) {
 	sc.begin(g.NumNodes())
 	mark, ep := sc.mark, sc.epoch
@@ -94,30 +101,34 @@ func (sc *buildScratch) cone(g *aig.AIG, spec Spec) ([]int32, error) {
 	}
 	stack := sc.stack[:0]
 	defer func() { sc.stack = stack[:0] }()
-	for _, r := range spec.Roots {
-		if mark[r] != ep {
-			mark[r] = ep
-			stack = append(stack, r)
-		}
+	for i := len(spec.Roots) - 1; i >= 0; i-- {
+		stack = append(stack, spec.Roots[i])
 	}
 	var nodes []int32
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if id == 0 {
-			continue // constant root, handled specially by the checker
+		if id < 0 {
+			stack = stack[:len(stack)-1]
+			nodes = append(nodes, ^id)
+			continue
+		}
+		if mark[id] == ep || id == 0 {
+			// Expanded already, an input, or the constant (a constant
+			// root is handled specially by the checker).
+			stack = stack[:len(stack)-1]
+			continue
 		}
 		if g.IsPI(int(id)) {
 			return nil, fmt.Errorf("sim: window inputs do not cut PI %d from the roots", id)
 		}
-		nodes = append(nodes, id)
+		mark[id] = ep
+		stack[len(stack)-1] = ^id
 		f0, f1 := g.Fanins(int(id))
-		for _, f := range [2]aig.Lit{f0, f1} {
-			fid := int32(f.ID())
-			if mark[fid] != ep {
-				mark[fid] = ep
-				stack = append(stack, fid)
-			}
+		if fid := int32(f1.ID()); mark[fid] != ep {
+			stack = append(stack, fid)
+		}
+		if fid := int32(f0.ID()); mark[fid] != ep {
+			stack = append(stack, fid)
 		}
 	}
 	return nodes, nil

@@ -502,20 +502,21 @@ func runBDD(m *AIG, o Options, _ *par.Device) Result {
 //
 // Between the engine's steps — after P+G, and after each L phase that
 // merged something — hybrid asks the open POs directly on one incremental
-// solver (satsweep.CheckPOs). Each attempt's budget is twice the time of
-// the step it follows, charged only for the SAT calls that end with no
-// answer: a proved PO or a model is free, so an attempt that keeps
-// proving POs is not cut off. A PO whose call ended with no answer is
-// asked after every other open PO in later attempts, so one PO that SAT
-// cannot answer quickly does not eat the budget of the POs behind it. A
-// model disproves the miter and all POs proved decide it; on a missed
-// budget the POs proved so far are merged to constant zero and the next L
-// phase sweeps only the cones of the others.
-// So a miter that PO-level SAT cannot decide costs at most about three
-// times the simulation stage in unanswered SAT time before the final SAT
-// sweep, which stays complete at ConflictLimit 0. The budget is twice the
-// step, not the step itself, so that a fast P+G does not starve the first
-// attempt. The attempts are SAT time (Result.SATTime), not engine time.
+// solver (satsweep.CheckPOs). Each attempt's budget is the live AND count
+// of the miter it is asked on, in conflicts, charged only for the SAT
+// calls that end with no answer: each call may spend what is left of the
+// budget (or ConflictLimit, when that is set and smaller), and a proved PO
+// or a model is free, so an attempt that keeps proving POs is not cut off.
+// A PO whose call ended with no answer is asked after every other open PO
+// in later attempts, so one PO that SAT cannot answer quickly does not eat
+// the budget of the POs behind it. A model disproves the miter and all POs
+// proved decide it; on a missed budget the POs proved so far are merged to
+// constant zero and the next L phase sweeps only the cones of the others.
+// So an attempt spends at most one live-AND count of unanswered conflicts
+// before the final SAT sweep, which stays complete at ConflictLimit 0. No
+// clock enters the budget or the charge, so what an attempt proves depends
+// on the miter and the seed alone, not on how fast the steps before it
+// ran. The attempts are SAT time (Result.SATTime), not engine time.
 //
 // Under fault injection the flow is also the first two rungs of the
 // degradation ladder: a degraded simulation phase falls through to SAT
@@ -534,15 +535,15 @@ func runHybrid(m *AIG, o Options, dev *par.Device) Result {
 	}
 	var satTime time.Duration
 	var stalled []int // POs an earlier attempt could not answer: asked last
-	askPOs := func(after string, cur *AIG, took time.Duration) (*AIG, []bool, []string) {
-		budget := 2 * took
+	askPOs := func(after string, cur *AIG) (*AIG, []bool, []string) {
+		budget := int64(miter.LiveAnds(cur))
 		pr, unanswered, st := satsweep.CheckPOs(cur, satOpt, budget, stalled)
 		stalled = st
 		satTime += pr.Stats.Runtime
 		if o.Log != nil {
-			fmt.Fprintf(o.Log, "po-sat after %s: budget %v, unanswered %v, %d POs asked, %d proved: %s (%v)\n",
-				after, budget.Round(time.Microsecond), unanswered.Round(time.Microsecond),
-				pr.Stats.SATCalls, pr.Stats.Proved, pr.Outcome, pr.Stats.Runtime.Round(time.Microsecond))
+			fmt.Fprintf(o.Log, "po-sat after %s: budget %d conflicts, unanswered %d, %d POs asked, %d proved: %s (%v)\n",
+				after, budget, unanswered, pr.Stats.SATCalls, pr.Stats.Proved, pr.Outcome,
+				pr.Stats.Runtime.Round(time.Microsecond))
 		}
 		return pr.Reduced, pr.CEX, pr.Faults
 	}
