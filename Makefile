@@ -43,10 +43,10 @@ race:
 service-race:
 	$(GO) test -race ./internal/service/... ./cmd/cecd/...
 
-# Race-detector pass over the cluster layer: the consistent-hash ring, the
-# coordinator's dispatch/steal/requeue machinery, verdict federation, the
-# SIGKILL recovery test and the rig-backed differential sweep that crashes
-# workers mid-check.
+# Race-detector pass over the cluster layer: the coordinator's shared
+# queue, dispatch and requeue machinery, its verdict index, the SIGKILL
+# recovery test and the rig-backed differential sweep that crashes workers
+# mid-check.
 cluster-race:
 	$(GO) test -race ./internal/cluster/...
 	$(GO) test -race -run 'TestClusterRig' ./internal/difftest/

@@ -30,14 +30,14 @@
 // # Cluster mode
 //
 // The same binary scales out. A coordinator serves the identical job API
-// but executes nothing itself — it shards submissions over registered
-// workers by semantic fingerprint key and federates their verdicts:
+// but executes nothing itself — it dispatches submissions from one queue
+// to whichever registered worker has a free slot, and answers repeats from
+// its index of settled verdicts:
 //
 //	cecd -coordinator -addr :8350
 //
 // Workers are ordinary daemons that additionally register with the
-// coordinator (and consult its federated verdict index on local cache
-// misses):
+// coordinator:
 //
 //	cecd -worker -join http://host:8350 -addr :8351 -node-id w1
 package main
@@ -76,7 +76,7 @@ func run() int {
 	faults := flag.String("faults", "", "inject faults into the service and every job: 'hook:p=...;...' (see cec -faults); fires show up as cecd_faults_total on /metrics")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault hooks")
 	phaseBudget := flag.Duration("phase-budget", 0, "wall-clock watchdog per simulation phase of every job (0: off)")
-	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator: serve the job API, execute nothing, shard over joined workers")
+	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator: serve the job API, execute nothing, dispatch to joined workers")
 	worker := flag.Bool("worker", false, "run as a cluster worker: a normal daemon that also registers with -join")
 	join := flag.String("join", "", "coordinator base URL a -worker registers with (e.g. http://host:8350)")
 	nodeID := flag.String("node-id", "", "stable cluster identity of this worker (default host-pid)")
@@ -110,17 +110,14 @@ func run() int {
 	}
 
 	if *coordinator {
-		return runCoordinator(*addr, *workerTimeout, injector, logw, *withPprof)
-	}
-
-	var remote service.RemoteCache
-	id := *nodeID
-	if *worker {
-		if id == "" {
-			host, _ := os.Hostname()
-			id = fmt.Sprintf("%s-%d", host, os.Getpid())
-		}
-		remote = cluster.NewFederatedCache(*join, id)
+		co := cluster.New(cluster.Config{
+			HeartbeatTimeout: *workerTimeout,
+			Faults:           injector,
+			Log:              logw,
+		})
+		defer co.Close()
+		return serve(*addr, cluster.NewHandler(co), *withPprof,
+			"coordinator ", "workers join via /v1/cluster/heartbeat")
 	}
 
 	svc := service.New(service.Config{
@@ -134,11 +131,15 @@ func run() int {
 		Log:            logw,
 		Faults:         injector,
 		PhaseBudget:    *phaseBudget,
-		Remote:         remote,
 	})
 	defer svc.Close()
 
 	if *worker {
+		id := *nodeID
+		if id == "" {
+			host, _ := os.Hostname()
+			id = fmt.Sprintf("%s-%d", host, os.Getpid())
+		}
 		adv := *advertise
 		if adv == "" {
 			adv = "http://" + *addr
@@ -166,48 +167,14 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "cecd: worker %s joining %s (advertising %s)\n", id, *join, adv)
 	}
 
-	handler := service.NewHandler(svc)
-	if *withPprof {
-		outer := http.NewServeMux()
-		outer.Handle("/", handler)
-		outer.HandleFunc("/debug/pprof/", pprof.Index)
-		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = outer
-	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, done := context.WithTimeout(context.Background(), 5*time.Second)
-		defer done()
-		srv.Shutdown(shutdownCtx)
-	}()
-
-	fmt.Fprintf(os.Stderr, "cecd: listening on http://%s (K=%d jobs)\n", *addr, *jobs)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "cecd:", err)
-		return 1
-	}
-	fmt.Fprintln(os.Stderr, "cecd: shut down")
-	return 0
+	return serve(*addr, service.NewHandler(svc), *withPprof, "", fmt.Sprintf("K=%d jobs", *jobs))
 }
 
-// runCoordinator serves the cluster control plane plus the ordinary job
-// API, dispatching to workers instead of local runners.
-func runCoordinator(addr string, workerTimeout time.Duration, injector *simsweep.FaultInjector, logw io.Writer, withPprof bool) int {
-	co := cluster.New(cluster.Config{
-		HeartbeatTimeout: workerTimeout,
-		Faults:           injector,
-		Log:              logw,
-	})
-	defer co.Close()
-
-	handler := cluster.NewHandler(co)
+// serve runs handler on addr until SIGINT or SIGTERM, then shuts down
+// gracefully. With withPprof it also serves the net/http/pprof handlers
+// under /debug/pprof/. role prefixes the start and stop lines on stderr
+// ("coordinator " or ""), and note follows the address.
+func serve(addr string, handler http.Handler, withPprof bool, role, note string) int {
 	if withPprof {
 		outer := http.NewServeMux()
 		outer.Handle("/", handler)
@@ -229,11 +196,11 @@ func runCoordinator(addr string, workerTimeout time.Duration, injector *simsweep
 		srv.Shutdown(shutdownCtx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "cecd: coordinator listening on http://%s (workers join via /v1/cluster/heartbeat)\n", addr)
+	fmt.Fprintf(os.Stderr, "cecd: %slistening on http://%s (%s)\n", role, addr, note)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "cecd:", err)
 		return 1
 	}
-	fmt.Fprintln(os.Stderr, "cecd: coordinator shut down")
+	fmt.Fprintf(os.Stderr, "cecd: %sshut down\n", role)
 	return 0
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"simsweep"
 	"simsweep/internal/service"
 )
 
@@ -93,94 +92,13 @@ func drain(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// FederatedCache is the worker-side view of the coordinator's verdict
-// index, implementing service.RemoteCache: a worker's local cache miss
-// consults the federation before spending engine time, and every decided,
-// non-degraded verdict a worker produces is published back so the rest of
-// the cluster never re-proves it. All methods are best-effort — a dead
-// coordinator degrades a worker to ordinary single-node behaviour, never
-// to an error.
-type FederatedCache struct {
-	base string
-	hc   *http.Client
-	// Node labels published verdicts with their origin.
-	Node string
-}
-
-var _ service.RemoteCache = (*FederatedCache)(nil)
-
-// NewFederatedCache points a worker at a coordinator base URL
-// (e.g. "http://127.0.0.1:9090").
-func NewFederatedCache(coordinator, node string) *FederatedCache {
-	return &FederatedCache{
-		base: strings.TrimRight(coordinator, "/"),
-		Node: node,
-		hc: &http.Client{
-			Timeout: 5 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 8,
-				IdleConnTimeout:     30 * time.Second,
-			},
-		},
-	}
-}
-
-// Lookup asks the federation for a decided verdict.
-func (fc *FederatedCache) Lookup(key service.Key) (simsweep.Result, bool) {
-	resp, err := fc.hc.Get(fc.base + "/v1/cluster/cache?key=" + url.QueryEscape(key.String()))
-	if err != nil {
-		return simsweep.Result{}, false
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return simsweep.Result{}, false
-	}
-	var v Verdict
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return simsweep.Result{}, false
-	}
-	return v.Result()
-}
-
-// Publish offers a decided verdict to the federation. The service layer
-// already filters out undecided and degraded results; the coordinator
-// re-validates on receipt regardless.
-func (fc *FederatedCache) Publish(key service.Key, res simsweep.Result) {
-	body, err := json.Marshal(cachePut{Key: key.String(), Verdict: verdictOfResult(res, fc.Node)})
-	if err != nil {
-		return
-	}
-	req, err := http.NewRequest(http.MethodPut, fc.base+"/v1/cluster/cache", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := fc.hc.Do(req)
-	if err != nil {
-		return
-	}
-	drain(resp)
-}
-
-// cachePut is the body of PUT /v1/cluster/cache.
-type cachePut struct {
-	Key     string  `json:"key"`
-	Verdict Verdict `json:"verdict"`
-}
-
 // heartbeatWire is the body of POST /v1/cluster/heartbeat: the worker's
-// identity plus a load snapshot the coordinator folds into steal decisions
-// and metrics.
+// identity plus the load that /v1/cluster/workers shows.
 type heartbeatWire struct {
-	ID           string `json:"id"`
-	URL          string `json:"url"`
-	QueueDepth   int    `json:"queue_depth"`
-	QueueCap     int    `json:"queue_cap"`
-	Running      int    `json:"running"`
-	Concurrent   int    `json:"concurrent"`
-	CacheEntries int    `json:"cache_entries"`
-	Ready        bool   `json:"ready"`
+	ID      string `json:"id"`
+	URL     string `json:"url"`
+	Running int    `json:"running"`
+	Ready   bool   `json:"ready"`
 }
 
 // heartbeatReply acknowledges a heartbeat with a cluster snapshot.

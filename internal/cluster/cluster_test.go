@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,8 +21,9 @@ import (
 )
 
 // Shared circuits, built once: a pair the hybrid engine proves in
-// milliseconds, a buggy copy, and a pair whose SAT sweep runs for seconds
-// (used to pin a worker down while we kill or steal around it).
+// milliseconds, a buggy copy, and a pair whose SAT sweep is the slowest
+// job here, about 0.1 s on a 2-vCPU host (used to keep a worker busy while
+// we kill it).
 var (
 	buildOnce    sync.Once
 	eqA, eqB     *aig.AIG
@@ -76,7 +80,7 @@ func pairBody(t *testing.T, a, b *aig.AIG) []byte {
 }
 
 // pairBodyEngine forces an engine; the SAT engine on the slow pair yields
-// a job that runs for seconds, long enough to kill or steal around.
+// the slowest job of these tests, long enough to kill a worker under.
 func pairBodyEngine(t *testing.T, a, b *aig.AIG, engine simsweep.Engine) []byte {
 	t.Helper()
 	jr, err := service.EncodeRequest(service.Request{A: a, B: b, Engine: engine})
@@ -140,8 +144,7 @@ func waitJob(t *testing.T, base, id string, within time.Duration) service.JobJSO
 // listener plus a heartbeat agent. die() severs the network abruptly (the
 // listener closes mid-conversation, like a partition or kill -9) while the
 // process-local service keeps running, which is the worst case for the
-// at-most-once guarantee: the "dead" node may still finish and try to
-// publish.
+// at-most-once guarantee: the "dead" node may still finish its jobs.
 type tWorker struct {
 	id    string
 	svc   *service.Service
@@ -149,13 +152,9 @@ type tWorker struct {
 	agent *Agent
 }
 
-func startWorker(t *testing.T, coURL, id string, k int, fed bool) *tWorker {
+func startWorker(t *testing.T, coURL, id string, k int) *tWorker {
 	t.Helper()
-	cfg := service.Config{MaxConcurrent: k, TotalWorkers: 1}
-	if fed {
-		cfg.Remote = NewFederatedCache(coURL, id)
-	}
-	svc := service.New(cfg)
+	svc := service.New(service.Config{MaxConcurrent: k, TotalWorkers: 1})
 	srv := httptest.NewServer(service.NewHandler(svc))
 	ag, err := StartAgent(AgentConfig{
 		ID: id, Advertise: srv.URL, Coordinator: coURL,
@@ -216,7 +215,6 @@ func TestClusterEndToEndVerdicts(t *testing.T) {
 	circuits(t)
 	co, base := startCoordinator(t, Config{
 		HeartbeatTimeout: 500 * time.Millisecond,
-		SweepInterval:    100 * time.Millisecond,
 	})
 
 	// No workers: not ready, but submissions are accepted and parked.
@@ -231,14 +229,14 @@ func TestClusterEndToEndVerdicts(t *testing.T) {
 	ids := []string{"w1", "w2", "w3"}
 	workers := make(map[string]*tWorker, len(ids))
 	for _, id := range ids {
-		workers[id] = startWorker(t, base, id, 1, true)
+		workers[id] = startWorker(t, base, id, 1)
 	}
 	waitWorkers(t, co, 3, 10*time.Second)
 	if got := readyz(t, base); got != 200 {
 		t.Fatalf("readyz with workers = %d", got)
 	}
 
-	// The parked job drains to a worker once the ring is populated.
+	// The parked job drains to a worker once one joins.
 	j := waitJob(t, base, parked.ID, 60*time.Second)
 	if service.State(j.State) != service.StateDone || j.Verdict != simsweep.Equivalent.String() {
 		t.Fatalf("parked job: state=%s verdict=%q err=%q", j.State, j.Verdict, j.Error)
@@ -254,7 +252,7 @@ func TestClusterEndToEndVerdicts(t *testing.T) {
 		t.Fatalf("buggy pair: verdict=%q cex=%v", nj.Verdict, nj.CEX)
 	}
 
-	// Byte-identical resubmission: federation hit, settled in the POST.
+	// Byte-identical resubmission: verdict-index hit, settled in the POST.
 	hit, status := postJob(t, base, pairBody(t, eqA, eqB))
 	if status != 200 || !hit.Cached || hit.Verdict != simsweep.Equivalent.String() {
 		t.Fatalf("resubmit: HTTP %d cached=%v verdict=%q", status, hit.Cached, hit.Verdict)
@@ -267,56 +265,20 @@ func TestClusterEndToEndVerdicts(t *testing.T) {
 
 	st := co.Stats()
 	if st.FedHits < 2 {
-		t.Fatalf("expected >=2 federation hits, got %+v", st)
+		t.Fatalf("expected >=2 verdict-index hits, got %+v", st)
 	}
 	for _, w := range workers {
 		w.stopGraceful()
 	}
 }
 
-func TestWorkerSideFederationLookup(t *testing.T) {
-	circuits(t)
-	co, base := startCoordinator(t, Config{
-		HeartbeatTimeout: 500 * time.Millisecond,
-		SweepInterval:    100 * time.Millisecond,
-	})
-	w1 := startWorker(t, base, "w1", 1, true)
-	w2 := startWorker(t, base, "w2", 1, true)
-	waitWorkers(t, co, 2, 10*time.Second)
-
-	a, b := eqVariant(1)
-	body := pairBody(t, a, b)
-	j, _ := postJob(t, base, body)
-	j = waitJob(t, base, j.ID, 60*time.Second)
-	if service.State(j.State) != service.StateDone {
-		t.Fatalf("cluster job: %s %q", j.State, j.Error)
-	}
-
-	// Submit the same pair directly to the worker that did NOT execute it:
-	// its local LRU is cold, so only the federation can answer instantly.
-	other := w1
-	if j.Node == "w1" {
-		other = w2
-	}
-	dj, status := postJob(t, other.srv.URL, body)
-	if status != 200 || !dj.Cached || dj.Verdict != simsweep.Equivalent.String() {
-		t.Fatalf("direct submit to %s: HTTP %d cached=%v verdict=%q", other.id, status, dj.Cached, dj.Verdict)
-	}
-	if st := other.svc.Stats(); st.RemoteHits != 1 {
-		t.Fatalf("worker %s remote hits = %d", other.id, st.RemoteHits)
-	}
-	w1.stopGraceful()
-	w2.stopGraceful()
-}
-
 func TestWorkerDeathRequeuesWithoutLossOrLies(t *testing.T) {
 	circuits(t)
 	co, base := startCoordinator(t, Config{
 		HeartbeatTimeout: 400 * time.Millisecond,
-		SweepInterval:    100 * time.Millisecond,
 		Slots:            2,
 	})
-	w1 := startWorker(t, base, "w1", 1, false)
+	w1 := startWorker(t, base, "w1", 1)
 	waitWorkers(t, co, 1, 10*time.Second)
 
 	// Pin w1 down with a slow SAT job, then pile on fast ones. Wait until
@@ -338,7 +300,7 @@ func TestWorkerDeathRequeuesWithoutLossOrLies(t *testing.T) {
 		fast = append(fast, j.ID)
 	}
 
-	w2 := startWorker(t, base, "w2", 1, false)
+	w2 := startWorker(t, base, "w2", 1)
 	waitWorkers(t, co, 2, 10*time.Second)
 
 	// Abrupt network death of w1 mid-sweep. Its local service keeps
@@ -362,30 +324,34 @@ func TestWorkerDeathRequeuesWithoutLossOrLies(t *testing.T) {
 	w2.stopGraceful()
 }
 
-func TestWorkStealingDrainsStragglerQueue(t *testing.T) {
+// TestIdleWorkerDrainsQueueWhilePeerPinned pins the only dispatch slot of
+// one worker with a job it never finishes, then queues fast jobs: the
+// other worker's dispatcher pops them all from the shared queue, so every
+// one settles there and none waits behind the pinned slot.
+func TestIdleWorkerDrainsQueueWhilePeerPinned(t *testing.T) {
 	circuits(t)
 	co, base := startCoordinator(t, Config{
 		HeartbeatTimeout: 2 * time.Second,
-		SweepInterval:    200 * time.Millisecond,
 		Slots:            1,
 	})
-	w1 := startWorker(t, base, "w1", 1, false)
-	w2 := startWorker(t, base, "w2", 1, false)
+	fake, posts := startFakeWorker(t)
+	ag, err := StartAgent(AgentConfig{ID: "pinned", Advertise: fake.URL, Coordinator: base, Interval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ag.Stop()
+	waitWorkers(t, co, 1, 10*time.Second)
+	pj, _ := postJob(t, base, pairBody(t, eqA, eqB))
+	deadline := time.Now().Add(30 * time.Second)
+	for posts.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("pinning job never dispatched")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	w := startWorker(t, base, "idle", 1)
 	waitWorkers(t, co, 2, 10*time.Second)
 
-	// Occupy one worker's single dispatch slot with a slow job...
-	sj, _ := postJob(t, base, pairBodyEngine(t, slowA, slowB, simsweep.EngineSAT))
-	deadline := time.Now().Add(30 * time.Second)
-	for getJob(t, base, sj.ID).Node == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("slow job never dispatched")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// ...then submit 12 distinct fast jobs. Roughly half shard to the
-	// busy worker, whose only dispatcher is pinned — they can finish
-	// quickly only if the idle worker steals them.
 	var ids []string
 	for i := 0; i < 12; i++ {
 		a, b := eqVariant(i)
@@ -394,36 +360,34 @@ func TestWorkStealingDrainsStragglerQueue(t *testing.T) {
 	}
 	for _, id := range ids {
 		j := waitJob(t, base, id, 60*time.Second)
-		if j.Verdict != simsweep.Equivalent.String() {
-			t.Fatalf("stolen job %s: verdict=%q state=%s", id, j.Verdict, j.State)
+		if j.Verdict != simsweep.Equivalent.String() || j.Node != "idle" {
+			t.Fatalf("fast job %s: verdict=%q state=%s node=%q, want equivalent on the idle worker",
+				id, j.Verdict, j.State, j.Node)
 		}
 	}
-	if st := co.Stats(); st.Steals < 1 {
-		t.Fatalf("no steals recorded: %+v", st)
+	if j := getJob(t, base, pj.ID); j.Node != "pinned" || service.State(j.State) != service.StateRunning || posts.Load() != 1 {
+		t.Fatalf("pinning job: node=%q state=%s, %d jobs sent to the pinned worker", j.Node, j.State, posts.Load())
 	}
 
-	// Cancel the still-running slow job through the coordinator.
-	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+sj.ID, nil)
+	// Cancel the pinning job through the coordinator.
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+pj.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	j := waitJob(t, base, sj.ID, 60*time.Second)
-	if st := service.State(j.State); st != service.StateCancelled && st != service.StateDone {
-		t.Fatalf("cancelled slow job ended %s", j.State)
+	if j := waitJob(t, base, pj.ID, 60*time.Second); service.State(j.State) != service.StateCancelled {
+		t.Fatalf("cancelled pinning job ended %s", j.State)
 	}
-	w1.stopGraceful()
-	w2.stopGraceful()
+	w.stopGraceful()
 }
 
 func TestCoordinatorCoalescesIdenticalSubmissions(t *testing.T) {
 	circuits(t)
 	co, base := startCoordinator(t, Config{
 		HeartbeatTimeout: 2 * time.Second,
-		SweepInterval:    200 * time.Millisecond,
 	})
-	w := startWorker(t, base, "w1", 1, false)
+	w := startWorker(t, base, "w1", 1)
 	waitWorkers(t, co, 1, 10*time.Second)
 
 	a, b := eqVariant(5)
@@ -466,70 +430,46 @@ func TestCoordinatorCoalescesIdenticalSubmissions(t *testing.T) {
 }
 
 func TestFederationRejectsUndecidedAndDegraded(t *testing.T) {
-	// The index itself refuses undecided verdicts...
-	f := newFedCache(4)
+	done := func(verdict, node string) service.JobJSON {
+		return service.JobJSON{State: string(service.StateDone), Verdict: verdict, Node: node}
+	}
+	// The index refuses undecided verdicts...
+	x := newVerdictIndex(2)
 	key := service.Key{Mode: 'p', Lo: 1, Hi: 2}
-	f.put(key, Verdict{Verdict: simsweep.Undecided.String()})
-	if _, _, ok := f.get(key); ok {
+	x.put(key, done(simsweep.Undecided.String(), ""), "w1")
+	if _, ok := x.get(key); ok {
 		t.Fatal("undecided verdict entered the index")
 	}
 	// ...first write wins, so a later conflicting claim cannot flip it...
-	f.put(key, Verdict{Verdict: simsweep.Equivalent.String(), Node: "w1"})
-	f.put(key, Verdict{Verdict: simsweep.NotEquivalent.String(), Node: "w2"})
-	if v, _, _ := f.get(key); v.Verdict != simsweep.Equivalent.String() {
-		t.Fatalf("index flipped to %q", v.Verdict)
+	x.put(key, done(simsweep.Equivalent.String(), ""), "w1")
+	x.put(key, done(simsweep.NotEquivalent.String(), ""), "w2")
+	if e, _ := x.get(key); e.rec.Verdict != simsweep.Equivalent.String() || e.rec.Node != "w1" {
+		t.Fatalf("index holds %q from %q", e.rec.Verdict, e.rec.Node)
 	}
-	// ...and degraded or non-done worker records never become verdicts.
-	if _, ok := verdictOfJobJSON(service.JobJSON{
-		State: "done", Verdict: simsweep.Equivalent.String(), Degraded: true,
-	}, "w1"); ok {
-		t.Fatal("degraded record federated")
-	}
-	if _, ok := verdictOfJobJSON(service.JobJSON{
-		State: "failed", Verdict: simsweep.Equivalent.String(),
-	}, "w1"); ok {
-		t.Fatal("failed record federated")
-	}
-	if _, ok := verdictOfJobJSON(service.JobJSON{
-		State: "done", Verdict: simsweep.Equivalent.String(),
-	}, "w1"); !ok {
-		t.Fatal("clean decided record rejected")
-	}
-
-	// The wire endpoint enforces the same rule.
-	co, base := startCoordinator(t, Config{})
-	_ = co
-	put := func(verdict string) int {
-		body, _ := json.Marshal(cachePut{Key: key.String(), Verdict: Verdict{Verdict: verdict}})
-		req, _ := http.NewRequest(http.MethodPut, base+"/v1/cluster/cache", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+	// ...degraded or non-done worker records never enter it...
+	degraded := done(simsweep.Equivalent.String(), "")
+	degraded.Degraded = true
+	failed := done(simsweep.Equivalent.String(), "")
+	failed.State = string(service.StateFailed)
+	for i, jj := range []service.JobJSON{degraded, failed} {
+		k := service.Key{Mode: 'p', Lo: 3, Hi: uint64(i)}
+		x.put(k, jj, "w1")
+		if _, ok := x.get(k); ok {
+			t.Fatalf("record %+v entered the index", jj)
 		}
-		defer resp.Body.Close()
-		return resp.StatusCode
 	}
-	if got := put(simsweep.Undecided.String()); got != 400 {
-		t.Fatalf("PUT undecided = HTTP %d", got)
-	}
-	if got := put(simsweep.Equivalent.String()); got != 200 {
-		t.Fatalf("PUT decided = HTTP %d", got)
-	}
-	resp, err := http.Get(base + "/v1/cluster/cache?key=" + key.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("GET federated verdict = HTTP %d", resp.StatusCode)
+	// ...and it keeps only its capacity, evicting the least recent.
+	x.put(service.Key{Mode: 'm', Lo: 4, Hi: 4}, done(simsweep.Equivalent.String(), ""), "w1")
+	x.put(service.Key{Mode: 'm', Lo: 5, Hi: 5}, done(simsweep.Equivalent.String(), ""), "w1")
+	if _, ok := x.get(key); ok || x.order.Len() != 2 || x.puts != 3 {
+		t.Fatalf("after eviction: %d entries, %d puts, first key kept %v", x.order.Len(), x.puts, ok)
 	}
 }
 
 func TestClusterMetricsExposition(t *testing.T) {
 	circuits(t)
 	co, base := startCoordinator(t, Config{})
-	w := startWorker(t, base, "w1", 1, false)
+	w := startWorker(t, base, "w1", 1)
 	waitWorkers(t, co, 1, 10*time.Second)
 	j, _ := postJob(t, base, pairBody(t, eqA, eqB))
 	waitJob(t, base, j.ID, 60*time.Second)
@@ -544,15 +484,154 @@ func TestClusterMetricsExposition(t *testing.T) {
 	body := buf.String()
 	for _, want := range []string{
 		"cecd_cluster_workers 1",
-		"cecd_cluster_steals_total",
+		"cecd_cluster_pending_jobs 0",
 		"cecd_cluster_requeues_total",
 		"cecd_cluster_fed_hits_total",
 		"cecd_cluster_jobs_total{state=\"done\"} 1",
-		fmt.Sprintf("cecd_cluster_queue_depth{node=%q}", "w1"),
 	} {
 		if !bytes.Contains([]byte(body), []byte(want)) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+	w.stopGraceful()
+}
+
+// startFakeWorker serves a worker that accepts every job and finishes none
+// unless it is cancelled, counting the jobs it was sent.
+func startFakeWorker(t *testing.T) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	posts := new(atomic.Int64)
+	var cancelled sync.Map
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		n := posts.Add(1)
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(service.JobJSON{ID: fmt.Sprintf("f%d", n), State: string(service.StateQueued)})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		st := service.StateRunning
+		if _, ok := cancelled.Load(r.PathValue("id")); ok {
+			st = service.StateCancelled
+		}
+		json.NewEncoder(w).Encode(service.JobJSON{ID: r.PathValue("id"), State: string(st)})
+	})
+	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		cancelled.Store(r.PathValue("id"), true)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv, posts
+}
+
+// TestFlappingWorkerChargesOnlyHeldJobs: a worker with one slot that takes
+// jobs and never finishes them lets its heartbeat lapse and rejoins, again
+// and again, until the job it holds fails on the requeue cap. Each death
+// requeues only what the worker's dispatcher held, so the two jobs queued
+// behind it are never dispatched or charged, and they settle Done once a
+// real worker joins.
+func TestFlappingWorkerChargesOnlyHeldJobs(t *testing.T) {
+	circuits(t)
+	co, base := startCoordinator(t, Config{HeartbeatTimeout: 200 * time.Millisecond, Slots: 1})
+	fake, posts := startFakeWorker(t)
+	var ids []string
+	for i := 0; i < 3; i++ {
+		a, b := eqVariant(i)
+		j, _ := postJob(t, base, pairBody(t, a, b))
+		ids = append(ids, j.ID)
+	}
+
+	const lapses = maxRequeues + 1
+	for lapse := int64(1); lapse <= lapses; lapse++ {
+		// Rejoin and beat until the fresh member's dispatcher has sent
+		// its job, then fall silent until the sweeper declares it dead.
+		for posts.Load() < lapse {
+			if _, err := co.Heartbeat(heartbeatWire{ID: "flap", URL: fake.URL, Ready: true}); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		waitWorkers(t, co, 0, 10*time.Second)
+	}
+
+	held := getJob(t, base, ids[0])
+	if service.State(held.State) != service.StateFailed ||
+		!strings.Contains(held.Error, fmt.Sprintf("requeued %d times", maxRequeues)) {
+		t.Fatalf("held job after %d lapses: state=%s err=%q", lapses, held.State, held.Error)
+	}
+	st := co.Stats()
+	if st.Deaths != lapses || st.Dispatches != lapses || st.Requeues != lapses || st.Pending != 2 {
+		t.Fatalf("after %d lapses: %d deaths, %d dispatches, %d requeues, %d pending; want %d, %d, %d, 2",
+			lapses, st.Deaths, st.Dispatches, st.Requeues, st.Pending, lapses, lapses, lapses)
+	}
+
+	w := startWorker(t, base, "w1", 1)
+	for _, id := range ids[1:] {
+		j := waitJob(t, base, id, 60*time.Second)
+		if service.State(j.State) != service.StateDone || j.Verdict != simsweep.Equivalent.String() || j.Node != "w1" {
+			t.Fatalf("queued job %s: state=%s verdict=%q node=%q err=%q", id, j.State, j.Verdict, j.Node, j.Error)
+		}
+	}
+	if st := co.Stats(); st.Requeues != lapses {
+		t.Fatalf("%d requeues, want %d: a job that was never dispatched was charged", st.Requeues, lapses)
+	}
+	w.stopGraceful()
+}
+
+// TestAdmitMemoKeysByDigest: byte-identical bodies share one admission
+// memo entry, and the memo keeps no copy of a body, so admitting 64
+// whitespace-padded 1 MiB copies of one pair request grows the heap by far
+// less than a single copy.
+func TestAdmitMemoKeysByDigest(t *testing.T) {
+	circuits(t)
+	co := New(Config{})
+	defer co.Close()
+	body := pairBody(t, eqA, eqB)
+	want, err := co.admit(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.admit(bytes.Clone(body)); err != nil || len(co.memo) != 1 {
+		t.Fatalf("identical bodies: %d memo entries (err %v), want 1", len(co.memo), err)
+	}
+
+	const copies, size = 64, 1 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < copies; i++ {
+		padded := bytes.Repeat([]byte{' '}, size-i)
+		copy(padded, body)
+		meta, err := co.admit(padded)
+		if err != nil || meta.key != want.key {
+			t.Fatalf("padded copy %d: key %v (err %v), want %v", i, meta.key, err, want.key)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if len(co.memo) != copies+1 {
+		t.Fatalf("%d memo entries, want %d", len(co.memo), copies+1)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 4<<20 {
+		t.Fatalf("admitting %d distinct 1 MiB bodies grew the heap by %.1f MiB", copies, float64(grew)/(1<<20))
+	}
+}
+
+// TestPromotedFollowerRunsItsOwnRequest: a submission coalesced onto a
+// leader that is cancelled while queued is promoted to leader and must run
+// from its own request body, not fail on an empty one.
+func TestPromotedFollowerRunsItsOwnRequest(t *testing.T) {
+	circuits(t)
+	co, base := startCoordinator(t, Config{})
+	body := pairBody(t, neqA, neqB)
+	lead, _ := postJob(t, base, body)
+	follower, _ := postJob(t, base, body)
+	if _, err := co.Cancel(lead.ID); err != nil {
+		t.Fatal(err)
+	}
+	w := startWorker(t, base, "w1", 1)
+	j := waitJob(t, base, follower.ID, 60*time.Second)
+	if service.State(j.State) != service.StateDone || j.Verdict != simsweep.NotEquivalent.String() {
+		t.Fatalf("promoted follower: state=%s verdict=%q err=%q", j.State, j.Verdict, j.Error)
 	}
 	w.stopGraceful()
 }

@@ -1,30 +1,32 @@
 // Package cluster turns cecd into a coordinator/worker cluster. The
 // coordinator fronts the ordinary cecd HTTP API: clients submit jobs to it
-// exactly as to a single daemon, and it shards them over registered
-// workers by the semantic job key (order-normalised structural
-// fingerprints) on a consistent-hash ring, so identical checks always land
-// on — and stay cached at — the same node.
+// exactly as to a single daemon, and it keeps them in one FIFO that every
+// live worker's dispatchers pop, so an idle worker takes the next job
+// whatever its key.
 //
 // Workers are ordinary cecd processes. They register by pushing periodic
-// heartbeats; silence beyond a liveness timeout declares a worker dead,
-// removes it from the ring and requeues everything it held. Verdicts are
-// federated: any decided, non-degraded result, from any node, enters the
-// coordinator's verdict index and is thereafter a hit everywhere — the
-// coordinator answers repeat submissions without dispatching, and workers
-// consult the index (via service.RemoteCache) before spending engine time.
-// Degraded results are returned to their caller but never federated, so a
-// fault-injured verdict cannot propagate. Idle workers steal queued jobs
-// from the most loaded peer, which keeps stragglers from serialising a
-// sweep. Each job settles at most once: late duplicate verdicts (from a
-// worker that was declared dead but kept computing) are counted and
-// dropped.
+// heartbeats; silence beyond a liveness timeout declares a worker dead and
+// requeues, at the head of the FIFO, the jobs its own dispatchers held. A
+// job that was never dispatched is never charged for a death. A CEC verdict
+// is a property of the two circuits, not of the node that computed it, so
+// the coordinator keeps one verdict index keyed by the semantic job key
+// (order-normalised structural fingerprints): a settled job with a
+// decided, non-degraded verdict is the only way in, and a repeat
+// submission is answered from it without dispatching. Identical
+// submissions in flight coalesce onto one leader. Degraded results are
+// returned to their caller but never indexed, so a fault-injured verdict
+// cannot answer for anyone else. Each job settles at most once: late
+// duplicate verdicts (from a worker that was declared dead but kept
+// computing) are counted and dropped.
 package cluster
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -41,23 +43,22 @@ const (
 	// maxRequeues caps how often one job survives node deaths before it
 	// is failed outright.
 	maxRequeues = 5
-	// replicas is the number of virtual ring points per worker.
-	replicas = 64
 	// requestTimeout bounds each coordinator->worker HTTP call.
 	requestTimeout = 10 * time.Second
-	// federationSize bounds the verdict index.
-	federationSize = 4096
+	// indexSize bounds the verdict index.
+	indexSize = 4096
 	// retainJobs bounds how many finished job records are kept for GET.
 	retainJobs = 4096
+	// memoSize bounds the admission memo; it resets when full.
+	memoSize = 8192
 )
 
 // Config tunes a Coordinator. The zero value works for tests; New fills
 // defaults.
 type Config struct {
-	// HeartbeatTimeout declares a worker dead after this much silence.
+	// HeartbeatTimeout declares a worker dead after this much silence;
+	// the liveness sweep runs every quarter of it.
 	HeartbeatTimeout time.Duration // default 2s
-	// SweepInterval is the liveness sweep period.
-	SweepInterval time.Duration // default HeartbeatTimeout/4
 	// Slots is the number of concurrent dispatches per worker.
 	Slots int // default 4
 	// Faults optionally arms the cluster.worker.kill hook: each fire
@@ -71,9 +72,6 @@ func (c *Config) fill() {
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 2 * time.Second
 	}
-	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.HeartbeatTimeout / 4
-	}
 	if c.Slots <= 0 {
 		c.Slots = 4
 	}
@@ -86,11 +84,13 @@ type member struct {
 	client   *nodeClient
 	lastBeat time.Time
 	hb       heartbeatWire
-	queue    []*cjob
-	dead     bool
+	// held lists the jobs this member's dispatchers hold, oldest dispatch
+	// first; its death requeues exactly these.
+	held []*cjob
+	dead bool
 }
 
-// cjob is a cluster-level job: the raw request body plus routing and
+// cjob is a cluster-level job: the raw request body plus dispatch and
 // settlement state. The body is forwarded to workers verbatim and freed on
 // settle.
 type cjob struct {
@@ -107,7 +107,7 @@ type cjob struct {
 	node     string
 	res      service.JobJSON // worker's terminal record (zero until settled)
 	errMsg   string
-	cached   bool // settled from the federation or a coalesced leader
+	cached   bool // settled from the verdict index or a coalesced leader
 	requeues int
 	cancel   bool
 
@@ -116,17 +116,19 @@ type cjob struct {
 }
 
 // bodyMeta memoises the expensive part of admission — AIGER decode plus
-// fingerprinting — keyed by the exact raw body bytes, so a replayed
-// byte-identical submission skips straight to its semantic key with no
-// collision risk at all.
+// fingerprinting — keyed by the SHA-256 of the raw body, so a replayed
+// byte-identical submission skips straight to its semantic key. A
+// collision is no likelier than one of the 64-bit structural fingerprints
+// the key itself rests on.
 type bodyMeta struct {
 	key     service.Key
 	engine  string
 	timeout string
 }
 
-// Coordinator shards submissions over registered workers and federates
-// their verdicts. Create with New, serve with NewHandler, stop with Close.
+// Coordinator dispatches submissions to registered workers and answers
+// repeats from its verdict index. Create with New, serve with NewHandler,
+// stop with Close.
 type Coordinator struct {
 	cfg Config
 
@@ -137,22 +139,20 @@ type Coordinator struct {
 	jobs    map[string]*cjob
 	done    []string // finished job ids, oldest first, for retention
 	infl    map[service.Key]*cjob
-	ring    *hashRing
 	workers map[string]*member
-	pending []*cjob // jobs with no live ring owner yet
-	memo    map[string]bodyMeta
+	queue   []*cjob // queued jobs, next to dispatch first
+	memo    map[[sha256.Size]byte]bodyMeta
+	index   *verdictIndex
 	byState map[service.State]uint64
 
 	submitted  uint64
 	fedHits    uint64
 	coalesced  uint64
 	dispatches uint64
-	steals     uint64
 	requeues   uint64
 	deaths     uint64
 	duplicates uint64
 
-	fed  *fedCache
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -165,11 +165,10 @@ func New(cfg Config) *Coordinator {
 		cfg:     cfg,
 		jobs:    make(map[string]*cjob),
 		infl:    make(map[service.Key]*cjob),
-		ring:    newRing(replicas),
 		workers: make(map[string]*member),
-		memo:    make(map[string]bodyMeta),
+		memo:    make(map[[sha256.Size]byte]bodyMeta),
+		index:   newVerdictIndex(indexSize),
 		byState: make(map[service.State]uint64),
-		fed:     newFedCache(federationSize),
 		stop:    make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -178,8 +177,8 @@ func New(cfg Config) *Coordinator {
 	return c
 }
 
-// Close stops dispatching, cancels all unfinished jobs and waits for every
-// internal goroutine. Idempotent.
+// Close stops dispatching, cancels every unfinished job and waits for
+// every internal goroutine. Idempotent.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -188,8 +187,9 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	close(c.stop)
+	c.queue = nil
 	for _, j := range c.jobs {
-		if !j.state.Terminal() && j.state == service.StateQueued {
+		if !j.state.Terminal() {
 			c.settleLocked(j, service.StateCancelled, "coordinator shutting down")
 		}
 	}
@@ -201,7 +201,7 @@ func (c *Coordinator) Close() {
 // sweeper periodically declares silent workers dead.
 func (c *Coordinator) sweeper() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.SweepInterval)
+	t := time.NewTicker(c.cfg.HeartbeatTimeout / 4)
 	defer t.Stop()
 	for {
 		select {
@@ -221,8 +221,9 @@ func (c *Coordinator) sweeper() {
 }
 
 // Heartbeat registers or refreshes a worker. The first beat from an ID
-// adds it to the ring, starts its dispatchers and re-shards any pending
-// jobs; later beats update liveness and load. Returns the live worker
+// starts its dispatchers; later beats update liveness and load. A beat
+// from a known ID at a new address means the process restarted behind
+// us: the old member dies and the new one joins. Returns the live worker
 // count.
 func (c *Coordinator) Heartbeat(hb heartbeatWire) (int, error) {
 	if hb.ID == "" || hb.URL == "" {
@@ -233,39 +234,26 @@ func (c *Coordinator) Heartbeat(hb heartbeatWire) (int, error) {
 	if c.closed {
 		return 0, errors.New("cluster: coordinator closed")
 	}
-	now := time.Now()
 	m := c.workers[hb.ID]
+	if m != nil && m.url != hb.URL {
+		c.markDeadLocked(m, "restarted at "+hb.URL)
+		m = nil
+	}
 	if m == nil {
-		m = &member{
-			id:     hb.ID,
-			url:    hb.URL,
-			client: newNodeClient(hb.URL),
-		}
+		m = &member{id: hb.ID, url: hb.URL, client: newNodeClient(hb.URL)}
 		c.workers[hb.ID] = m
-		c.ring.Add(hb.ID)
 		for i := 0; i < c.cfg.Slots; i++ {
 			c.wg.Add(1)
 			go c.dispatcher(m)
 		}
-		pend := c.pending
-		c.pending = nil
-		for _, j := range pend {
-			c.enqueueLocked(j)
-		}
-		c.logf("cluster: worker %s joined at %s (%d workers)", hb.ID, hb.URL, c.ring.Len())
-	} else if m.url != hb.URL {
-		// Same identity, new address: the process restarted behind us.
-		m.url = hb.URL
-		m.client = newNodeClient(hb.URL)
-		c.logf("cluster: worker %s moved to %s", hb.ID, hb.URL)
+		c.logf("cluster: worker %s joined at %s (%d workers)", hb.ID, hb.URL, len(c.workers))
 	}
-	m.lastBeat = now
+	m.lastBeat = time.Now()
 	m.hb = hb
-	c.cond.Broadcast()
-	return c.ring.Len(), nil
+	return len(c.workers), nil
 }
 
-// markDeadLocked removes a worker from the ring and requeues everything it
+// markDeadLocked removes a worker and requeues the jobs its dispatchers
 // held. Idempotent per member instance.
 func (c *Coordinator) markDeadLocked(m *member, reason string) {
 	if m.dead {
@@ -274,28 +262,25 @@ func (c *Coordinator) markDeadLocked(m *member, reason string) {
 	m.dead = true
 	if c.workers[m.id] == m {
 		delete(c.workers, m.id)
-		c.ring.Remove(m.id)
 	}
 	c.deaths++
-	q := m.queue
-	m.queue = nil
-	for _, j := range q {
-		c.requeueLocked(j, "worker "+m.id+" died: "+reason)
+	held := m.held
+	m.held = nil
+	// Each requeue goes to the head, so walk backwards to keep the oldest
+	// dispatch first.
+	for i := len(held) - 1; i >= 0; i-- {
+		c.requeueLocked(held[i], "worker "+m.id+" died: "+reason)
 	}
 	c.logf("cluster: worker %s declared dead (%s), %d jobs requeued, %d workers left",
-		m.id, reason, len(q), c.ring.Len())
+		m.id, reason, len(held), len(c.workers))
 	c.cond.Broadcast()
 }
 
-// requeueLocked sends a job back through sharding after a node failure,
-// honouring the requeue cap, cancellation and shutdown. Terminal jobs pass
+// requeueLocked puts a job whose worker died back at the head of the
+// queue, honouring the requeue cap and cancellation. Terminal jobs pass
 // through untouched (at-most-once settlement).
 func (c *Coordinator) requeueLocked(j *cjob, reason string) {
 	if j.state.Terminal() {
-		return
-	}
-	if c.closed {
-		c.settleLocked(j, service.StateCancelled, "coordinator shutting down")
 		return
 	}
 	if j.cancel {
@@ -311,128 +296,82 @@ func (c *Coordinator) requeueLocked(j *cjob, reason string) {
 	}
 	j.state = service.StateQueued
 	j.node = ""
-	c.enqueueLocked(j)
+	c.queue = slices.Insert(c.queue, 0, j)
 }
 
-// enqueueLocked routes a queued job to its ring owner, or parks it pending
-// when no worker is live.
+// enqueueLocked appends a queued job to the tail of the queue.
 func (c *Coordinator) enqueueLocked(j *cjob) {
-	owner := c.ring.Owner(j.key.Shard())
-	if m := c.workers[owner]; m != nil && !m.dead {
-		m.queue = append(m.queue, j)
-		c.cond.Broadcast()
-		return
-	}
-	c.pending = append(c.pending, j)
+	c.queue = append(c.queue, j)
+	c.cond.Broadcast()
 }
 
-// dispatcher is one of a member's Slots dispatch loops: it takes the next
-// job (own queue first, then stealing from the most loaded peer), forwards
-// it and babysits it to settlement. Exits when the member dies or the
-// coordinator closes.
+// dispatcher is one of a member's Slots dispatch loops: it pops the head
+// of the queue, forwards it and babysits it to settlement. Exits when the
+// member dies or the coordinator closes.
 func (c *Coordinator) dispatcher(m *member) {
 	defer c.wg.Done()
 	for {
 		c.mu.Lock()
-		var j *cjob
-		for {
-			if c.closed || m.dead {
-				c.mu.Unlock()
-				return
-			}
-			if j = c.takeLocked(m); j != nil {
-				break
-			}
+		for !c.closed && !m.dead && len(c.queue) == 0 {
 			c.cond.Wait()
 		}
+		if c.closed || m.dead {
+			c.mu.Unlock()
+			return
+		}
+		j := c.queue[0]
+		c.queue[0] = nil
+		c.queue = c.queue[1:]
 		j.state = service.StateRunning
 		j.started = time.Now()
 		j.node = m.id
+		m.held = append(m.held, j)
 		c.dispatches++
+		body := j.body
 		c.mu.Unlock()
-		c.runRemote(m, j)
+		c.runRemote(m, j, body)
 	}
-}
-
-// takeLocked pops the next runnable job for m: its own queue first;
-// otherwise it steals the head of the longest live peer queue.
-func (c *Coordinator) takeLocked(m *member) *cjob {
-	for len(m.queue) > 0 {
-		j := m.queue[0]
-		m.queue = m.queue[1:]
-		if j.state.Terminal() { // cancelled while queued
-			continue
-		}
-		return j
-	}
-	var victim *member
-	for _, o := range c.workers {
-		if o == m || o.dead || len(o.queue) == 0 {
-			continue
-		}
-		if victim == nil || len(o.queue) > len(victim.queue) {
-			victim = o
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	for len(victim.queue) > 0 {
-		j := victim.queue[0]
-		victim.queue = victim.queue[1:]
-		if j.state.Terminal() {
-			continue
-		}
-		c.steals++
-		return j
-	}
-	return nil
 }
 
 // runRemote drives one dispatched job on one worker: submit, poll to a
-// terminal state, settle. Any transport failure declares the node dead and
-// requeues the job; the coordinator mutex is never held across a call.
-func (c *Coordinator) runRemote(m *member, j *cjob) {
+// terminal state, settle. Any transport failure declares the node dead,
+// which requeues the job; the coordinator mutex is never held across a
+// call. Once the node is dead or the coordinator closed, the job is no
+// longer this dispatcher's to settle.
+func (c *Coordinator) runRemote(m *member, j *cjob, body []byte) {
 	if c.cfg.Faults.Fire(fault.HookClusterKill) {
 		c.logf("cluster: fault hook %s fired for node %s", fault.HookClusterKill, m.id)
-		c.failNode(m, j, errors.New("dispatch target sabotaged by "+fault.HookClusterKill))
+		c.failNode(m, errors.New("dispatch target sabotaged by "+fault.HookClusterKill))
 		return
 	}
 
 	var remoteID string
-	for {
-		if c.isClosed() {
-			c.settle1(j, service.StateCancelled, "coordinator shutting down")
+	for remoteID == "" {
+		if gone, _ := c.watch(m, j); gone {
 			return
 		}
-		if c.memberDead(m) {
-			c.requeue1(j, "node died before dispatch")
+		jj, status, err := m.client.submit(body)
+		switch {
+		case err != nil:
+			c.failNode(m, err)
 			return
-		}
-		jj, status, err := m.client.submit(j.body)
-		if err != nil {
-			c.failNode(m, j, err)
+		case status == 200: // instant terminal on the worker (its cache hit)
+			c.settleRemote(m, j, jj)
 			return
-		}
-		if status == 200 { // instant terminal on the worker (its cache hit)
-			c.settleRemote(j, jj, m)
-			return
-		}
-		if status == 202 {
+		case status == 202:
 			remoteID = jj.ID
-			break
-		}
-		if status == 429 { // worker queue saturated: brief blocking backoff
+		case status == 429: // worker queue saturated: brief blocking backoff
 			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		if status == 503 { // worker draining/closing
-			c.failNode(m, j, fmt.Errorf("worker refused job: HTTP %d", status))
+		case status == 503: // worker draining/closing
+			c.failNode(m, fmt.Errorf("worker refused job: HTTP %d", status))
+			return
+		default: // 400 and friends are permanent: re-dispatching cannot help.
+			c.settleRemote(m, j, service.JobJSON{
+				State: string(service.StateFailed),
+				Error: fmt.Sprintf("cluster: worker %s rejected job: HTTP %d", m.id, status),
+			})
 			return
 		}
-		// 400 and friends are permanent: re-dispatching cannot help.
-		c.settle1(j, service.StateFailed, fmt.Sprintf("cluster: worker %s rejected job: HTTP %d", m.id, status))
-		return
 	}
 
 	delay := pollInterval
@@ -441,36 +380,32 @@ func (c *Coordinator) runRemote(m *member, j *cjob) {
 	cancelSent := false
 	for {
 		time.Sleep(delay)
-		if c.isClosed() {
-			c.settle1(j, service.StateCancelled, "coordinator shutting down")
+		gone, cancel := c.watch(m, j)
+		if gone {
 			return
 		}
-		if c.memberDead(m) {
-			c.requeue1(j, "node died mid-job")
-			return
-		}
-		if c.cancelRequested(j) && !cancelSent {
+		if cancel && !cancelSent {
 			m.client.cancel(remoteID)
 			cancelSent = true
 		}
 		jj, err := m.client.get(remoteID)
 		if err != nil {
 			if fails++; fails >= 3 {
-				c.failNode(m, j, err)
+				c.failNode(m, err)
 				return
 			}
 			continue
 		}
 		fails = 0
-		if service.State(jj.State).Terminal() {
+		if st := service.State(jj.State); st.Terminal() {
 			// A worker-side cancellation nobody asked for means the worker
 			// is shutting down under us: treat as a node failure so the
 			// job is re-run, not lost.
-			if service.State(jj.State) == service.StateCancelled && !c.cancelRequested(j) {
-				c.failNode(m, j, errors.New("worker cancelled the job unilaterally (draining?)"))
+			if st == service.StateCancelled && !cancelSent {
+				c.failNode(m, errors.New("worker cancelled the job unilaterally (draining?)"))
 				return
 			}
-			c.settleRemote(j, jj, m)
+			c.settleRemote(m, j, jj)
 			return
 		}
 		if delay < maxDelay {
@@ -480,59 +415,38 @@ func (c *Coordinator) runRemote(m *member, j *cjob) {
 }
 
 // failNode reacts to a broken conversation with a worker: the node is
-// declared dead (draining its queue) and the in-hand job requeued.
-func (c *Coordinator) failNode(m *member, j *cjob, err error) {
+// declared dead, which requeues every job its dispatchers held.
+func (c *Coordinator) failNode(m *member, err error) {
 	c.mu.Lock()
 	c.markDeadLocked(m, err.Error())
-	c.requeueLocked(j, err.Error())
 	c.mu.Unlock()
 }
 
-func (c *Coordinator) isClosed() bool {
+// watch reports whether m's dispatcher must drop j because the coordinator
+// closed or m died (either already took the job back), and whether the
+// client asked to cancel it.
+func (c *Coordinator) watch(m *member, j *cjob) (gone, cancel bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.closed
+	return c.closed || m.dead, j.cancel
 }
 
-func (c *Coordinator) memberDead(m *member) bool {
+// settleRemote settles j, held by m's dispatcher, from the worker's
+// terminal record, and indexes the record when it is decided and
+// non-degraded. A job that m's death or the coordinator's shutdown already
+// took back is not m's to settle: the record is a late duplicate and is
+// dropped.
+func (c *Coordinator) settleRemote(m *member, j *cjob, jj service.JobJSON) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return m.dead
-}
-
-func (c *Coordinator) cancelRequested(j *cjob) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return j.cancel
-}
-
-func (c *Coordinator) requeue1(j *cjob, reason string) {
-	c.mu.Lock()
-	c.requeueLocked(j, reason)
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) settle1(j *cjob, st service.State, msg string) {
-	c.mu.Lock()
-	c.settleLocked(j, st, msg)
-	c.mu.Unlock()
-}
-
-// settleRemote records a worker's terminal verdict for j, federating it
-// when it is decided and non-degraded.
-func (c *Coordinator) settleRemote(j *cjob, jj service.JobJSON, m *member) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j.state.Terminal() {
+	if m.dead || j.state.Terminal() {
 		c.duplicates++
 		return
 	}
+	m.held = slices.DeleteFunc(m.held, func(h *cjob) bool { return h == j })
 	j.res = jj
 	j.node = m.id
-	j.errMsg = jj.Error
-	if v, ok := verdictOfJobJSON(jj, m.id); ok {
-		c.fed.put(j.key, v)
-	}
+	c.index.put(j.key, jj, m.id)
 	c.settleLocked(j, service.State(jj.State), jj.Error)
 }
 
@@ -578,7 +492,7 @@ func (c *Coordinator) resolveFollowersLocked(j *cjob) {
 	if len(live) == 0 {
 		return
 	}
-	if _, ok := verdictOfJobJSON(j.res, j.node); ok && j.state == service.StateDone {
+	if indexable(j.res) {
 		for _, f := range live {
 			f.res = j.res
 			f.node = j.node
@@ -600,11 +514,12 @@ func (c *Coordinator) resolveFollowersLocked(j *cjob) {
 }
 
 // admit derives the semantic key (and engine label) for a raw body,
-// memoising by content hash so a replayed byte-identical submission skips
-// the AIGER decode and fingerprint entirely.
+// memoising by the body's SHA-256 so a replayed byte-identical submission
+// skips the AIGER decode and fingerprint entirely.
 func (c *Coordinator) admit(raw []byte) (bodyMeta, error) {
+	sum := sha256.Sum256(raw)
 	c.mu.Lock()
-	meta, ok := c.memo[string(raw)]
+	meta, ok := c.memo[sum]
 	c.mu.Unlock()
 	if ok {
 		return meta, nil
@@ -626,16 +541,16 @@ func (c *Coordinator) admit(raw []byte) (bodyMeta, error) {
 		meta.timeout = (time.Duration(body.TimeoutMS) * time.Millisecond).String()
 	}
 	c.mu.Lock()
-	if len(c.memo) >= 8192 { // crude bound; a full reset is fine at this size
-		c.memo = make(map[string]bodyMeta)
+	if len(c.memo) >= memoSize { // crude bound; a full reset is fine at this size
+		clear(c.memo)
 	}
-	c.memo[string(raw)] = meta
+	c.memo[sum] = meta
 	c.mu.Unlock()
 	return meta, nil
 }
 
 // Submit admits a raw JobRequest body. The reply mirrors the single-node
-// daemon: 200 with a terminal record on a federation hit, 202 with a
+// daemon: 200 with a terminal record on a verdict-index hit, 202 with a
 // queued/coalesced record otherwise, 400/503 on bad input or shutdown. A
 // non-nil wire return is the complete pre-encoded 200 response body — the
 // replay fast path, where a decided key answers without allocating a job
@@ -653,28 +568,31 @@ func (c *Coordinator) Submit(raw []byte) (rec service.JobJSON, wire []byte, stat
 	}
 	c.submitted++
 
-	// Federation fast path: a verdict decided anywhere settles this
-	// submission without touching a worker. Replays after the first are
-	// answered from the entry's pre-encoded bytes.
-	if v, w, ok := c.fed.get(meta.key); ok {
+	// Index fast path: a verdict decided anywhere settles this submission
+	// without touching a worker. Replays after the first are answered from
+	// the entry's pre-encoded bytes.
+	if e, ok := c.index.get(meta.key); ok {
 		c.fedHits++
-		if w != nil {
+		if e.wire != nil {
 			c.byState[service.StateDone]++
-			return service.JobJSON{}, w, 200
+			return service.JobJSON{}, e.wire, 200
 		}
 		j := c.newJobLocked(meta)
-		j.res = verdictJobJSON(v)
-		j.node = v.Node
+		j.res = e.rec
+		j.node = e.rec.Node
 		j.cached = true
 		c.settleLocked(j, service.StateDone, "")
 		view := c.jobViewLocked(j)
 		if enc, err := json.Marshal(view); err == nil {
-			c.fed.attachWire(meta.key, append(enc, '\n'))
+			e.wire = append(enc, '\n')
 		}
 		return view, nil, 200
 	}
 
 	j := c.newJobLocked(meta)
+	// A follower keeps its body too: if its leader fails it is promoted and
+	// dispatched itself.
+	j.body = raw
 
 	// Single-flight: coalesce onto an identical in-flight leader.
 	if lead, ok := c.infl[meta.key]; ok && !lead.state.Terminal() {
@@ -683,7 +601,6 @@ func (c *Coordinator) Submit(raw []byte) (rec service.JobJSON, wire []byte, stat
 		return c.jobViewLocked(j), nil, 202
 	}
 
-	j.body = raw
 	c.infl[meta.key] = j
 	c.enqueueLocked(j)
 	return c.jobViewLocked(j), nil, 202
@@ -701,18 +618,6 @@ func (c *Coordinator) newJobLocked(meta bodyMeta) *cjob {
 	}
 	c.jobs[j.id] = j
 	return j
-}
-
-// verdictJobJSON renders a federated verdict as a worker record.
-func verdictJobJSON(v Verdict) service.JobJSON {
-	return service.JobJSON{
-		Verdict:        v.Verdict,
-		CEX:            v.CEX,
-		EngineUsed:     v.EngineUsed,
-		RuntimeMS:      v.RuntimeMS,
-		SATTimeMS:      v.SATTimeMS,
-		ReducedPercent: v.ReducedPercent,
-	}
 }
 
 // jobViewLocked renders a cluster job in the single-node wire shape, with
@@ -782,16 +687,17 @@ func (c *Coordinator) Cancel(id string) (service.JobJSON, error) {
 	}
 	j.cancel = true
 	if j.state == service.StateQueued {
+		c.queue = slices.DeleteFunc(c.queue, func(q *cjob) bool { return q == j })
 		c.settleLocked(j, service.StateCancelled, "")
 	}
 	return c.jobViewLocked(j), nil
 }
 
-// WorkerStat is one worker's row in Stats.
+// WorkerStat is one worker's row in Stats: its identity and the load its
+// last heartbeat reported.
 type WorkerStat struct {
 	ID         string `json:"id"`
 	URL        string `json:"url"`
-	QueueLen   int    `json:"queue_len"`
 	Running    int    `json:"running"`
 	Ready      bool   `json:"ready"`
 	LastBeatMS int64  `json:"last_beat_ms"`
@@ -800,42 +706,37 @@ type WorkerStat struct {
 // Stats is a snapshot of the coordinator.
 type Stats struct {
 	Workers    []WorkerStat
-	Pending    int
+	Pending    int // jobs in the queue
 	ByState    map[service.State]uint64
 	Submitted  uint64
-	FedHits    uint64
+	FedHits    uint64 // submissions answered from the verdict index
 	Coalesced  uint64
 	Dispatches uint64
-	Steals     uint64
 	Requeues   uint64
 	Deaths     uint64
 	Duplicates uint64
 
-	FedIndexHits    uint64
 	FedIndexPuts    uint64
 	FedIndexEntries int
 }
 
 // Stats snapshots counters, membership and per-worker load.
 func (c *Coordinator) Stats() Stats {
-	fh, fp, fe := c.fed.stats()
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{
-		Pending:         len(c.pending),
+		Pending:         len(c.queue),
 		ByState:         make(map[service.State]uint64, len(c.byState)),
 		Submitted:       c.submitted,
 		FedHits:         c.fedHits,
 		Coalesced:       c.coalesced,
 		Dispatches:      c.dispatches,
-		Steals:          c.steals,
 		Requeues:        c.requeues,
 		Deaths:          c.deaths,
 		Duplicates:      c.duplicates,
-		FedIndexHits:    fh,
-		FedIndexPuts:    fp,
-		FedIndexEntries: fe,
+		FedIndexPuts:    c.index.puts,
+		FedIndexEntries: c.index.order.Len(),
 	}
 	for k, v := range c.byState {
 		st.ByState[k] = v
@@ -844,7 +745,6 @@ func (c *Coordinator) Stats() Stats {
 		st.Workers = append(st.Workers, WorkerStat{
 			ID:         m.id,
 			URL:        m.url,
-			QueueLen:   len(m.queue),
 			Running:    m.hb.Running,
 			Ready:      m.hb.Ready,
 			LastBeatMS: now.Sub(m.lastBeat).Milliseconds(),
@@ -854,37 +754,12 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// Ready reports whether the cluster can make progress: at least one live
-// worker.
+// Ready reports whether the cluster can make progress: a live worker
+// exists.
 func (c *Coordinator) Ready() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return !c.closed && c.ring.Len() > 0
-}
-
-// CacheGet serves a federation lookup by wire key.
-func (c *Coordinator) CacheGet(keyStr string) (Verdict, bool, error) {
-	key, err := parseKey(keyStr)
-	if err != nil {
-		return Verdict{}, false, err
-	}
-	v, _, ok := c.fed.get(key)
-	return v, ok, nil
-}
-
-// CachePut accepts a verdict published by a worker. Undecided verdicts are
-// rejected by the index itself; degraded ones never reach the wire (the
-// service layer filters them before publishing).
-func (c *Coordinator) CachePut(keyStr string, v Verdict) error {
-	key, err := parseKey(keyStr)
-	if err != nil {
-		return err
-	}
-	if !v.Decided() {
-		return errors.New("cluster: refusing undecided verdict")
-	}
-	c.fed.put(key, v)
-	return nil
+	return !c.closed && len(c.workers) > 0
 }
 
 func (c *Coordinator) logf(format string, args ...interface{}) {

@@ -17,9 +17,7 @@ import (
 // plus the cluster control plane:
 //
 //	POST /v1/cluster/heartbeat  worker registration / liveness / load
-//	GET  /v1/cluster/workers    registered workers and their queues
-//	GET  /v1/cluster/cache      federation lookup (?key=p:lo:hi)
-//	PUT  /v1/cluster/cache      federation publish
+//	GET  /v1/cluster/workers    registered workers and their load
 //	GET  /readyz                503 until at least one worker is live
 //	GET  /metrics               cecd_cluster_* counters and gauges
 //
@@ -88,30 +86,6 @@ func NewHandler(c *Coordinator) http.Handler {
 	mux.HandleFunc("GET /v1/cluster/workers", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.Stats().Workers)
 	})
-	mux.HandleFunc("GET /v1/cluster/cache", func(w http.ResponseWriter, r *http.Request) {
-		v, ok, err := c.CacheGet(r.URL.Query().Get("key"))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if !ok {
-			writeError(w, http.StatusNotFound, errors.New("cluster: no federated verdict"))
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
-	})
-	mux.HandleFunc("PUT /v1/cluster/cache", func(w http.ResponseWriter, r *http.Request) {
-		var put cachePut
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&put); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := c.CachePut(put.Key, put.Verdict); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "stored"})
-	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -136,24 +110,17 @@ func NewHandler(c *Coordinator) http.Handler {
 // writeClusterMetrics renders the coordinator's counters in the Prometheus
 // text exposition format, matching the hand-rolled single-node style.
 func writeClusterMetrics(w io.Writer, st Stats) {
-	fmt.Fprintf(w, "# HELP cecd_cluster_workers Live workers on the consistent-hash ring.\n")
+	fmt.Fprintf(w, "# HELP cecd_cluster_workers Live workers.\n")
 	fmt.Fprintf(w, "# TYPE cecd_cluster_workers gauge\n")
 	fmt.Fprintf(w, "cecd_cluster_workers %d\n", len(st.Workers))
-	fmt.Fprintf(w, "# HELP cecd_cluster_pending_jobs Jobs waiting for any worker to join.\n")
+	fmt.Fprintf(w, "# HELP cecd_cluster_pending_jobs Jobs in the coordinator's queue, waiting for a worker's dispatcher.\n")
 	fmt.Fprintf(w, "# TYPE cecd_cluster_pending_jobs gauge\n")
 	fmt.Fprintf(w, "cecd_cluster_pending_jobs %d\n", st.Pending)
-	fmt.Fprintf(w, "# HELP cecd_cluster_queue_depth Jobs queued per worker shard.\n")
-	fmt.Fprintf(w, "# TYPE cecd_cluster_queue_depth gauge\n")
-	for _, m := range st.Workers {
-		fmt.Fprintf(w, "cecd_cluster_queue_depth{node=%q} %d\n", m.ID, m.QueueLen)
-	}
 	fmt.Fprintf(w, "# TYPE cecd_cluster_submitted_total counter\n")
 	fmt.Fprintf(w, "cecd_cluster_submitted_total %d\n", st.Submitted)
-	fmt.Fprintf(w, "# HELP cecd_cluster_fed_hits_total Submissions settled from the federated verdict index.\n")
+	fmt.Fprintf(w, "# HELP cecd_cluster_fed_hits_total Submissions settled from the verdict index.\n")
 	fmt.Fprintf(w, "# TYPE cecd_cluster_fed_hits_total counter\n")
 	fmt.Fprintf(w, "cecd_cluster_fed_hits_total %d\n", st.FedHits)
-	fmt.Fprintf(w, "# TYPE cecd_cluster_fed_index_hits_total counter\n")
-	fmt.Fprintf(w, "cecd_cluster_fed_index_hits_total %d\n", st.FedIndexHits)
 	fmt.Fprintf(w, "# TYPE cecd_cluster_fed_index_puts_total counter\n")
 	fmt.Fprintf(w, "cecd_cluster_fed_index_puts_total %d\n", st.FedIndexPuts)
 	fmt.Fprintf(w, "# TYPE cecd_cluster_fed_entries gauge\n")
@@ -163,10 +130,7 @@ func writeClusterMetrics(w io.Writer, st Stats) {
 	fmt.Fprintf(w, "cecd_cluster_coalesced_total %d\n", st.Coalesced)
 	fmt.Fprintf(w, "# TYPE cecd_cluster_dispatches_total counter\n")
 	fmt.Fprintf(w, "cecd_cluster_dispatches_total %d\n", st.Dispatches)
-	fmt.Fprintf(w, "# HELP cecd_cluster_steals_total Jobs taken from a loaded peer's shard queue by an idle worker.\n")
-	fmt.Fprintf(w, "# TYPE cecd_cluster_steals_total counter\n")
-	fmt.Fprintf(w, "cecd_cluster_steals_total %d\n", st.Steals)
-	fmt.Fprintf(w, "# HELP cecd_cluster_requeues_total Jobs re-sharded after a node death or dispatch failure.\n")
+	fmt.Fprintf(w, "# HELP cecd_cluster_requeues_total Jobs put back at the head of the queue after their worker died.\n")
 	fmt.Fprintf(w, "# TYPE cecd_cluster_requeues_total counter\n")
 	fmt.Fprintf(w, "cecd_cluster_requeues_total %d\n", st.Requeues)
 	fmt.Fprintf(w, "# HELP cecd_cluster_worker_deaths_total Workers declared dead (timeout, transport failure or sabotage).\n")
@@ -208,7 +172,7 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// Compact on purpose: the submit fast path serves tens of thousands of
-	// federation hits per second, and indentation is measurable there.
+	// verdict-index hits per second, and indentation is measurable there.
 	json.NewEncoder(w).Encode(v)
 }
 

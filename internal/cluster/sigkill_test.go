@@ -30,8 +30,7 @@ func TestMain(m *testing.M) {
 func runWorkerHelper() {
 	id := os.Getenv("CLUSTER_WORKER_ID")
 	coURL := os.Getenv("CLUSTER_CO_URL")
-	svc := service.New(service.Config{MaxConcurrent: 1, TotalWorkers: 1,
-		Remote: NewFederatedCache(coURL, id)})
+	svc := service.New(service.Config{MaxConcurrent: 1, TotalWorkers: 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -82,7 +81,6 @@ func TestSIGKILLWorkerMidSweep(t *testing.T) {
 	circuits(t)
 	co, base := startCoordinator(t, Config{
 		HeartbeatTimeout: 500 * time.Millisecond,
-		SweepInterval:    100 * time.Millisecond,
 		Slots:            2,
 	})
 	procs := map[string]*exec.Cmd{

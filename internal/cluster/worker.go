@@ -15,8 +15,7 @@ import (
 
 // AgentConfig configures a worker's heartbeat agent.
 type AgentConfig struct {
-	// ID is the worker's cluster identity (stable across restarts keeps
-	// its ring shard).
+	// ID is the worker's cluster identity.
 	ID string
 	// Advertise is the URL the coordinator should dial back,
 	// e.g. "http://127.0.0.1:8081".
@@ -27,7 +26,7 @@ type AgentConfig struct {
 	// HeartbeatTimeout must comfortably exceed it).
 	Interval time.Duration
 	// Service, when set, is snapshotted into each heartbeat so the
-	// coordinator sees real load.
+	// coordinator's /v1/cluster/workers shows real load.
 	Service *service.Service
 	// Faults optionally arms cluster.worker.kill on the worker side: when
 	// the hook fires on a heartbeat tick, Kill runs and the agent stops —
@@ -51,7 +50,7 @@ type Agent struct {
 
 // StartAgent begins heartbeating immediately (one beat is sent before it
 // returns control flow to the ticker, so a freshly started worker joins
-// the ring within one round trip, not one interval).
+// within one round trip, not one interval).
 func StartAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.ID == "" || cfg.Advertise == "" || cfg.Coordinator == "" {
 		return nil, fmt.Errorf("cluster: agent needs ID, Advertise and Coordinator")
@@ -111,12 +110,7 @@ func (a *Agent) loop() {
 func (a *Agent) beat() {
 	hb := heartbeatWire{ID: a.cfg.ID, URL: a.cfg.Advertise, Ready: true}
 	if s := a.cfg.Service; s != nil {
-		st := s.Stats()
-		hb.QueueDepth = st.QueueDepth
-		hb.QueueCap = st.QueueCap
-		hb.Running = st.Running
-		hb.Concurrent = st.Concurrent
-		hb.CacheEntries = st.CacheSize
+		hb.Running = s.Stats().Running
 		hb.Ready = s.Ready()
 	}
 	body, err := json.Marshal(hb)

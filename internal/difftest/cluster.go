@@ -2,10 +2,11 @@ package difftest
 
 // The cluster backend: a whole coordinator/worker deployment folded into
 // one Backend. Every check travels the full distributed path — HTTP submit
-// to an in-process coordinator, consistent-hash dispatch to an in-process
-// worker daemon over loopback HTTP, verdict federation on the way back —
-// so the differential harness cross-checks the cluster against the local
-// engines and the truth-table oracle on every generated miter.
+// to an in-process coordinator, dispatch from its queue to an in-process
+// worker daemon over loopback HTTP, settlement into the coordinator's
+// verdict index on the way back — so the differential harness cross-checks
+// the cluster against the local engines and the truth-table oracle on
+// every generated miter.
 //
 // The rig can sabotage itself: every KillEvery checks it crashes one
 // worker zombie-style (listener torn down, heartbeats stop, no goodbye —
@@ -65,7 +66,7 @@ type ClusterRig struct {
 }
 
 // StartClusterRig boots a coordinator and cfg.Nodes worker daemons on
-// loopback and waits until every worker has joined the ring.
+// loopback and waits until every worker has joined.
 func StartClusterRig(cfg ClusterRigConfig) (*ClusterRig, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 3
@@ -76,10 +77,9 @@ func StartClusterRig(cfg ClusterRigConfig) (*ClusterRig, error) {
 	r := &ClusterRig{
 		cfg: cfg,
 		co: cluster.New(cluster.Config{
-			// Tight liveness so a sabotaged worker's share requeues within
-			// a few checks rather than a few seconds.
+			// Tight liveness so a sabotaged worker's jobs requeue within a
+			// few checks rather than a few seconds.
 			HeartbeatTimeout: 600 * time.Millisecond,
-			SweepInterval:    50 * time.Millisecond,
 		}),
 		hc: &http.Client{Timeout: 10 * time.Second},
 	}
@@ -111,8 +111,7 @@ func StartClusterRig(cfg ClusterRigConfig) (*ClusterRig, error) {
 }
 
 // spawnWorker starts one worker daemon: a real service instance behind a
-// loopback HTTP listener, heartbeating into the coordinator and consulting
-// its federated verdict index on local cache misses.
+// loopback HTTP listener, heartbeating into the coordinator.
 func (r *ClusterRig) spawnWorker() error {
 	r.mu.Lock()
 	r.nextID++
@@ -123,7 +122,6 @@ func (r *ClusterRig) spawnWorker() error {
 		MaxConcurrent: 1,
 		TotalWorkers:  1,
 		QueueCap:      64,
-		Remote:        cluster.NewFederatedCache(r.base, id),
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -58,7 +58,7 @@ const (
 	// HookClusterKill kills a cluster worker node. On a worker's heartbeat
 	// agent it invokes the agent's kill function (cecd -worker exits as if
 	// SIGKILLed); on a coordinator it sabotages the dispatch target, so the
-	// registry declares the node dead and its jobs re-shard.
+	// coordinator declares the node dead and requeues the jobs it held.
 	HookClusterKill = "cluster.worker.kill"
 )
 

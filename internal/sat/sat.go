@@ -634,8 +634,12 @@ func luby(i int64) int64 {
 }
 
 // Solve decides satisfiability under the given assumptions. It returns
-// Unknown when the conflict budget set by SetConflictLimit is exhausted.
-// After Sat, Value reads the model.
+// Unknown when the conflict budget set by SetConflictLimit is exhausted:
+// the budget is tested where the search would analyze a further conflict
+// or make a free decision, so a call that gives up has spent exactly its
+// limit, and a call whose last learnt clause concludes Unsat (by level-0
+// propagation or a false assumption) answers under a limit equal to the
+// conflicts it needs. After Sat, Value reads the model.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	if !s.ok {
 		return Unsat
@@ -653,11 +657,16 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	for {
 		confl := s.propagate()
 		if confl != noClause {
-			s.stats.Conflicts++
 			if s.decisionLevel() == 0 {
+				s.stats.Conflicts++
 				s.ok = false
 				return Unsat
 			}
+			if s.spent(startConfl) {
+				s.backtrackTo(0)
+				return Unknown
+			}
+			s.stats.Conflicts++
 			// Backtracking may land inside the assumption prefix;
 			// the decision loop below re-establishes the remaining
 			// assumptions in order, so the prefix stays aligned.
@@ -682,10 +691,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			s.varInc /= 0.95
 			s.claInc /= 0.999
-			if s.conflictLimit > 0 && s.stats.Conflicts-startConfl >= s.conflictLimit {
-				s.backtrackTo(0)
-				return Unknown
-			}
 			if s.stop != nil && (s.stats.Conflicts-startConfl)&0x1F == 0 && s.stop() {
 				s.backtrackTo(0)
 				return Unknown
@@ -726,12 +731,23 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			if v < 0 {
 				return Sat // all variables assigned
 			}
+			if s.spent(startConfl) {
+				s.order.pushIfAbsent(v)
+				s.backtrackTo(0)
+				return Unknown
+			}
 			s.stats.Decisions++
 			next = MkLit(v, s.polarity[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.uncheckedEnqueue(next, noClause)
 	}
+}
+
+// spent reports whether the call that started at startConfl conflicts has
+// used up its conflict limit.
+func (s *Solver) spent(startConfl int64) bool {
+	return s.conflictLimit > 0 && s.stats.Conflicts-startConfl >= s.conflictLimit
 }
 
 // Value returns the model value of variable v after a Sat answer.

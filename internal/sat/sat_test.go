@@ -152,6 +152,13 @@ func TestAssumptions(t *testing.T) {
 // cancellation.
 func addPigeonhole(n int) *Solver {
 	s := New()
+	pigeonhole(s, n)
+	return s
+}
+
+// pigeonhole adds the clauses of PHP(n+1, n) to s, each extended by the
+// literals of guard.
+func pigeonhole(s *Solver, n int, guard ...Lit) {
 	vars := make([][]int, n+1)
 	for p := range vars {
 		vars[p] = make([]int, n)
@@ -160,20 +167,19 @@ func addPigeonhole(n int) *Solver {
 		}
 	}
 	for p := 0; p <= n; p++ {
-		cl := make([]Lit, n)
+		cl := append([]Lit(nil), guard...)
 		for h := 0; h < n; h++ {
-			cl[h] = MkLit(vars[p][h], false)
+			cl = append(cl, MkLit(vars[p][h], false))
 		}
 		s.AddClause(cl...)
 	}
 	for h := 0; h < n; h++ {
 		for p1 := 0; p1 <= n; p1++ {
 			for p2 := p1 + 1; p2 <= n; p2++ {
-				s.AddClause(MkLit(vars[p1][h], true), MkLit(vars[p2][h], true))
+				s.AddClause(append([]Lit{MkLit(vars[p1][h], true), MkLit(vars[p2][h], true)}, guard...)...)
 			}
 		}
 	}
-	return s
 }
 
 func TestConflictLimit(t *testing.T) {
@@ -188,6 +194,51 @@ func TestConflictLimit(t *testing.T) {
 		t.Fatalf("unbudgeted PHP = %v, want Unsat", st)
 	}
 
+}
+
+// guardedPigeonhole is PHP(n+1, n) with every clause guarded by an
+// activation literal: satisfiable on its own, unsatisfiable under the
+// returned assumption, so the call always ends on a false assumption.
+func guardedPigeonhole(n int) (*Solver, Lit) {
+	s := New()
+	act := MkLit(s.NewVar(), false)
+	pigeonhole(s, n, act.Neg())
+	return s, act
+}
+
+// TestConflictLimitAnswersAtItsCost: a call that needs k conflicts answers
+// under a limit of k, and under a limit of k-1 it returns Unknown after
+// spending exactly k-1. The limit is tested before the search analyzes a
+// further conflict or makes a free decision, not right after learning, so
+// the learnt clause that concludes the call is still propagated.
+func TestConflictLimitAnswersAtItsCost(t *testing.T) {
+	for n := 3; n <= 6; n++ {
+		s, act := guardedPigeonhole(n)
+		if st := s.Solve(act); st != Unsat {
+			t.Fatalf("PHP(%d): guarded call = %v, want Unsat", n, st)
+		}
+		k := s.Stats().Conflicts
+		if k < 2 {
+			t.Fatalf("PHP(%d): %d conflicts, too few to test a limit", n, k)
+		}
+		for _, tc := range []struct {
+			limit int64
+			want  Status
+		}{{k, Unsat}, {k - 1, Unknown}} {
+			s, act := guardedPigeonhole(n)
+			s.SetConflictLimit(tc.limit)
+			st := s.Solve(act)
+			if got := s.Stats().Conflicts; st != tc.want || got != min(k, tc.limit) {
+				t.Fatalf("PHP(%d), %d conflicts unbudgeted, limit %d: %v after %d conflicts, want %v after %d",
+					n, k, tc.limit, st, got, tc.want, min(k, tc.limit))
+			}
+			// The solver stays usable: an unbudgeted retry answers.
+			s.SetConflictLimit(0)
+			if st := s.Solve(act); st != Unsat {
+				t.Fatalf("PHP(%d): retry after limit %d = %v, want Unsat", n, tc.limit, st)
+			}
+		}
+	}
 }
 
 func TestSetStopCancelsUnboundedSolve(t *testing.T) {

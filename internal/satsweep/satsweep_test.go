@@ -439,12 +439,12 @@ func poConflicts(t *testing.T, m *aig.AIG) (most, total int64) {
 
 // TestCheckPOsChargesOnlyUnanswered pins the charging rule of the budgeted
 // PO pass: a call that proves its PO or finds a model costs nothing. The
-// budget is one more than the conflicts of the pass's costliest call (the
-// solver checks its limit after each conflict, before it can conclude), so
-// no call runs out of conflicts, and it is below the pass's conflicts in
-// total, which an attempt charged for every call could not afford: it
-// decides the EQ miter Equivalent and disproves the NEQ one, whose
-// differing PO is last, with nothing charged.
+// budget is the conflicts of the pass's costliest call (a call answers
+// under a limit equal to the conflicts it needs), so no call runs out of
+// conflicts, and it is below the pass's conflicts in total, which an
+// attempt charged for every call could not afford: it decides the EQ miter
+// Equivalent and disproves the NEQ one, whose differing PO is last, with
+// nothing charged.
 func TestCheckPOsChargesOnlyUnanswered(t *testing.T) {
 	eq, err := miter.Build(adder(6, false), adder(6, true))
 	if err != nil {
@@ -464,7 +464,7 @@ func TestCheckPOsChargesOnlyUnanswered(t *testing.T) {
 		want miter.Outcome
 	}{{"EQ", eq, miter.Equivalent}, {"NEQ", neq, miter.NotEquivalent}} {
 		most, total := poConflicts(t, tc.m)
-		budget := most + 1
+		budget := most
 		if most == 0 || total <= budget {
 			t.Fatalf("%s: costliest call %d of %d conflicts: the miter does not separate the charging rules", tc.name, most, total)
 		}

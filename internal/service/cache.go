@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"fmt"
 
 	"simsweep"
 )
@@ -12,7 +11,7 @@ import (
 // resubmissions hit the (A, B) entry), or the fingerprint of a miter. The
 // engine, seed and limits are deliberately excluded: only decided verdicts
 // are cached, and a decided verdict is a property of the circuits alone.
-// The cluster layer shards jobs and federates verdicts by the same key.
+// The cluster coordinator's verdict index uses the same key.
 type Key struct {
 	// Mode is 'p' for a pair and 'm' for a miter.
 	Mode byte
@@ -20,23 +19,7 @@ type Key struct {
 	Lo, Hi uint64
 }
 
-// String renders the key for logs and wire query parameters.
-func (k Key) String() string {
-	return fmt.Sprintf("%c:%016x:%016x", k.Mode, k.Lo, k.Hi)
-}
-
-// Shard folds the key into the single hash value used for consistent-hash
-// sharding: jobs with the same semantic identity always land on the same
-// ring owner.
-func (k Key) Shard() uint64 {
-	x := k.Lo ^ (k.Hi * 0x9e3779b97f4a7c15) ^ uint64(k.Mode)<<56
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	return x
-}
-
-// KeyOf validates the request shape and derives its cache/shard key.
+// KeyOf validates the request shape and derives its cache key.
 func KeyOf(req Request) (Key, error) {
 	switch {
 	case req.Miter != nil && req.A == nil && req.B == nil:
@@ -51,21 +34,6 @@ func KeyOf(req Request) (Key, error) {
 	default:
 		return Key{}, ErrBadRequest
 	}
-}
-
-// RemoteCache federates decided verdicts across nodes: a service configured
-// with one consults it on a local cache miss and publishes its own decided,
-// non-degraded results back. Implementations must be safe for concurrent
-// use; Lookup and Publish are called without any service lock held, so they
-// may do network I/O. The cluster coordinator's verdict index is the
-// canonical implementation.
-type RemoteCache interface {
-	// Lookup returns a previously decided result for the key, if any node
-	// in the federation has one.
-	Lookup(key Key) (simsweep.Result, bool)
-	// Publish offers a decided, non-degraded result to the federation.
-	// Best-effort: errors are swallowed by the implementation.
-	Publish(key Key, res simsweep.Result)
 }
 
 // lru is a plain LRU map over cached results. It is not self-locking; the
@@ -115,10 +83,9 @@ func (c *lru) put(key Key, res simsweep.Result) {
 
 func (c *lru) len() int { return c.order.Len() }
 
-// TrimResult strips a result down to the fields worth caching or shipping
-// across the federation: the verdict, counter-example and headline numbers
-// survive; bulky artifacts (reduced miter, journal, pattern bank, phase
-// records) are dropped.
+// TrimResult strips a result down to the fields worth caching: the
+// verdict, counter-example and headline numbers survive; bulky artifacts
+// (reduced miter, journal, pattern bank, phase records) are dropped.
 func TrimResult(res simsweep.Result) simsweep.Result {
 	return simsweep.Result{
 		Outcome:        res.Outcome,

@@ -51,7 +51,7 @@ type JobJSON struct {
 	KernelLaunches int     `json:"kernel_launches,omitempty"`
 	// Degraded marks a verdict that survived internal faults. The cluster
 	// coordinator reads it off the wire: degraded verdicts are returned to
-	// the client but never federated.
+	// the client but never enter its verdict index.
 	Degraded bool `json:"degraded,omitempty"`
 	// Node names the worker that executed the job; set by the cluster
 	// coordinator, empty on a single-node daemon.

@@ -107,9 +107,6 @@ func writeMetrics(w io.Writer, st Stats) {
 	fmt.Fprintf(w, "cecd_cache_entries %d\n", st.CacheSize)
 	fmt.Fprintf(w, "# TYPE cecd_queue_cap gauge\n")
 	fmt.Fprintf(w, "cecd_queue_cap %d\n", st.QueueCap)
-	fmt.Fprintf(w, "# HELP cecd_remote_cache_hits_total Submissions answered by the federated result cache.\n")
-	fmt.Fprintf(w, "# TYPE cecd_remote_cache_hits_total counter\n")
-	fmt.Fprintf(w, "cecd_remote_cache_hits_total %d\n", st.RemoteHits)
 	fmt.Fprintf(w, "# HELP cecd_coalesced_total Submissions coalesced onto an identical in-flight job (single-flight).\n")
 	fmt.Fprintf(w, "# TYPE cecd_coalesced_total counter\n")
 	fmt.Fprintf(w, "cecd_coalesced_total %d\n", st.Coalesced)

@@ -102,13 +102,6 @@ type Config struct {
 	// runner that completes a job cleanly resets to base. Only tests set
 	// it.
 	crashBackoffBase time.Duration
-	// Remote, when non-nil, federates the result cache across nodes: a
-	// submission that misses the local LRU consults it before running, and
-	// decided, non-degraded results are published back (asynchronously, so
-	// runner latency never waits on the network). Degraded results are
-	// never published: a verdict that survived faults is trustworthy
-	// locally but must not propagate through the federation.
-	Remote RemoteCache
 }
 
 func (c *Config) fill() {
@@ -220,7 +213,6 @@ type Service struct {
 
 	// counters for /metrics
 	hits, misses  uint64
-	remoteHits    uint64 // submissions answered by the federated cache
 	coalesced     uint64 // submissions attached to an in-flight identical job
 	byOutcome     map[State]uint64
 	latencies     *latencyRing
@@ -236,7 +228,6 @@ type Service struct {
 
 	queue chan *job
 	wg    sync.WaitGroup
-	pubWG sync.WaitGroup // async federation publishes in flight
 	devs  []*par.Device
 }
 
@@ -294,20 +285,18 @@ func (s *Service) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	s.pubWG.Wait()
 	for _, dev := range s.devs {
 		dev.Close()
 	}
 }
 
 // Submit validates and enqueues a request. Cache hits complete instantly
-// (the returned job is already done), as do federated-cache hits and
-// submissions that coalesce onto an identical in-flight job (single-flight:
-// concurrent submissions of the same fingerprint key execute exactly once —
-// the leader runs, the duplicates settle from its verdict as cache hits).
-// Otherwise the job is queued and one of the K runners will pick it up. A
-// full queue fails with ErrQueueFull — that is the admission control the
-// HTTP layer maps to 429.
+// (the returned job is already done), as do submissions that coalesce onto
+// an identical in-flight job (single-flight: concurrent submissions of the
+// same fingerprint key execute exactly once — the leader runs, the
+// duplicates settle from its verdict as cache hits). Otherwise the job is
+// queued and one of the K runners will pick it up. A full queue fails with
+// ErrQueueFull — that is the admission control the HTTP layer maps to 429.
 func (s *Service) Submit(req Request) (Job, error) {
 	key, err := KeyOf(req)
 	if err != nil {
@@ -321,52 +310,9 @@ func (s *Service) Submit(req Request) (Job, error) {
 		timeout = s.cfg.MaxTimeout
 	}
 
+	// The fast checks and the enqueue share one critical section, so two
+	// racing submitters can never both lead.
 	s.mu.Lock()
-	if snap, ok, err := s.submitFastLocked(req, key, timeout); ok || err != nil {
-		s.mu.Unlock()
-		return snap, err
-	}
-	if s.cfg.Remote == nil {
-		// No federation: enqueue under the same critical section as the
-		// fast check, so two racing submitters can never both lead.
-		snap, err := s.enqueueLeaderLocked(req, key, timeout)
-		s.mu.Unlock()
-		if err == nil {
-			s.logf("job %s: queued (engine %s)", snap.ID, engineName(req.Engine))
-		}
-		return snap, err
-	}
-	s.mu.Unlock()
-
-	// Local miss with no in-flight leader: consult the federation before
-	// paying for an execution. Network I/O, so no lock is held; the state
-	// is re-checked afterwards because the lookup can race a local
-	// completion or another submitter becoming leader.
-	if res, ok := s.cfg.Remote.Lookup(key); ok && res.Outcome != simsweep.Undecided {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return Job{}, ErrClosed
-		}
-		s.remoteHits++
-		s.cache.put(key, res)
-		j := s.newJobLocked(req, key, timeout)
-		j.State = StateDone
-		j.CacheHit = true
-		j.Started = j.Created
-		j.Finished = time.Now()
-		r := TrimResult(res)
-		j.Result = &r
-		s.finishLocked(j)
-		snap := j.Job
-		s.mu.Unlock()
-		s.logf("job %s: federated cache hit (%v)", snap.ID, res.Outcome)
-		return snap, nil
-	}
-
-	s.mu.Lock()
-	// Re-check under the lock: the federation lookup took real time, and a
-	// local completion or a new leader may have appeared meanwhile.
 	if snap, ok, err := s.submitFastLocked(req, key, timeout); ok || err != nil {
 		s.mu.Unlock()
 		return snap, err
@@ -649,7 +595,6 @@ func (s *Service) runJob(j *job, dev *par.Device) {
 		}
 	}
 
-	publish := false
 	s.mu.Lock()
 	j.Finished = time.Now()
 	j.KernelLaunches = totalLaunches(dev) - launchesBefore
@@ -677,7 +622,6 @@ func (s *Service) runJob(j *job, dev *par.Device) {
 		// exercising the engines rather than the cache.
 		if res.Outcome != simsweep.Undecided && !res.Degraded {
 			s.cache.put(j.key, res)
-			publish = true
 		}
 	}
 	if res.Degraded {
@@ -686,17 +630,6 @@ func (s *Service) runJob(j *job, dev *par.Device) {
 	s.finishLocked(j)
 	s.mu.Unlock()
 	s.logf("job %s: %s", j.ID, j.State)
-	if publish && s.cfg.Remote != nil {
-		// Offer the decided verdict to the federation off the runner's
-		// critical path; the publish is best-effort and must never hold a
-		// runner (or a lock) across the network.
-		key, trimmed := j.key, TrimResult(res)
-		s.pubWG.Add(1)
-		go func() {
-			defer s.pubWG.Done()
-			s.cfg.Remote.Publish(key, trimmed)
-		}()
-	}
 }
 
 // check dispatches the engines with the runner's device and the job's stop
@@ -802,9 +735,6 @@ type Stats struct {
 	CacheHits   uint64
 	CacheMisses uint64
 	CacheSize   int
-	// RemoteHits counts submissions answered by the federated cache
-	// (Config.Remote) without a local execution.
-	RemoteHits uint64
 	// Coalesced counts submissions that attached to an identical in-flight
 	// job instead of executing (single-flight duplicates).
 	Coalesced  uint64
@@ -840,7 +770,6 @@ func (s *Service) Stats() Stats {
 		CacheHits:     s.hits,
 		CacheMisses:   s.misses,
 		CacheSize:     s.cache.len(),
-		RemoteHits:    s.remoteHits,
 		Coalesced:     s.coalesced,
 		ByOutcome:     by,
 		P50:           p50,

@@ -567,129 +567,3 @@ func TestFollowerPromotedWhenLeaderCancelled(t *testing.T) {
 		t.Fatalf("promoted follower: state=%s result=%+v", j.State, j.Result)
 	}
 }
-
-// stubRemote is a scripted RemoteCache: it counts lookups and records
-// publishes, optionally delaying Lookup to widen the race window between
-// the unlocked federation consult and re-admission.
-type stubRemote struct {
-	mu        sync.Mutex
-	delay     time.Duration
-	hit       map[Key]simsweep.Result
-	lookups   int
-	published []Key
-}
-
-func (r *stubRemote) Lookup(key Key) (simsweep.Result, bool) {
-	if r.delay > 0 {
-		time.Sleep(r.delay)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lookups++
-	res, ok := r.hit[key]
-	return res, ok
-}
-
-func (r *stubRemote) Publish(key Key, res simsweep.Result) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.published = append(r.published, key)
-}
-
-// TestConcurrentIdenticalSubmitsWithRemoteCache is the federation-path
-// half of the single-flight contract: with a RemoteCache configured,
-// Submit drops the service lock to consult it, and concurrent identical
-// submissions racing through that window must still execute exactly once.
-// The verdict must then be published to the federation exactly once.
-func TestConcurrentIdenticalSubmitsWithRemoteCache(t *testing.T) {
-	pairs(t)
-	remote := &stubRemote{delay: 2 * time.Millisecond}
-	s := New(Config{MaxConcurrent: 2, TotalWorkers: 2, QueueCap: 64, Remote: remote})
-
-	const submitters = 16
-	ids := make([]string, submitters)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < submitters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			j, err := s.Submit(Request{A: fastA, B: fastB})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			ids[i] = j.ID
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
-	executions := 0
-	for _, id := range ids {
-		j := waitTerminal(t, s, id, 60*time.Second)
-		if j.State != StateDone || j.Result == nil || j.Result.Outcome != simsweep.Equivalent {
-			t.Fatalf("job %s: state=%s", id, j.State)
-		}
-		if !j.CacheHit {
-			executions++
-		}
-	}
-	if executions != 1 {
-		t.Fatalf("%d executions through the federation window, want 1", executions)
-	}
-	st := s.Stats()
-	if st.CacheMisses != 1 {
-		t.Fatalf("cache misses = %d, want 1", st.CacheMisses)
-	}
-	// Close flushes the async publisher before we inspect the stub.
-	s.Close()
-	remote.mu.Lock()
-	defer remote.mu.Unlock()
-	if len(remote.published) != 1 {
-		t.Fatalf("published %d times, want 1", len(remote.published))
-	}
-	key, _ := KeyOf(Request{A: fastA, B: fastB})
-	if remote.published[0] != key {
-		t.Fatalf("published key %v, want %v", remote.published[0], key)
-	}
-	if remote.lookups == 0 {
-		t.Fatal("remote cache never consulted")
-	}
-}
-
-// TestRemoteCacheHitSkipsExecution: a verdict already federated elsewhere
-// settles the submission as a cache hit without running anything.
-func TestRemoteCacheHitSkipsExecution(t *testing.T) {
-	pairs(t)
-	key, _ := KeyOf(Request{A: fastA, B: fastB})
-	remote := &stubRemote{hit: map[Key]simsweep.Result{
-		key: {Outcome: simsweep.Equivalent, EngineUsed: "federated"},
-	}}
-	s := New(Config{MaxConcurrent: 1, Remote: remote})
-	defer s.Close()
-
-	j, err := s.Submit(Request{A: fastA, B: fastB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.State != StateDone || !j.CacheHit {
-		t.Fatalf("remote hit not instant: state=%s cached=%v", j.State, j.CacheHit)
-	}
-	if j.Result.EngineUsed != "federated" {
-		t.Fatalf("result not from the federation: %+v", j.Result)
-	}
-	st := s.Stats()
-	if st.RemoteHits != 1 || st.CacheMisses != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-	// The federated verdict is now in the local LRU: a repeat stays local.
-	before := remote.lookups
-	if j2, _ := s.Submit(Request{A: fastB, B: fastA}); !j2.CacheHit {
-		t.Fatal("repeat missed the local cache")
-	}
-	if remote.lookups != before {
-		t.Fatal("repeat consulted the federation despite a local entry")
-	}
-}
