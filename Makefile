@@ -110,7 +110,7 @@ soak-faults:
 bench:
 	$(GO) test -bench 'BenchmarkExhaustiveCheckBatch|BenchmarkDeviceLaunch' -benchmem ./internal/par/ ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckMiterDatapath' -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkHybridControl' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkHybridControl|BenchmarkHybridWide' -benchmem .
 	$(GO) test -bench 'BenchmarkCutsPass|BenchmarkEnumerateNode' -benchmem ./internal/cuts/
 	$(GO) test -bench 'BenchmarkPOPass' -benchmem ./internal/satsweep/
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeMiter' -benchmem ./internal/cnf/

@@ -241,15 +241,38 @@ func BenchmarkEngineKernels(b *testing.B) {
 // CheckMiter as the facade's users do: one fresh check per op on a
 // long-lived 2-worker device, op i with simulation seed i+1, as each pass
 // of the ledger draws a seed of its own. A check's time hinges on hybrid's
-// PO-level SAT attempt after P+G: when it proves every PO the check ends
-// there, and when it stalls the check runs an L phase and a second
-// attempt, about twice as long. max-ms reports the slowest op, so a
-// stalled op shows even when the mean hides it.
+// PO-level SAT attempt after P+G: its first PO call runs out of its share
+// of the budget and the attempt sweeps the open cones, which decides the
+// check. max-ms reports the slowest op, so a stalled op shows even when
+// the mean hides it.
 func BenchmarkHybridControl(b *testing.B) {
 	g, err := gen.Control(gen.StyleVGA, 7, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchHybrid(b, g)
+}
+
+// BenchmarkHybridWide is BenchmarkHybridControl on the wide miters where
+// hybrid's attempt after P+G is nearly the whole check: the vga-w10 fabric
+// and the 18-bit multiplier, each against its resyn2 self.
+func BenchmarkHybridWide(b *testing.B) {
+	vga, err := gen.Control(gen.StyleVGA, 10, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mult, err := gen.Multiplier(18)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("vga-w10", func(b *testing.B) { benchHybrid(b, vga) })
+	b.Run("multiplier-18", func(b *testing.B) { benchHybrid(b, mult) })
+}
+
+// benchHybrid checks g against its resyn2 self once per op, each op a fresh
+// check with its own seed on one 2-worker device, and reports the slowest
+// op as max-ms.
+func benchHybrid(b *testing.B, g *AIG) {
 	m, err := BuildMiter(g, Optimize(g))
 	if err != nil {
 		b.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"simsweep"
+	"simsweep/internal/gen"
 	"simsweep/internal/service"
 )
 
@@ -117,17 +118,21 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// Generated workload. Verdict jobs use distinct equivalent pairs plus
 	// one deliberately buggy pair; the cancel and timeout targets use a
-	// larger pair whose SAT sweep runs long enough to interrupt.
+	// pair whose SAT sweep runs for seconds, long enough to interrupt:
+	// 8-bit array and Booth multipliers, which share no internal structure.
 	base, err := simsweep.Generate("multiplier", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := simsweep.Optimize(base)
-	slow, err := simsweep.Generate("multiplier", 9)
+	slow, err := gen.Multiplier(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowOpt := simsweep.Optimize(slow)
+	slowOpt, err := gen.MultiplierBooth(8)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	variant := func(g *simsweep.AIG, i int) *simsweep.AIG {
 		v := g.Copy()
@@ -186,7 +191,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Cancel the first slow job via DELETE once it is demonstrably
-	// running (the SAT sweep on the mult9 pair runs for seconds, so the
+	// running (the SAT sweep on the array/Booth pair runs for seconds, so the
 	// DELETE lands while it is mid-flight), sampling the admission gauge
 	// along the way.
 	maxRunning := 0

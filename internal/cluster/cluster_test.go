@@ -22,8 +22,9 @@ import (
 
 // Shared circuits, built once: a pair the hybrid engine proves in
 // milliseconds, a buggy copy, and a pair whose SAT sweep is the slowest
-// job here, about 0.1 s on a 2-vCPU host (used to keep a worker busy while
-// we kill it).
+// job here, seconds on a 2-vCPU host (used to keep a worker busy while we
+// kill it): 8-bit array and Booth multipliers, which share no internal
+// structure, so the sweep's pairs are hard by construction.
 var (
 	buildOnce    sync.Once
 	eqA, eqB     *aig.AIG
@@ -49,7 +50,10 @@ func circuits(t *testing.T) {
 		// high tell the pair apart, so not every pattern is a counter-example.
 		neqA, neqB = eqA.Copy(), eqB.Copy()
 		neqB.SetPO(3, neqB.And(neqB.PO(3), neqB.PI(0)))
-		slowA, slowB, buildErr = mk("multiplier", 8)
+		if slowA, buildErr = gen.Multiplier(8); buildErr != nil {
+			return
+		}
+		slowB, buildErr = gen.MultiplierBooth(8)
 	})
 	if buildErr != nil {
 		t.Fatal(buildErr)

@@ -15,8 +15,11 @@
 // for later it is encoded on its own: it computes the same function.
 // Encoding is lazy and cone-of-influence driven, so only the logic feeding
 // requested literals is translated, and clauses persist on one solver
-// across queries. MiterToFormula keeps the plain one-variable-per-AND
-// Tseitin export.
+// across queries. The graph may grow between queries (a FRAIG under
+// construction): a node added later counts as a fanout of its fanins from
+// then on, so a node folded into a supergate while it had one fanout gets
+// a definition of its own when a new node reads it. MiterToFormula keeps
+// the plain one-variable-per-AND Tseitin export.
 package cnf
 
 import (
@@ -37,6 +40,8 @@ type Encoder struct {
 	seen   []uint32  // AIG literal -> last epoch that made it a leaf
 	epoch  uint32
 	clause []sat.Lit // the supergate's long clause
+	cone   []uint32  // node id -> last epoch of Cone that reached it
+	coneEp uint32
 }
 
 // NewEncoder creates an encoder of g into s.
@@ -46,6 +51,24 @@ func NewEncoder(g *aig.AIG, s *sat.Solver) *Encoder {
 		varOf[i] = -1
 	}
 	return &Encoder{g: g, s: s, varOf: varOf, fanout: g.FanoutCounts()}
+}
+
+// grow extends the per-node tables to the nodes added to the graph since
+// the last query, counting each new AND as a fanout of its fanins.
+func (e *Encoder) grow() {
+	n := e.g.NumNodes()
+	for id := len(e.varOf); id < n; id++ {
+		e.varOf = append(e.varOf, -1)
+		e.fanout = append(e.fanout, 0)
+		if e.g.IsAnd(id) {
+			f0, f1 := e.g.Fanins(id)
+			e.fanout[f0.ID()]++
+			e.fanout[f1.ID()]++
+		}
+	}
+	if e.seen != nil && len(e.seen) < 2*n {
+		e.seen = append(e.seen, make([]uint32, 2*n-len(e.seen))...)
+	}
 }
 
 // Solver returns the underlying solver.
@@ -59,6 +82,7 @@ func (e *Encoder) VarOf(id int) int32 { return e.varOf[id] }
 // LitOf encodes (if necessary) the cone of the AIG literal l and returns
 // the corresponding SAT literal.
 func (e *Encoder) LitOf(l aig.Lit) sat.Lit {
+	e.grow()
 	v := e.encode(l.ID())
 	return sat.MkLit(int(v), l.IsCompl())
 }
@@ -205,10 +229,45 @@ func (e *Encoder) XorAssumption(a, b aig.Lit) sat.Lit {
 	return t
 }
 
+// Cone appends to vars the SAT variables of the nodes in the cone of the
+// encoded roots, and to pis the PI node ids of that cone: vars is the
+// decision scope of a query over the roots (sat.Solver.SolveIn), since a
+// node's clauses mention only nodes of its own cone.
+func (e *Encoder) Cone(vars []int, pis []int32, roots ...aig.Lit) ([]int, []int32) {
+	if n := e.g.NumNodes(); len(e.cone) < n {
+		e.cone = append(e.cone, make([]uint32, n-len(e.cone))...)
+	}
+	e.coneEp++
+	stack := append(e.walk[:0], roots...)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1].ID()
+		stack = stack[:len(stack)-1]
+		if e.cone[id] == e.coneEp {
+			continue
+		}
+		e.cone[id] = e.coneEp
+		if v := e.varOf[id]; v >= 0 {
+			vars = append(vars, int(v))
+		}
+		switch {
+		case e.g.IsAnd(id):
+			f0, f1 := e.g.Fanins(id)
+			stack = append(stack, f0, f1)
+		case e.g.IsPI(id):
+			pis = append(pis, int32(id))
+		}
+	}
+	e.walk = stack
+	return vars, pis
+}
+
 // Model reads the value of AIG node id from the model after a Sat answer;
 // ok is false when the node has no variable (never encoded, or folded into
 // a supergate), so the model does not hold its value.
 func (e *Encoder) Model(id int) (value, ok bool) {
+	if id >= len(e.varOf) {
+		return false, false
+	}
 	v := e.varOf[id]
 	if v < 0 {
 		return false, false

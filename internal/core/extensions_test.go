@@ -111,8 +111,8 @@ func TestSeededSweepNeverFewerDisprovedByCEX(t *testing.T) {
 	if plain.Outcome != seeded.Outcome {
 		t.Fatalf("outcomes differ: %v vs %v", plain.Outcome, seeded.Outcome)
 	}
-	if seeded.Stats.Disproved > plain.Stats.Disproved {
-		t.Fatalf("seeded sweep disproved more by SAT (%d) than unseeded (%d)",
-			seeded.Stats.Disproved, plain.Stats.Disproved)
+	if seeded.Stats.Pairs.Disproved > plain.Stats.Pairs.Disproved {
+		t.Fatalf("seeded sweep disproved more pairs by SAT (%d) than unseeded (%d)",
+			seeded.Stats.Pairs.Disproved, plain.Stats.Pairs.Disproved)
 	}
 }

@@ -6,6 +6,10 @@ type varHeap struct {
 	activity *[]float64
 	heap     []int
 	indices  []int // position in heap, -1 when absent
+	// member and epoch mark the member set of a heap made by build: the
+	// variables whose member entry equals epoch.
+	member []uint32
+	epoch  uint32
 }
 
 func newVarHeap(activity *[]float64) *varHeap {
@@ -52,7 +56,8 @@ func (h *varHeap) down(i int) {
 	}
 }
 
-// push inserts a new variable (its index must equal len(indices)).
+// push inserts a variable unless the heap holds it, growing the index map
+// for a new one.
 func (h *varHeap) push(v int) {
 	for len(h.indices) <= v {
 		h.indices = append(h.indices, -1)
@@ -60,13 +65,51 @@ func (h *varHeap) push(v int) {
 	if h.indices[v] >= 0 {
 		return
 	}
+	h.insert(v)
+}
+
+func (h *varHeap) insert(v int) {
 	h.indices[v] = len(h.heap)
 	h.heap = append(h.heap, v)
 	h.up(h.indices[v])
 }
 
-// pushIfAbsent re-inserts a variable after unassignment.
-func (h *varHeap) pushIfAbsent(v int) { h.push(v) }
+// pushIn re-inserts a variable of the heap's member set (see build) after
+// unassignment; any other variable stays out.
+func (h *varHeap) pushIn(v int) {
+	if h.member[v] == h.epoch && h.indices[v] < 0 {
+		h.insert(v)
+	}
+}
+
+// build makes the heap hold exactly the variables vs, which become its
+// member set, in activity order.
+func (h *varHeap) build(vs []int) {
+	n := len(*h.activity)
+	for len(h.indices) < n {
+		h.indices = append(h.indices, -1)
+		h.member = append(h.member, 0)
+	}
+	h.epoch++
+	for _, v := range vs {
+		if h.member[v] != h.epoch {
+			h.member[v] = h.epoch
+			h.indices[v] = len(h.heap)
+			h.heap = append(h.heap, v)
+		}
+	}
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// clear empties the heap.
+func (h *varHeap) clear() {
+	for _, v := range h.heap {
+		h.indices[v] = -1
+	}
+	h.heap = h.heap[:0]
+}
 
 // pop removes and returns the highest-activity variable.
 func (h *varHeap) pop() (int, bool) {

@@ -2,7 +2,8 @@
 // literal propagation with blocker literals over a pointer-free clause
 // arena, first-UIP conflict analysis with clause learning,
 // VSIDS branching with phase saving, Luby restarts, learnt-clause database
-// reduction, incremental solving under assumptions, and conflict budgets
+// reduction, incremental solving under assumptions, decisions confined to
+// a caller's variables (the cone of a circuit query), and conflict budgets
 // (the -C knob of ABC's &cec that the sweeping baseline relies on).
 package sat
 
@@ -135,6 +136,10 @@ type Solver struct {
 	varInc   float64
 
 	order *varHeap
+	// scope is the decision heap of a SolveIn call, over the same
+	// activities as order; scoped is set while such a call runs.
+	scope  *varHeap
+	scoped bool
 
 	trail    []Lit
 	trailLim []int
@@ -157,6 +162,7 @@ type Solver struct {
 func New() *Solver {
 	s := &Solver{ok: true, varInc: 1, claInc: 1, maxLrnts: 4096}
 	s.order = newVarHeap(&s.activity)
+	s.scope = newVarHeap(&s.activity)
 	return s
 }
 
@@ -504,6 +510,9 @@ func (s *Solver) bumpVar(v int) {
 		s.varInc *= 1e-100
 	}
 	s.order.update(v)
+	if s.scoped {
+		s.scope.update(v)
+	}
 }
 
 func (s *Solver) bumpClause(c cref) {
@@ -532,16 +541,28 @@ func (s *Solver) backtrackTo(level int) {
 		s.vals[l] = lUndef
 		s.vals[l^1] = lUndef
 		s.reason[v] = noClause
-		s.order.pushIfAbsent(v)
+		s.order.push(v)
+		if s.scoped {
+			s.scope.pushIn(v)
+		}
 	}
 	s.trail = s.trail[:lim]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = len(s.trail)
 }
 
+// decisions returns the heap that the current call decides from.
+func (s *Solver) decisions() *varHeap {
+	if s.scoped {
+		return s.scope
+	}
+	return s.order
+}
+
 func (s *Solver) pickBranchVar() int {
+	h := s.decisions()
 	for {
-		v, ok := s.order.pop()
+		v, ok := h.pop()
 		if !ok {
 			return -1
 		}
@@ -640,7 +661,25 @@ func luby(i int64) int64 {
 // limit, and a call whose last learnt clause concludes Unsat (by level-0
 // propagation or a false assumption) answers under a limit equal to the
 // conflicts it needs. After Sat, Value reads the model.
-func (s *Solver) Solve(assumptions ...Lit) Status {
+func (s *Solver) Solve(assumptions ...Lit) Status { return s.solve(nil, false, assumptions) }
+
+// SolveIn is Solve with its decisions confined to the variables in scope:
+// it answers Sat once every scope variable is assigned with no conflict,
+// and a variable outside the scope takes a value only by propagation (Value
+// reads an unassigned one as false). The answer is the answer of Solve, and
+// the scope's part of the model extends to a model of every clause, when
+// each clause over a variable outside the scope defines that variable as a
+// function of others (a Tseitin definition) or is implied by the clauses,
+// and the scope holds the variables that the definitions of its own
+// variables mention, as the variables of a circuit query's cone do. Only
+// the call's own heap over the scope is popped, so the search never visits
+// the rest of the formula, and Solve afterwards still decides over every
+// variable.
+func (s *Solver) SolveIn(scope []int, assumptions ...Lit) Status {
+	return s.solve(scope, true, assumptions)
+}
+
+func (s *Solver) solve(scope []int, scoped bool, assumptions []Lit) Status {
 	if !s.ok {
 		return Unsat
 	}
@@ -648,6 +687,11 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	if c := s.propagate(); c != noClause {
 		s.ok = false
 		return Unsat
+	}
+	if scoped {
+		s.scope.build(scope)
+		s.scoped = true
+		defer s.endScope()
 	}
 
 	startConfl := s.stats.Conflicts
@@ -729,10 +773,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if next < 0 {
 			v := s.pickBranchVar()
 			if v < 0 {
-				return Sat // all variables assigned
+				return Sat // all variables (of the scope) assigned
 			}
 			if s.spent(startConfl) {
-				s.order.pushIfAbsent(v)
+				s.decisions().push(v)
 				s.backtrackTo(0)
 				return Unknown
 			}
@@ -742,6 +786,13 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.uncheckedEnqueue(next, noClause)
 	}
+}
+
+// endScope ends a SolveIn call: its heap empties, and every variable stays
+// in order, which the call never popped.
+func (s *Solver) endScope() {
+	s.scoped = false
+	s.scope.clear()
 }
 
 // spent reports whether the call that started at startConfl conflicts has

@@ -8,7 +8,8 @@ import (
 	"simsweep/internal/opt"
 )
 
-// BenchmarkPOPass measures the PO pass alone (finishPOs, no budget) on the
+// BenchmarkPOPass measures the PO pass alone (CheckPOs under a budget that
+// no call runs out of, so it never sweeps) on the
 // unreduced miter of the ac97 w8 control fabric against its resyn2 self:
 // every PO is proved on one incremental solver, so the time is nearly all
 // CDCL propagation and conflict analysis.
@@ -24,7 +25,7 @@ func BenchmarkPOPass(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res, _ := finishPOs(m, Options{}, Result{Reduced: m}, nil, nil); res.Outcome != miter.Equivalent {
+		if res, _, _ := CheckPOs(m, Options{}, ample, nil); res.Outcome != miter.Equivalent {
 			b.Fatalf("outcome = %v", res.Outcome)
 		}
 	}

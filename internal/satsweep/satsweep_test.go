@@ -49,7 +49,7 @@ func TestSweepProvesAdderEquivalence(t *testing.T) {
 	if res.Outcome != miter.Equivalent {
 		t.Fatalf("outcome = %v, stats = %+v", res.Outcome, res.Stats)
 	}
-	if res.Stats.SATCalls == 0 {
+	if res.Stats.SATCalls() == 0 {
 		t.Fatal("sweep proved a non-trivial miter with zero SAT calls")
 	}
 }
@@ -114,6 +114,11 @@ func TestSweepSubtleBugNeedsSAT(t *testing.T) {
 			t.Fatalf("CEX[%d] = false, want all-ones: %v", i, res.CEX)
 		}
 	}
+	// The sweep itself ends there: the model that tells the PO node from
+	// the constant fires the PO once simulated.
+	if _, cex, st := Sweep(m, Options{Seed: 3, simWords: 1}, 0); st.Pairs.Disproved == 0 || !fires(m, cex) {
+		t.Fatalf("sweep: %d pairs disproved, counter-example %v", st.Pairs.Disproved, cex)
+	}
 }
 
 func TestSweepConflictBudgetUndecided(t *testing.T) {
@@ -147,7 +152,7 @@ func TestSweepConflictBudgetUndecided(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := CheckMiter(m, Options{Seed: 5, ConflictLimit: 1, maxRounds: 2})
+	res := CheckMiter(m, Options{Seed: 5, ConflictLimit: 1})
 	// With a tiny budget the verdict may be Undecided; it must never be
 	// NotEquivalent (the circuits are equivalent by construction).
 	if res.Outcome == miter.NotEquivalent {
@@ -242,7 +247,7 @@ func TestSweepBudgetExhaustionReachesPOStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := CheckMiter(m, Options{Seed: 14, ConflictLimit: 1, maxRounds: 3})
+	res := CheckMiter(m, Options{Seed: 14, ConflictLimit: 1})
 	if res.Outcome == miter.NotEquivalent {
 		t.Fatal("budgeted sweep disproved an equivalent miter")
 	}
@@ -371,14 +376,14 @@ func constantOneMiter(t *testing.T) (m, reduced *aig.AIG) {
 // ample is a conflict budget no PO pass of these tests comes near.
 const ample = int64(1) << 40
 
-// TestPOPassConstantOneHasCEX checks that the PO pass, budgeted (CheckPOs)
-// or not (finishPOs with no charge, the final pass of CheckMiter), disproves
-// a miter with a constant-one PO by a counter-example (any input fires it)
-// that replays on both the merged and the original miter.
+// TestPOPassConstantOneHasCEX checks that a check with a budget (CheckPOs)
+// or without (CheckMiter) disproves a miter with a constant-one PO by a
+// counter-example (any input fires it) that replays on both the merged and
+// the original miter.
 func TestPOPassConstantOneHasCEX(t *testing.T) {
 	m, reduced := constantOneMiter(t)
 	budgeted, _, _ := CheckPOs(reduced, Options{}, ample, nil)
-	unbudgeted, _ := finishPOs(reduced, Options{}, Result{Reduced: reduced}, nil, nil)
+	unbudgeted := CheckMiter(reduced, Options{})
 	for _, res := range []Result{budgeted, unbudgeted} {
 		if res.Outcome != miter.NotEquivalent {
 			t.Fatalf("outcome = %v, want not equivalent", res.Outcome)
@@ -391,20 +396,21 @@ func TestPOPassConstantOneHasCEX(t *testing.T) {
 
 // TestCheckPOsBudget pins the budgeted PO pass: a spent budget asks nothing
 // and hands the miter back undecided, not stopped; an ample one proves every
-// PO and charges nothing; a faulted query is recovered into an Undecided
-// result that carries the input miter and the fault.
+// PO and charges nothing; a faulted query, of a PO or of the sweep's pair,
+// is recovered into an Undecided result that carries the input miter and
+// the fault.
 func TestCheckPOsBudget(t *testing.T) {
 	m, err := miter.Build(adder(6, false), adder(6, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, unanswered, _ := CheckPOs(m, Options{}, 0, nil)
-	if res.Outcome != miter.Undecided || res.Stopped || res.Reduced != m || res.Stats.SATCalls != 0 || unanswered != 0 {
-		t.Fatalf("zero budget: outcome %v, stopped %v, %d calls, %d unanswered", res.Outcome, res.Stopped, res.Stats.SATCalls, unanswered)
+	if res.Outcome != miter.Undecided || res.Stopped || res.Reduced != m || res.Stats.SATCalls() != 0 || unanswered != 0 {
+		t.Fatalf("zero budget: outcome %v, stopped %v, %d calls, %d unanswered", res.Outcome, res.Stopped, res.Stats.SATCalls(), unanswered)
 	}
 	res, unanswered, _ = CheckPOs(m, Options{}, ample, nil)
-	if res.Outcome != miter.Equivalent || !miter.IsProved(res.Reduced) || res.Stats.SATCalls == 0 || res.Stats.Runtime <= 0 || unanswered != 0 {
-		t.Fatalf("ample budget: outcome %v, %d calls, runtime %v, %d unanswered", res.Outcome, res.Stats.SATCalls, res.Stats.Runtime, unanswered)
+	if res.Outcome != miter.Equivalent || !miter.IsProved(res.Reduced) || res.Stats.SATCalls() == 0 || res.Stats.Runtime <= 0 || unanswered != 0 {
+		t.Fatalf("ample budget: outcome %v, %d calls, runtime %v, %d unanswered", res.Outcome, res.Stats.SATCalls(), res.Stats.Runtime, unanswered)
 	}
 	in, err := fault.Parse("satsweep.pair.oom:every=1", 1)
 	if err != nil {
@@ -414,15 +420,23 @@ func TestCheckPOsBudget(t *testing.T) {
 	if res.Outcome != miter.Undecided || res.Reduced != m || len(res.Faults) != 1 {
 		t.Fatalf("faulted: outcome %v, faults %v", res.Outcome, res.Faults)
 	}
+	// CheckMiter sweeps before it asks any PO, so there the hook fires on
+	// a pair query.
+	if res := CheckMiter(m, Options{Faults: in}); res.Outcome != miter.Undecided || res.Reduced != m || len(res.Faults) != 1 {
+		t.Fatalf("faulted sweep: outcome %v, faults %v", res.Outcome, res.Faults)
+	}
 }
 
-// poConflicts runs an unbudgeted traced PO pass over m and returns the
-// conflicts of its costliest call and of all its calls.
+// poConflicts runs a traced PO pass over m under a budget that no call runs
+// out of and returns the conflicts of its costliest call and of all its
+// calls.
 func poConflicts(t *testing.T, m *aig.AIG) (most, total int64) {
 	t.Helper()
 	tr := trace.New(0)
 	tr.Enable()
-	finishPOs(m, Options{Trace: tr}, Result{Reduced: m}, nil, nil)
+	if res, _, _ := CheckPOs(m, Options{Trace: tr}, ample, nil); res.Stats.Pairs.Asked != 0 {
+		t.Fatalf("the PO pass under an ample budget swept: %+v", res.Stats)
+	}
 	for _, e := range tr.Events() {
 		if e.Kind != trace.KindSpan || e.Name != "sat.po" {
 			continue
@@ -437,14 +451,17 @@ func poConflicts(t *testing.T, m *aig.AIG) (most, total int64) {
 	return most, total
 }
 
-// TestCheckPOsChargesOnlyUnanswered pins the charging rule of the budgeted
-// PO pass: a call that proves its PO or finds a model costs nothing. The
-// budget is the conflicts of the pass's costliest call (a call answers
-// under a limit equal to the conflicts it needs), so no call runs out of
-// conflicts, and it is below the pass's conflicts in total, which an
-// attempt charged for every call could not afford: it decides the EQ miter
-// Equivalent and disproves the NEQ one, whose differing PO is last, with
-// nothing charged.
+// TestCheckPOsChargesOnlyUnanswered pins the charging rule of the attempt:
+// a call that proves its PO or finds a model costs nothing, and a call that
+// runs out of its share costs exactly that share. Under a budget of the
+// conflicts of the PO pass's costliest call times the open POs, every
+// call's share is the costliest call (a call answers under a limit equal to
+// the conflicts it needs), so no call runs out: the attempt decides the EQ
+// miter Equivalent and disproves the NEQ one, whose differing PO is last,
+// with nothing charged and no sweep, though it spends more conflicts than
+// any one share. One conflict less and the costliest call runs out of its
+// share, a conflict short: the attempt charges that share alone, sweeps the
+// open cones and decides the same.
 func TestCheckPOsChargesOnlyUnanswered(t *testing.T) {
 	eq, err := miter.Build(adder(6, false), adder(6, true))
 	if err != nil {
@@ -464,17 +481,25 @@ func TestCheckPOsChargesOnlyUnanswered(t *testing.T) {
 		want miter.Outcome
 	}{{"EQ", eq, miter.Equivalent}, {"NEQ", neq, miter.NotEquivalent}} {
 		most, total := poConflicts(t, tc.m)
-		budget := most
-		if most == 0 || total <= budget {
+		open := int64(openPOs(tc.m))
+		if most == 0 || total <= most {
 			t.Fatalf("%s: costliest call %d of %d conflicts: the miter does not separate the charging rules", tc.name, most, total)
 		}
-		res, unanswered, _ := CheckPOs(tc.m, Options{}, budget, nil)
-		if res.Outcome != tc.want || res.Stats.SATCalls != openPOs(tc.m) || unanswered != 0 {
-			t.Fatalf("%s, budget %d of %d conflicts: outcome %v, %d of %d POs asked, %d unanswered",
-				tc.name, budget, total, res.Outcome, res.Stats.SATCalls, openPOs(tc.m), unanswered)
+		res, unanswered, _ := CheckPOs(tc.m, Options{}, most*open, nil)
+		if res.Outcome != tc.want || res.Stats.POs.Asked != openPOs(tc.m) || res.Stats.Pairs.Asked != 0 || unanswered != 0 {
+			t.Fatalf("%s, shares of %d of %d conflicts: outcome %v, %d of %d POs asked, %d pairs, %d unanswered",
+				tc.name, most, total, res.Outcome, res.Stats.POs.Asked, openPOs(tc.m), res.Stats.Pairs.Asked, unanswered)
 		}
 		if tc.want == miter.NotEquivalent && !fires(tc.m, res.CEX) {
 			t.Fatalf("%s: counter-example %v does not replay", tc.name, res.CEX)
+		}
+		res, unanswered, _ = CheckPOs(tc.m, Options{}, most*open-1, nil)
+		if res.Outcome != tc.want || res.Stats.POs.Unknown != 1 || unanswered != most-1 {
+			t.Fatalf("%s, shares of %d conflicts: outcome %v, %d POs unanswered, %d pairs, %d charged",
+				tc.name, most-1, res.Outcome, res.Stats.POs.Unknown, res.Stats.Pairs.Asked, unanswered)
+		}
+		if tc.want == miter.NotEquivalent && !fires(tc.m, res.CEX) {
+			t.Fatalf("%s: counter-example %v of the sweep does not replay", tc.name, res.CEX)
 		}
 	}
 }
@@ -493,11 +518,15 @@ func openPOs(m *aig.AIG) int {
 // TestCheckPOsAsksStalledPOsLast puts one PO that needs seconds of SAT (the
 // middle product bit of an 8-bit Booth-vs-array multiplier miter) ahead of
 // the easy POs of an adder miter, under a budget of 2,000 conflicts. The
-// first pass spends the whole budget on the hard PO, exactly, and asks
-// nothing else. The second pass, told that PO stalled, must ask it last and
-// prove every easy PO first; in index order it would spend its whole budget
-// on the hard PO again. With a per-call ConflictLimit below the budget, one
-// pass charges the hard PO that limit and goes on to the easy POs.
+// first attempt's call on the hard PO runs out of its share, and the sweep
+// of the open cones, which reaches the hard PO's cone first, spends the
+// rest of the budget there, exactly, before it reaches any easy PO. The
+// second attempt, told that PO stalled, must ask it last and prove every
+// easy PO first; in index order it would spend its whole budget on the hard
+// PO's cone again. With a per-call ConflictLimit below the share, no call
+// spends the budget alone: the first attempt charges the hard PO's calls
+// and the sweep's hard pairs that limit each and sweeps on to prove every
+// easy PO within the budget.
 func TestCheckPOsAsksStalledPOsLast(t *testing.T) {
 	hard, err := gen.BoothArrayMiter(8, false)
 	if err != nil {
@@ -515,20 +544,21 @@ func TestCheckPOsAsksStalledPOsLast(t *testing.T) {
 	const budget = 2000
 
 	first, unanswered, stalled := CheckPOs(m, Options{}, budget, nil)
-	if first.Outcome != miter.Undecided || first.Stats.SATCalls != 1 || unanswered != budget || !slices.Equal(stalled, []int{0}) {
-		t.Fatalf("first pass: outcome %v, %d calls, %d unanswered, stalled %v; want undecided after one call, %d unanswered, stalled [0]",
-			first.Outcome, first.Stats.SATCalls, unanswered, stalled, budget)
+	if first.Outcome != miter.Undecided || first.Stats.POs.Asked != 1 || first.Stats.Pairs.Asked == 0 ||
+		unanswered != budget || !slices.Equal(stalled, []int{0}) || openPOs(first.Reduced) != openPOs(m) {
+		t.Fatalf("first attempt: outcome %v, %d POs and %d pairs asked, %d unanswered, stalled %v, %d of %d POs open; want undecided after one PO, %d unanswered, stalled [0], no PO proved",
+			first.Outcome, first.Stats.POs.Asked, first.Stats.Pairs.Asked, unanswered, stalled, openPOs(first.Reduced), openPOs(m), budget)
 	}
 	second, unanswered, stalled := CheckPOs(first.Reduced, Options{}, budget, stalled)
-	if second.Stats.Proved != openPOs(m)-1 || unanswered != budget || !slices.Equal(stalled, []int{0}) {
-		t.Fatalf("second pass: %d of %d easy POs proved, %d unanswered, stalled %v", second.Stats.Proved, openPOs(m)-1, unanswered, stalled)
+	if second.Stats.POs.Proved != openPOs(m)-1 || unanswered != budget || !slices.Equal(stalled, []int{0}) {
+		t.Fatalf("second attempt: %d of %d easy POs proved, %d unanswered, stalled %v", second.Stats.POs.Proved, openPOs(m)-1, unanswered, stalled)
 	}
-	assertEasyProved(t, "second pass", second.Reduced)
+	assertEasyProved(t, "second attempt", second.Reduced)
 
 	const perCall = 300
 	capped, unanswered, stalled := CheckPOs(m, Options{ConflictLimit: perCall}, budget, nil)
-	if capped.Stats.Proved != openPOs(m)-1 || unanswered != perCall || !slices.Equal(stalled, []int{0}) {
-		t.Fatalf("per-call limit %d: %d of %d easy POs proved, %d unanswered, stalled %v", perCall, capped.Stats.Proved, openPOs(m)-1, unanswered, stalled)
+	if unanswered >= budget || !slices.Equal(stalled, []int{0}) {
+		t.Fatalf("per-call limit %d: %d unanswered, stalled %v; want under the budget of %d, stalled [0]", perCall, unanswered, stalled, budget)
 	}
 	assertEasyProved(t, "per-call limit", capped.Reduced)
 }

@@ -14,7 +14,9 @@ import (
 
 // Shared test instances, built once: a pair the hybrid engine proves in
 // milliseconds, and a pair whose SAT sweep runs for seconds (the "slow
-// job" used by the cancellation, timeout and admission tests).
+// job" used by the cancellation, timeout and admission tests): 8-bit array
+// and Booth multipliers, which share no internal structure, so the sweep's
+// pairs are hard, while hybrid's P phase proves them in milliseconds.
 var (
 	buildOnce      sync.Once
 	fastA, fastB   *aig.AIG
@@ -34,7 +36,13 @@ func pairs(t *testing.T) {
 			return g, opt.Resyn2(g, nil)
 		}
 		fastA, fastB = mk("multiplier", 6)
-		slowA, slowB = mk("multiplier", 8)
+		var err error
+		if slowA, err = gen.Multiplier(8); err != nil {
+			t.Fatal(err)
+		}
+		if slowB, err = gen.MultiplierBooth(8); err != nil {
+			t.Fatal(err)
+		}
 		mismA, _ = mk("adder", 4)
 		mismB, _ = mk("adder", 5)
 		buggyA, buggyB = mk("multiplier", 6)

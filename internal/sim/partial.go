@@ -21,16 +21,6 @@ type PIValue struct {
 	Value bool
 }
 
-// PatternOf converts a full PI assignment (by PI index) into the pattern
-// form AddPattern takes.
-func PatternOf(in []bool) []PIValue {
-	out := make([]PIValue, len(in))
-	for i, v := range in {
-		out[i] = PIValue{Index: i, Value: v}
-	}
-	return out
-}
-
 // Partial is the partial simulator. It owns a persistent pattern bank at
 // the primary inputs: an initial block of random pattern words plus words
 // appended for counter-example patterns. The bank survives miter rebuilds

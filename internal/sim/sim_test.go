@@ -87,10 +87,6 @@ func TestCEXConversions(t *testing.T) {
 	if in := cex.Vector(piIndex, g.NumPIs()); len(in) != 3 || in[0] || !in[1] || in[2] {
 		t.Fatalf("Vector = %v, want [false true false]", in)
 	}
-	full := PatternOf([]bool{true, false})
-	if len(full) != 2 || full[0] != (PIValue{0, true}) || full[1] != (PIValue{1, false}) {
-		t.Fatalf("PatternOf = %v", full)
-	}
 }
 
 func TestFindNonZeroPO(t *testing.T) {

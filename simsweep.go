@@ -501,22 +501,26 @@ func runBDD(m *AIG, o Options, _ *par.Device) Result {
 // the SAT sweep, so disproved pairs are never re-proved (§V EC transfer).
 //
 // Between the engine's steps — after P+G, and after each L phase that
-// merged something — hybrid asks the open POs directly on one incremental
-// solver (satsweep.CheckPOs). Each attempt's budget is the live AND count
-// of the miter it is asked on, in conflicts, charged only for the SAT
-// calls that end with no answer: each call may spend what is left of the
-// budget (or ConflictLimit, when that is set and smaller), and a proved PO
-// or a model is free, so an attempt that keeps proving POs is not cut off.
-// A PO whose call ended with no answer is asked after every other open PO
-// in later attempts, so one PO that SAT cannot answer quickly does not eat
-// the budget of the POs behind it. A model disproves the miter and all POs
-// proved decide it; on a missed budget the POs proved so far are merged to
-// constant zero and the next L phase sweeps only the cones of the others.
-// So an attempt spends at most one live-AND count of unanswered conflicts
-// before the final SAT sweep, which stays complete at ConflictLimit 0. No
-// clock enters the budget or the charge, so what an attempt proves depends
-// on the miter and the seed alone, not on how fast the steps before it
-// ran. The attempts are SAT time (Result.SATTime), not engine time.
+// merged something — hybrid makes a PO-level SAT attempt
+// (satsweep.CheckPOs). Its budget is the live AND count of the miter it is
+// asked on, in conflicts, charged only for the SAT calls that end with no
+// answer: a proved PO, a proved pair or a model is free. The attempt asks
+// the open POs on one incremental solver, each call limited to its share
+// of the budget (the budget over the open POs), and at the first call that
+// runs out of its share it sweeps the open cones into a FRAIG in
+// topological order, each pair query limited by what is left of the
+// budget, and asks the POs still open on the FRAIG. ConflictLimit, when
+// set and smaller, caps every call. A PO whose call ended with no answer
+// is asked after every other open PO in later attempts, so one PO that SAT
+// cannot answer quickly does not eat the budget of the POs behind it. A
+// model that fires a PO disproves the miter and all POs proved decide it;
+// on a spent budget the POs proved and the nodes the sweep merged so far
+// are merged, and the next L phase sweeps what is left. So an attempt
+// spends at most one live-AND count of unanswered conflicts before the
+// final SAT sweep, which stays complete at ConflictLimit 0. No clock
+// enters the budget or the charge, so what an attempt proves depends on
+// the miter and the seed alone, not on how fast the steps before it ran.
+// The attempts are SAT time (Result.SATTime), not engine time.
 //
 // Under fault injection the flow is also the first two rungs of the
 // degradation ladder: a degraded simulation phase falls through to SAT
@@ -541,9 +545,11 @@ func runHybrid(m *AIG, o Options, dev *par.Device) Result {
 		stalled = st
 		satTime += pr.Stats.Runtime
 		if o.Log != nil {
-			fmt.Fprintf(o.Log, "po-sat after %s: budget %d conflicts, unanswered %d, %d POs asked, %d proved: %s (%v)\n",
-				after, budget, unanswered, pr.Stats.SATCalls, pr.Stats.Proved, pr.Outcome,
-				pr.Stats.Runtime.Round(time.Microsecond))
+			st := pr.Stats
+			fmt.Fprintf(o.Log, "po-sat after %s: budget %d conflicts, unanswered %d, %d POs asked, %d proved; sweep: %d pairs asked, %d proved, %d disproved, %d structural merges: %s (%v)\n",
+				after, budget, unanswered, st.POs.Asked, st.POs.Proved,
+				st.Pairs.Asked, st.Pairs.Proved, st.Pairs.Disproved, st.Structural, pr.Outcome,
+				st.Runtime.Round(time.Microsecond))
 		}
 		return pr.Reduced, pr.CEX, pr.Faults
 	}

@@ -219,10 +219,18 @@ func TestPortfolioLosersStopWithTheVerdict(t *testing.T) {
 }
 
 func TestStopMidRunReturnsPromptlyAndDeviceIsReusable(t *testing.T) {
-	// A large miter whose SAT sweep runs for a while: cancel it mid-run
+	// A miter whose SAT sweep runs for seconds, 8-bit array against Booth
+	// multipliers, which share no internal structure: cancel it mid-run
 	// and require a prompt, clean return that leaves the shared device
 	// usable for the next check (the service layer depends on both).
-	g, o := genPair(t, "multiplier", 11)
+	g, err := Generate("multiplier", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := Generate("boothmul", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dev := NewDevice(4)
 	defer dev.Close()
 
@@ -241,6 +249,9 @@ func TestStopMidRunReturnsPromptlyAndDeviceIsReusable(t *testing.T) {
 	}
 	if res.Outcome == Undecided && !res.Stopped {
 		t.Fatal("cancelled undecided run not marked Stopped")
+	}
+	if res.Outcome != Undecided {
+		t.Fatalf("the check ended %v in %v, before the stop landed: the job is no longer slow", res.Outcome, res.Runtime)
 	}
 
 	// The device must be left reusable: run a small complete check on it.
